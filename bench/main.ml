@@ -779,13 +779,12 @@ type scaling_row = {
   sr_oversubscribed : bool;
   sr_stolen : int;  (** pool.tasks.stolen delta over the run *)
   sr_sleeps : int;  (** pool.sleeps delta over the run *)
-  sr_contended : int;  (** intern.lock.contended delta over the run *)
   sr_peak_mb : float;  (** process-wide watermark after the run *)
   sr_peak_delta_mb : float;  (** how much this row raised it *)
 }
 
-(* One workload at each domain count, with scheduler/interner
-   contention deltas around each run. [domain_counts] must contain 1:
+(* One workload at each domain count, with scheduler counter deltas
+   around each run. [domain_counts] must contain 1:
    speedups and report identity are both relative to the 1-domain
    run. *)
 let run_scaling_rows ~cores ~domain_counts state testeds =
@@ -796,7 +795,6 @@ let run_scaling_rows ~cores ~domain_counts state testeds =
   let run_at domains =
     let st0 = counter_value "pool.tasks.stolen" in
     let sl0 = counter_value "pool.sleeps" in
-    let ct0 = counter_value "intern.lock.contended" in
     let p0 = peak_heap_mb () in
     let r =
       Pool.with_pool ~domains (fun pool ->
@@ -806,16 +804,15 @@ let run_scaling_rows ~cores ~domain_counts state testeds =
     ( r,
       counter_value "pool.tasks.stolen" - st0,
       counter_value "pool.sleeps" - sl0,
-      counter_value "intern.lock.contended" - ct0,
       peak,
       peak -. p0 )
   in
   let runs = List.map (fun d -> (d, run_at d)) domain_counts in
-  let base, _, _, _, _, _ = List.assoc 1 runs in
+  let base, _, _, _, _ = List.assoc 1 runs in
   let reference = cov_of base in
   let base_wall = snd base in
   List.map
-    (fun (d, (((_, wall) as r), stolen, sleeps, contended, peak, delta)) ->
+    (fun (d, (((_, wall) as r), stolen, sleeps, peak, delta)) ->
       {
         sr_domains = d;
         sr_wall = wall;
@@ -824,7 +821,6 @@ let run_scaling_rows ~cores ~domain_counts state testeds =
         sr_oversubscribed = d > cores;
         sr_stolen = stolen;
         sr_sleeps = sleeps;
-        sr_contended = contended;
         sr_peak_mb = peak;
         sr_peak_delta_mb = delta;
       })
@@ -833,19 +829,18 @@ let run_scaling_rows ~cores ~domain_counts state testeds =
 let print_scaling_row r =
   Printf.printf
     "  domains=%d  wall %7.3fs  speedup %5.2fx  identical-report %b  \
-     stolen=%d sleeps=%d intern-contended=%d  peak %.0fMB (+%.0fMB)%s\n"
+     stolen=%d sleeps=%d  peak %.0fMB (+%.0fMB)%s\n"
     r.sr_domains r.sr_wall r.sr_speedup r.sr_identical r.sr_stolen r.sr_sleeps
-    r.sr_contended r.sr_peak_mb r.sr_peak_delta_mb
+    r.sr_peak_mb r.sr_peak_delta_mb
     (if r.sr_oversubscribed then "  [oversubscribed: > hardware cores]" else "")
 
 let row_json r =
   Printf.sprintf
     "{\"domains\": %d, \"wall_s\": %.4f, \"speedup\": %.3f, \"identical\": \
      %b, \"oversubscribed\": %b, \"tasks_stolen\": %d, \"sleeps\": %d, \
-     \"intern_lock_contended\": %d, \"peak_heap_mb\": %.1f, \
-     \"peak_heap_delta_mb\": %.1f}"
+     \"peak_heap_mb\": %.1f, \"peak_heap_delta_mb\": %.1f}"
     r.sr_domains r.sr_wall r.sr_speedup r.sr_identical r.sr_oversubscribed
-    r.sr_stolen r.sr_sleeps r.sr_contended r.sr_peak_mb r.sr_peak_delta_mb
+    r.sr_stolen r.sr_sleeps r.sr_peak_mb r.sr_peak_delta_mb
 
 (* ------------------------------------------------------------------ *)
 (* Labeling engine: shared per-domain arena vs fresh-manager-per-cone  *)

@@ -6,7 +6,13 @@
     a fact costs one structural hash, never a key-string construction.
     Node attributes and adjacency live in flat int arrays; traversals
     should prefer the [iter_*]/[fold_*] forms, which walk adjacency
-    without allocating lists. *)
+    without allocating lists.
+
+    Single writer: {!add_fact}, {!add_disj}, {!add_edge} and
+    {!mark_expanded} must not run concurrently with any other operation
+    on the same graph (in the pipeline only {!Materialize.run} builds
+    graphs). Once built, a graph may be read from any number of
+    domains, as labeling does. *)
 
 type node_id = int
 

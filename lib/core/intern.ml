@@ -1,5 +1,3 @@
-module M = Netcov_obs.Metrics
-
 (* Fact interning: dense int identities for the IFG core.
 
    Identity mode Structural hashes the fact variant itself (Fact.hash /
@@ -10,173 +8,80 @@ module M = Netcov_obs.Metrics
    sequence because Fact.equal is pinned to the projection Fact.key
    prints.
 
-   Domain safety and contention: the forward direction (fact -> id) is
-   hash-sharded — [n_shards] independent mutex+table pairs, a fact's
-   shard chosen by its hash — so concurrent interning from the pool's
-   domains contends only when two domains hit the same shard, not on
-   every call. Ids stay globally dense: a single atomic allocator
-   hands them out, and a [published] watermark is advanced in id order
-   (CAS spin) after each slot of the reverse array is written, so
-   every id below the watermark has a readable fact. The reverse
-   direction (id -> fact) is completely lock-free: the spine is an
-   array of fixed-size chunks and growth copies only chunk pointers,
-   never facts, so a published slot stays valid forever. This matters
-   because [Ifg.kind]/[Ifg.config_eid] hit the reverse direction on
-   every parallel labeling step — under the old single mutex that was
-   the pool's hottest lock. [intern.lock.contended] counts shard-lock
-   contention (a failed try-lock) so the claim is measurable. *)
-
-let n_shards = 16
-
-let m_contended =
-  M.counter M.default
-    ~help:"interner shard-lock acquisitions that had to wait"
-    ~unit_:"acquisitions" "intern.lock.contended"
+   Single writer: one forward table plus a growable reverse array, no
+   locks. The only writer is Materialize.run's sequential worklist
+   (through Ifg.add_fact); labeling reads ids and facts from the pool's
+   domains only after materialization has returned, and the pool's task
+   hand-off orders those reads after the writes. *)
 
 type mode = Structural | By_key
 
-type shard = {
-  sh_mutex : Mutex.t;
-  sh_tbl : int Fact.Tbl.t;  (* Structural mode *)
-  sh_by_key : (string, int) Hashtbl.t;  (* By_key mode *)
-}
-
-(* Reverse array: chunked so growth never invalidates written slots.
-   [spine] is swapped wholesale under [spine_mutex] when a new chunk is
-   needed; readers load it atomically and index without locking. *)
-let chunk_bits = 12
-let chunk_size = 1 lsl chunk_bits
+type index =
+  | Structural_index of int Fact.Tbl.t
+  | By_key_index of (string, int) Hashtbl.t
 
 type t = {
-  mode : mode;
-  shards : shard array;
-  next : int Atomic.t;  (* id allocator *)
-  published : int Atomic.t;  (* every id < published has its slot set *)
-  spine : Fact.t array array Atomic.t;
-  spine_mutex : Mutex.t;  (* guards spine growth only *)
+  index : index;
+  mutable facts : Fact.t array;  (* id -> fact; [length] slots live *)
+  mutable length : int;
 }
-
-let dummy_fact = Fact.F_edge ""
 
 let create ?(mode = Structural) () =
   {
-    mode;
-    shards =
-      Array.init n_shards (fun _ ->
-          {
-            sh_mutex = Mutex.create ();
-            sh_tbl = Fact.Tbl.create 512;
-            sh_by_key = Hashtbl.create 512;
-          });
-    next = Atomic.make 0;
-    published = Atomic.make 0;
-    spine = Atomic.make [| Array.make chunk_size dummy_fact |];
-    spine_mutex = Mutex.create ();
+    index =
+      (match mode with
+      | Structural -> Structural_index (Fact.Tbl.create 256)
+      | By_key -> By_key_index (Hashtbl.create 256));
+    facts = [||];
+    length = 0;
   }
 
-let mode t = t.mode
-let length t = Atomic.get t.published
+let mode t =
+  match t.index with Structural_index _ -> Structural | By_key_index _ -> By_key
 
-let shard_of t fact =
-  (* By_key identity must shard by the key string, not the variant:
-     two facts with equal keys always land in the same shard. In
-     Structural mode Fact.hash is pinned to the key projection, so the
-     variant hash is the cheaper equivalent. *)
-  match t.mode with
-  | Structural -> Fact.hash fact land (n_shards - 1)
-  | By_key -> Hashtbl.hash (Fact.key fact) land (n_shards - 1)
-
-let lock_shard sh =
-  if not (Mutex.try_lock sh.sh_mutex) then begin
-    M.inc m_contended 1;
-    Mutex.lock sh.sh_mutex
-  end
-
-(* Ensure the chunk holding [id] exists. Only the grower swaps the
-   spine, and the old chunks are reused in the new spine, so readers
-   holding a stale spine still see every slot they could have been
-   told about. *)
-let ensure_chunk t id =
-  let chunk = id lsr chunk_bits in
-  if chunk >= Array.length (Atomic.get t.spine) then begin
-    Mutex.lock t.spine_mutex;
-    let spine = Atomic.get t.spine in
-    if chunk >= Array.length spine then begin
-      let n_old = Array.length spine in
-      let n_new = max (chunk + 1) (2 * n_old) in
-      let bigger =
-        Array.init n_new (fun i ->
-            if i < n_old then spine.(i) else Array.make chunk_size dummy_fact)
-      in
-      Atomic.set t.spine bigger
-    end;
-    Mutex.unlock t.spine_mutex
-  end
-
-(* Write the slot, then advance the dense publication watermark. The
-   CAS only succeeds for the id exactly at the watermark, so slots are
-   published in id order and [length]/[fact]/[iter] never observe a
-   gap. The spin is bounded by how far ahead this domain's allocation
-   raced the slower writers below it; single-domain use never spins. *)
-let publish t id fact =
-  ensure_chunk t id;
-  let chunk = (Atomic.get t.spine).(id lsr chunk_bits) in
-  chunk.(id land (chunk_size - 1)) <- fact;
-  while not (Atomic.compare_and_set t.published id (id + 1)) do
-    Domain.cpu_relax ()
-  done
-
-let intern t fact =
-  let sh = t.shards.(shard_of t fact) in
-  lock_shard sh;
-  let existing =
-    match t.mode with
-    | Structural -> Fact.Tbl.find_opt sh.sh_tbl fact
-    | By_key -> Hashtbl.find_opt sh.sh_by_key (Fact.key fact)
-  in
-  match existing with
-  | Some id ->
-      Mutex.unlock sh.sh_mutex;
-      id
-  | None ->
-      let id = Atomic.fetch_and_add t.next 1 in
-      (match t.mode with
-      | Structural -> Fact.Tbl.add sh.sh_tbl fact id
-      | By_key -> Hashtbl.add sh.sh_by_key (Fact.key fact) id);
-      (* publish before releasing the shard lock: a second interner of
-         the same fact must not return an id whose reverse slot is
-         still unwritten *)
-      (match publish t id fact with
-      | () -> Mutex.unlock sh.sh_mutex
-      | exception e ->
-          Mutex.unlock sh.sh_mutex;
-          raise e);
-      id
+let length t = t.length
 
 let find t fact =
-  let sh = t.shards.(shard_of t fact) in
-  lock_shard sh;
-  let r =
-    match t.mode with
-    | Structural -> Fact.Tbl.find_opt sh.sh_tbl fact
-    | By_key -> Hashtbl.find_opt sh.sh_by_key (Fact.key fact)
-  in
-  Mutex.unlock sh.sh_mutex;
-  r
+  match t.index with
+  | Structural_index tbl -> Fact.Tbl.find_opt tbl fact
+  | By_key_index tbl -> Hashtbl.find_opt tbl (Fact.key fact)
+
+let push t fact =
+  let id = t.length in
+  if id = Array.length t.facts then begin
+    let bigger = Array.make (max 256 (2 * id)) fact in
+    Array.blit t.facts 0 bigger 0 id;
+    t.facts <- bigger
+  end;
+  t.facts.(id) <- fact;
+  t.length <- id + 1;
+  id
+
+let intern t fact =
+  match t.index with
+  | Structural_index tbl -> (
+      match Fact.Tbl.find_opt tbl fact with
+      | Some id -> id
+      | None ->
+          let id = push t fact in
+          Fact.Tbl.add tbl fact id;
+          id)
+  | By_key_index tbl -> (
+      let key = Fact.key fact in
+      match Hashtbl.find_opt tbl key with
+      | Some id -> id
+      | None ->
+          let id = push t fact in
+          Hashtbl.add tbl key id;
+          id)
 
 let fact t id =
-  (* Lock-free: read the watermark first; everything below it is
-     written, and spine swaps preserve old chunks. *)
-  let n = Atomic.get t.published in
-  if id < 0 || id >= n then
-    invalid_arg (Printf.sprintf "Intern.fact: id %d out of [0, %d)" id n)
-  else (Atomic.get t.spine).(id lsr chunk_bits).(id land (chunk_size - 1))
+  if id < 0 || id >= t.length then
+    invalid_arg (Printf.sprintf "Intern.fact: id %d out of [0, %d)" id t.length)
+  else t.facts.(id)
 
 let iter t f =
-  (* Snapshot the watermark, then iterate lock-free: ids are never
-     reassigned and published slots never mutate. *)
-  let n = Atomic.get t.published in
-  let spine = Atomic.get t.spine in
+  let n = t.length in
   for id = 0 to n - 1 do
-    f id spine.(id lsr chunk_bits).(id land (chunk_size - 1))
+    f id t.facts.(id)
   done

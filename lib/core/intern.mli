@@ -1,18 +1,17 @@
-(** Fact interning: a domain-safe table assigning dense [int]
-    identities to {!Fact.t} values, so the IFG core, dedup tables and
-    rule firing never build or hash key strings. Ids are dense
-    ([0 .. length-1], in first-intern order) and stable for the
-    lifetime of the table; the reverse direction ({!fact}) serves the
-    export/debug boundary.
+(** Fact interning: a table assigning dense [int] identities to
+    {!Fact.t} values, so the IFG core, dedup tables and rule firing
+    never build or hash key strings. Ids are dense ([0 .. length-1], in
+    first-intern order) and stable for the lifetime of the table; the
+    reverse direction ({!fact}) serves labeling and the export/debug
+    boundary.
 
-    The forward direction is hash-sharded (independent mutex+table
-    pairs, a fact's shard chosen by its identity hash) so concurrent
-    interning from the pool's domains rarely contends on a lock; the
-    [intern.lock.contended] metric counts the collisions that remain.
-    The reverse direction ({!fact}, {!iter}, {!length}) is lock-free:
-    a chunked reverse array plus a dense publication watermark, so the
-    per-labeling-step id lookups in the IFG never serialize across
-    domains. See docs/PERFORMANCE.md. *)
+    Single writer: one forward hash table plus a growable reverse
+    array, with no locks. {!intern} must only be called by one domain
+    at a time — in the pipeline, {!Materialize.run}'s sequential
+    worklist. Reads ({!find}, {!fact}, {!iter}, {!length}) from other
+    domains are safe once the writer is done and the readers were
+    started after it (as labeling's pool tasks are). See
+    docs/PERFORMANCE.md. *)
 
 (** How facts are identified.
 
@@ -34,14 +33,14 @@ val create : ?mode:mode -> unit -> t
 val mode : t -> mode
 
 (** [intern t f] is the id of [f], assigning the next dense id on first
-    sight. Safe to call concurrently from multiple domains: a given
-    fact identity always maps to exactly one id. *)
+    sight: a given fact identity always maps to exactly one id. Not
+    safe to call concurrently with any other operation on [t]. *)
 val intern : t -> Fact.t -> int
 
 (** [find t f] is [f]'s id if already interned. *)
 val find : t -> Fact.t -> int option
 
-(** [fact t id] is the fact with identity [id]. Lock-free.
+(** [fact t id] is the fact with identity [id].
     @raise Invalid_argument when [id] was never assigned. *)
 val fact : t -> int -> Fact.t
 

@@ -49,16 +49,18 @@ let m_cache_misses =
   M.counter M.default ~help:"targeted-simulation memo cache misses"
     ~unit_:"lookups" "sim.cache.misses"
 
+(* Registered when the module loads, like the metrics above, not
+   behind a [lazy]: two domains starting their first analyses at once
+   would force it concurrently, which raises CamlinternalLazy.Undefined
+   on OCaml 5. *)
 let rule_counters =
-  lazy
-    (List.map
-       (fun (name, _) ->
-         ( name,
-           M.counter M.default ~help:"inferences emitted per rule"
-             ~unit_:"inferences"
-             ~labels:[ ("rule", name) ]
-             "materialize.inferences" ))
-       Rules.all_rules)
+  List.map
+    (fun (name, _) ->
+      M.counter M.default ~help:"inferences emitted per rule"
+        ~unit_:"inferences"
+        ~labels:[ ("rule", name) ]
+        "materialize.inferences")
+    Rules.all_rules
 
 let expandable ctx fact =
   match fact with
@@ -71,7 +73,6 @@ let expandable ctx fact =
 let run ?mode ctx ~tested =
   T.with_span "materialize" ~args:[ ("tested", T.I (List.length tested)) ]
   @@ fun () ->
-  let rule_counters = Lazy.force rule_counters in
   let g = Ifg.create ?mode () in
   let queue = Queue.create () in
   let enqueue_fact f =
@@ -81,8 +82,10 @@ let run ?mode ctx ~tested =
   in
   let tested_ids = List.map enqueue_fact tested in
   let iterations = ref 0 in
-  let apply_inference (inf : Rules.inference) =
-    let target_id = enqueue_fact inf.target in
+  (* Rules mostly target the fact being expanded itself; that fact's
+     node is the popped [id], so skip interning it again. *)
+  let apply_inference ~id ~fact (inf : Rules.inference) =
+    let target_id = if inf.target == fact then id else enqueue_fact inf.target in
     List.iter
       (fun spec ->
         match (spec : Rules.parent_spec) with
@@ -112,10 +115,10 @@ let run ?mode ctx ~tested =
             | Ifg.N_fact f ->
                 if expandable ctx f then
                   List.iter2
-                    (fun named_rule (_, counter) ->
+                    (fun named_rule counter ->
                       let infs = Rules.apply_rule ctx named_rule f in
                       if infs <> [] then M.inc counter (List.length infs);
-                      List.iter apply_inference infs)
+                      List.iter (apply_inference ~id ~fact:f) infs)
                     Rules.all_rules rule_counters
           end
         done)

@@ -373,7 +373,9 @@ let sim_cache_breakdown c =
 type ctx = {
   state : Stable_state.t;
   edge_of_key : (string, Session.edge) Hashtbl.t;
-  trace_cache : (string, Forward.path list) Hashtbl.t;
+  learned_edge : (string * Ipv4.t, Session.edge * string) Hashtbl.t;
+      (* (recv_host, send_ip) -> edge and its key: Figure 4's edge
+         lookup, without formatting a key per learned route *)
   cache : sim_cache option;
   sim_section : Timing.section;
   diags : (Netcov_diag.Diag.t -> unit) option;
@@ -383,13 +385,17 @@ type ctx = {
 
 let make_ctx ?cache ?diags state =
   let edge_of_key = Hashtbl.create 256 in
+  let learned_edge = Hashtbl.create 256 in
   List.iter
-    (fun (e : Session.edge) -> Hashtbl.replace edge_of_key (Session.edge_key e) e)
+    (fun (e : Session.edge) ->
+      let key = Session.edge_key e in
+      Hashtbl.replace edge_of_key key e;
+      Hashtbl.replace learned_edge (e.recv_host, e.send_ip) (e, key))
     (Stable_state.edges state);
   {
     state;
     edge_of_key;
-    trace_cache = Hashtbl.create 256;
+    learned_edge;
     cache;
     sim_section = Timing.make "targeted-sim";
     diags;
@@ -467,15 +473,6 @@ let config_parents ctx ~host keys =
 let timed_sim ctx f = Timing.record ctx.sim_section f
 
 let find_device_fn ctx host = Stable_state.find_device ctx.state host
-
-let trace ctx ~src ~dst =
-  let key = src ^ "->" ^ Ipv4.to_string dst in
-  match Hashtbl.find_opt ctx.trace_cache key with
-  | Some paths -> paths
-  | None ->
-      let paths = Stable_state.trace ctx.state ~src ~dst in
-      Hashtbl.replace ctx.trace_cache key paths;
-      paths
 
 (* Collapse degenerate disjunctions. *)
 let disj_of = function [] -> None | [ f ] -> Some (P f) | fs -> Some (P_disj fs)
@@ -624,10 +621,9 @@ let rule_igp_rib ctx fact =
 let rule_bgp_rib_learned ctx fact =
   match fact with
   | Fact.F_bgp_rib { host; route; source = Rib.Learned send_ip } -> (
-      match Stable_state.edge_from ctx.state ~recv_host:host ~send_ip with
+      match Hashtbl.find_opt ctx.learned_edge (host, send_ip) with
       | None -> []
-      | Some edge ->
-          let ekey = Session.edge_key edge in
+      | Some (edge, ekey) ->
           let edge_fact = Fact.F_edge ekey in
           let sender_internal = not (Stable_state.is_external ctx.state edge.send_host) in
           let find_device = find_device_fn ctx in
@@ -856,7 +852,7 @@ let rule_edge ctx fact =
             if not edge.multihop then []
             else
               let direction src dst =
-                let paths = trace ctx ~src ~dst in
+                let paths = Stable_state.trace ctx.state ~src ~dst in
                 let facts =
                   List.mapi (fun i p -> (i, p)) paths
                   |> List.filter (fun (_, (p : Forward.path)) -> p.reached)
@@ -878,7 +874,7 @@ let rule_edge ctx fact =
 let rule_path ctx fact =
   match fact with
   | Fact.F_path { src; dst; idx } -> (
-      let paths = trace ctx ~src ~dst in
+      let paths = Stable_state.trace ctx.state ~src ~dst in
       match List.nth_opt paths idx with
       | None -> []
       | Some path ->

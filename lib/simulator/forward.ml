@@ -87,7 +87,10 @@ let rec resolve env host depth (entry : Rib.main_entry) dst =
                       (resolve env host (depth + 1) r gw))
                   entries))
 
-let trace ?(max_paths = 32) ?(max_hops = 64) env ~src ~dst =
+let max_paths = 32
+let max_hops = 64
+
+let trace env ~src ~dst =
   let paths = ref [] in
   let n_paths = ref 0 in
   let rec step host rev_hops visited in_acls =
@@ -216,6 +219,3 @@ let trace ?(max_paths = 32) ?(max_hops = 64) env ~src ~dst =
   in
   step src [] [] [];
   List.rev !paths
-
-let reachable ?max_paths env ~src ~dst =
-  List.exists (fun p -> p.reached) (trace ?max_paths env ~src ~dst)

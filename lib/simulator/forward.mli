@@ -36,11 +36,7 @@ type env = {
 }
 
 (** [trace env ~src ~dst] enumerates forwarding paths from [src] to
-    [dst], branching on ECMP up to [max_paths] (default 32) and
-    [max_hops] (default 64). A path reaches when it arrives at a device
-    owning [dst] or delivers onto a connected subnet containing it. *)
-val trace : ?max_paths:int -> ?max_hops:int -> env -> src:string -> dst:Ipv4.t -> path list
-
-(** [reachable env ~src ~dst] is true iff at least one traced path
-    reaches. *)
-val reachable : ?max_paths:int -> env -> src:string -> dst:Ipv4.t -> bool
+    [dst], branching on ECMP up to 32 paths of at most 64 hops. A path
+    reaches when it arrives at a device owning [dst] or delivers onto a
+    connected subnet containing it. *)
+val trace : env -> src:string -> dst:Ipv4.t -> path list

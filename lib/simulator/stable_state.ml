@@ -5,7 +5,6 @@ type t = {
   reg : Registry.t;
   topo : Topology.t;
   sim : Bgp.result;
-  edge_index : (string, Session.edge) Hashtbl.t;
   (* devices as simulated: interface failures applied (the registry keeps
      the unmodified configurations for coverage) *)
   sim_devices : (string, Device.t) Hashtbl.t;
@@ -14,10 +13,11 @@ type t = {
       (* primed lazily by [prime]; always [None] on a freshly assembled
          state — a memo is only valid for warm updates seeded from the
          exact state it was primed on, so it never carries over *)
+  traces : (string * Ipv4.t, Forward.path list) Hashtbl.t;
+      (* [trace] memo, filled on demand; the pool's domains share a
+         state, so every access holds [trace_lock] *)
+  trace_lock : Mutex.t;
 }
-
-let edge_index_key ~recv_host ~send_ip =
-  recv_host ^ "<-" ^ Ipv4.to_string send_ip
 
 let apply_down down devices =
   if down = [] then devices
@@ -69,18 +69,20 @@ let record_metrics t dt =
   t
 
 let assemble reg down topo sim devices =
-  let edge_index = Hashtbl.create 256 in
-  List.iter
-    (fun (e : Session.edge) ->
-      Hashtbl.replace edge_index
-        (edge_index_key ~recv_host:e.recv_host ~send_ip:e.send_ip)
-        e)
-    sim.Bgp.edges;
   let sim_devices = Hashtbl.create 64 in
   List.iter
     (fun (d : Device.t) -> Hashtbl.replace sim_devices d.hostname d)
     devices;
-  { reg; topo; sim; edge_index; sim_devices; down; import_memo = None }
+  {
+    reg;
+    topo;
+    sim;
+    sim_devices;
+    down;
+    import_memo = None;
+    traces = Hashtbl.create 64;
+    trace_lock = Mutex.create ();
+  }
 
 let compute ?max_rounds ?diags ?(down = []) reg =
   let n_devices = List.length (Registry.devices reg) in
@@ -270,9 +272,6 @@ let bgp_rib t host = table_of t.sim.bgp_ribs host
 let igp_rib t host = table_of t.sim.igp_ribs host
 let edges t = t.sim.edges
 
-let edge_from t ~recv_host ~send_ip =
-  Hashtbl.find_opt t.edge_index (edge_index_key ~recv_host ~send_ip)
-
 let edges_in t host =
   List.filter (fun (e : Session.edge) -> e.recv_host = host) t.sim.edges
 
@@ -294,10 +293,25 @@ let forward_env t =
     topo = t.topo;
   }
 
-let trace ?max_paths t ~src ~dst = Forward.trace ?max_paths (forward_env t) ~src ~dst
+(* Tests trace the pairs they probe, and materialization's path and
+   edge rules trace them again: memoizing per state lets the rules
+   reuse the test's traces. Tracing runs outside the lock; when two
+   domains race on a pair, both return the first stored list. *)
+let trace t ~src ~dst =
+  let key = (src, dst) in
+  match Mutex.protect t.trace_lock (fun () -> Hashtbl.find_opt t.traces key) with
+  | Some paths -> paths
+  | None ->
+      let paths = Forward.trace (forward_env t) ~src ~dst in
+      Mutex.protect t.trace_lock (fun () ->
+          match Hashtbl.find_opt t.traces key with
+          | Some first -> first
+          | None ->
+              Hashtbl.add t.traces key paths;
+              paths)
 
-let reachable ?max_paths t ~src ~dst =
-  Forward.reachable ?max_paths (forward_env t) ~src ~dst
+let reachable t ~src ~dst =
+  List.exists (fun (p : Forward.path) -> p.reached) (trace t ~src ~dst)
 
 let owner_of_ip t ip =
   Option.map

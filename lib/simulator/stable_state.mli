@@ -80,11 +80,6 @@ val igp_rib : t -> string -> Rib.igp_entry Rib.table
 (** All established directed routing edges. *)
 val edges : t -> Session.edge list
 
-(** [edge_from t ~recv_host ~send_ip] resolves the unique edge whose
-    receiver is [recv_host] and whose sender session address is
-    [send_ip] — the lookup in Figure 4. *)
-val edge_from : t -> recv_host:string -> send_ip:Ipv4.t -> Session.edge option
-
 val edges_in : t -> string -> Session.edge list
 val edges_out : t -> string -> Session.edge list
 
@@ -101,8 +96,16 @@ val igp_lookup : t -> string -> Prefix.t -> Rib.igp_entry list
 (** Data-plane forwarding. *)
 val forward_env : t -> Forward.env
 
-val trace : ?max_paths:int -> t -> src:string -> dst:Ipv4.t -> Forward.path list
-val reachable : ?max_paths:int -> t -> src:string -> dst:Ipv4.t -> bool
+(** [trace t ~src ~dst] is [Forward.trace (forward_env t) ~src ~dst],
+    memoized per state: a repeat call, including one made while
+    materializing the IFG after a test traced the same pair, returns
+    the physically same list. Safe to call from several domains at
+    once (one mutex guards the memo; tracing runs outside it). *)
+val trace : t -> src:string -> dst:Ipv4.t -> Forward.path list
+
+(** [reachable t ~src ~dst] is true iff at least one path of
+    [trace t ~src ~dst] reaches (so it reads and fills the same memo). *)
+val reachable : t -> src:string -> dst:Ipv4.t -> bool
 
 (** [owner_of_ip t ip] is the device/interface carrying [ip]. *)
 val owner_of_ip : t -> Ipv4.t -> (string * string) option

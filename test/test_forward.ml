@@ -133,6 +133,41 @@ let test_acl_records_rule () =
          u.au_acl = "FILT" && u.au_rule = Some 0 && u.au_permit)
        uses)
 
+(* Stable_state.trace memoizes per state: it must agree with the
+   unmemoized Forward.trace, hand back the stored list on a repeat
+   call, and give racing domains the same lists. Fat-tree k=4,
+   every leaf to every other leaf's subnet (the ToR pingmesh pairs). *)
+let test_trace_memo () =
+  let module Fattree = Netcov_workloads.Fattree in
+  let ft = Fattree.generate ~k:4 () in
+  let state () = Stable_state.compute (Registry.build ft.Fattree.devices) in
+  let pairs =
+    List.concat_map
+      (fun src ->
+        List.filter_map
+          (fun (dst_leaf, subnet) ->
+            if src = dst_leaf then None else Some (src, Prefix.first_host subnet))
+          ft.Fattree.leaf_subnets)
+      ft.Fattree.leaves
+  in
+  check_int "pairs" 56 (List.length pairs);
+  let st = state () in
+  let traced = List.map (fun (src, dst) -> Stable_state.trace st ~src ~dst) pairs in
+  List.iter2
+    (fun (src, dst) paths ->
+      check_bool "memo = Forward.trace" true
+        (paths = Forward.trace (Stable_state.forward_env st) ~src ~dst);
+      check_bool "repeat call returns the stored list" true
+        (Stable_state.trace st ~src ~dst == paths))
+    pairs traced;
+  let st2 = state () in
+  let run order () = List.map (fun (src, dst) -> Stable_state.trace st2 ~src ~dst) order in
+  let d1 = Domain.spawn (run pairs) in
+  let d2 = Domain.spawn (fun () -> List.rev (run (List.rev pairs) ())) in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  check_bool "two domains get the same lists" true (List.for_all2 ( == ) r1 r2);
+  check_bool "two domains agree with Forward.trace" true (r1 = traced)
+
 let () =
   Alcotest.run "forward"
     [
@@ -143,6 +178,7 @@ let () =
           Alcotest.test_case "unreachable" `Quick test_unreachable;
           Alcotest.test_case "connected delivery" `Quick test_connected_subnet_delivery;
           Alcotest.test_case "ecmp branches" `Quick test_ecmp_branches;
+          Alcotest.test_case "memo (fat-tree k=4)" `Quick test_trace_memo;
         ] );
       ( "acl",
         [

@@ -1,6 +1,6 @@
 (* The fact interner (lib/core/intern.ml): dense stable ids, the
-   structural-identity projection (equal to Fact.key equality), the
-   By_key reference mode, and domain-safety under concurrent intern. *)
+   structural-identity projection (equal to Fact.key equality) and the
+   By_key reference mode. *)
 open Netcov_types
 open Netcov_sim
 open Netcov_core
@@ -99,78 +99,6 @@ let test_modes_assign_same_ids () =
     facts;
   check_int "same distinct count" (Intern.length k) (Intern.length s)
 
-(* ---------------- concurrent intern ---------------- *)
-
-let test_concurrent_intern () =
-  let t = Intern.create () in
-  let facts = Array.of_list (distinct_facts 200) in
-  let worker offset () =
-    (* each domain walks the same facts from a different start, so the
-       first-intern races cover the whole table *)
-    Array.init (Array.length facts) (fun i ->
-        let f = facts.((i + offset) mod Array.length facts) in
-        (Fact.key f, Intern.intern t f))
-  in
-  let domains = List.init 4 (fun d -> Domain.spawn (worker (50 * d))) in
-  let assignments = List.concat_map (fun d -> Array.to_list (Domain.join d)) domains in
-  check_int "every distinct fact got exactly one id" (Array.length facts)
-    (Intern.length t);
-  List.iter
-    (fun (key, id) ->
-      check_bool "ids are consistent across domains" true
-        (String.equal (Fact.key (Intern.fact t id)) key))
-    assignments;
-  let ids = List.sort_uniq Int.compare (List.map snd assignments) in
-  check_int "ids are dense" (Array.length facts) (List.length ids);
-  check_int "ids start at zero" 0 (List.hd ids)
-
-(* Sharded-interner invariant: readers use the lock-free reverse path
-   ([fact]/[length]) while writers are still interning. A reader may
-   trail behind [next], but every id below the published watermark must
-   resolve, the watermark only grows, and the final table is dense. *)
-let test_concurrent_reads_during_intern () =
-  let t = Intern.create () in
-  let n = 2000 in
-  let facts = Array.of_list (distinct_facts n) in
-  let stop = Atomic.make false in
-  let reader () =
-    let checked = ref 0 in
-    let last_len = ref 0 in
-    while not (Atomic.get stop) do
-      let len = Intern.length t in
-      if len < !last_len then failwith "published watermark went backwards";
-      last_len := len;
-      for id = 0 to len - 1 do
-        (* must never raise / read an unwritten slot *)
-        ignore (Sys.opaque_identity (Intern.fact t id));
-        incr checked
-      done
-    done;
-    !checked
-  in
-  let writer offset () =
-    Array.iteri
-      (fun i _ -> ignore (Intern.intern t facts.((i + offset) mod n)))
-      facts
-  in
-  let readers = List.init 2 (fun _ -> Domain.spawn reader) in
-  let writers = List.init 2 (fun d -> Domain.spawn (writer (d * (n / 2)))) in
-  List.iter Domain.join writers;
-  Atomic.set stop true;
-  let reads = List.fold_left (fun acc d -> acc + Domain.join d) 0 readers in
-  check_bool "readers made progress" true (reads > 0);
-  check_int "dense after concurrent interning" n (Intern.length t);
-  for id = 0 to n - 1 do
-    ignore (Intern.fact t id)
-  done;
-  (* every fact still round-trips *)
-  Array.iter
-    (fun f ->
-      match Intern.find t f with
-      | Some id -> check_bool "find -> fact" true (Fact.equal (Intern.fact t id) f)
-      | None -> Alcotest.fail "fact lost during concurrent interning")
-    facts
-
 let () =
   Alcotest.run "intern"
     [
@@ -183,8 +111,5 @@ let () =
           Alcotest.test_case "iter snapshot" `Quick test_iter_snapshot;
           Alcotest.test_case "modes assign same ids" `Quick
             test_modes_assign_same_ids;
-          Alcotest.test_case "concurrent intern" `Quick test_concurrent_intern;
-          Alcotest.test_case "lock-free reads during intern" `Quick
-            test_concurrent_reads_during_intern;
         ] );
     ]

@@ -107,7 +107,7 @@ let test_edge_rule_multihop_has_paths () =
   let ctx = Rules.make_ctx state in
   let edge =
     Option.get
-      (Stable_state.edge_from state ~recv_host:"d" ~send_ip:(ip "172.20.0.1"))
+      (Testnet.edge_from state ~recv_host:"d" ~send_ip:(ip "172.20.0.1"))
   in
   let fact = Fact.F_edge (Session.edge_key edge) in
   let inferences = List.concat_map (fun (_, rule) -> rule ctx fact) Rules.all_rules in

@@ -56,9 +56,9 @@ let test_sessions_chain () =
   check_bool "all ebgp single-hop" true
     (List.for_all (fun (e : Session.edge) -> e.ebgp && not e.multihop) edges);
   check_bool "a->b exists" true
-    (Stable_state.edge_from state ~recv_host:"b" ~send_ip:(ip "192.168.0.1") <> None);
+    (Testnet.edge_from state ~recv_host:"b" ~send_ip:(ip "192.168.0.1") <> None);
   check_bool "no a->c" true
-    (Stable_state.edge_from state ~recv_host:"c" ~send_ip:(ip "192.168.0.1") = None)
+    (Testnet.edge_from state ~recv_host:"c" ~send_ip:(ip "192.168.0.1") = None)
 
 let test_session_requires_reciprocal_config () =
   (* remove b's neighbor statement toward a: no session *)
@@ -122,7 +122,7 @@ let test_multihop_ibgp_sessions () =
   check_bool "ibgp" true (List.for_all (fun (e : Session.edge) -> not e.ebgp) edges);
   (* a-d is not directly connected *)
   check_bool "a-d multihop" true
-    (match Stable_state.edge_from state ~recv_host:"d" ~send_ip:(ip "172.20.0.1") with
+    (match Testnet.edge_from state ~recv_host:"d" ~send_ip:(ip "172.20.0.1") with
     | Some e -> e.multihop
     | None -> false)
 
@@ -233,7 +233,7 @@ let test_export_import_roundtrip () =
   let state = Testnet.state_of devices in
   let find_device h = Stable_state.find_device state h in
   let edge =
-    Option.get (Stable_state.edge_from state ~recv_host:"c" ~send_ip:(ip "192.168.0.5"))
+    Option.get (Testnet.edge_from state ~recv_host:"c" ~send_ip:(ip "192.168.0.5"))
   in
   let origin = List.hd (Stable_state.bgp_lookup_best state "b" (p "10.10.0.0/24")) in
   match Bgp.export_route find_device edge origin with
@@ -252,7 +252,7 @@ let test_no_export_community () =
   let state = Testnet.state_of devices in
   let find_device h = Stable_state.find_device state h in
   let edge =
-    Option.get (Stable_state.edge_from state ~recv_host:"c" ~send_ip:(ip "192.168.0.5"))
+    Option.get (Testnet.edge_from state ~recv_host:"c" ~send_ip:(ip "192.168.0.5"))
   in
   let origin = List.hd (Stable_state.bgp_lookup_best state "b" (p "10.10.0.0/24")) in
   let tagged =

@@ -147,3 +147,11 @@ let diamond ?(multipath = 1) () =
 
 let state_of devices =
   Netcov_sim.Stable_state.compute (Registry.build devices)
+
+(* The edge whose receiver is [recv_host] and whose sender session
+   address is [send_ip] — the lookup in Figure 4. *)
+let edge_from state ~recv_host ~send_ip =
+  List.find_opt
+    (fun (e : Netcov_sim.Session.edge) ->
+      e.recv_host = recv_host && Ipv4.equal e.send_ip send_ip)
+    (Netcov_sim.Stable_state.edges state)
