@@ -842,100 +842,6 @@ let row_json r =
     r.sr_domains r.sr_wall r.sr_speedup r.sr_identical r.sr_oversubscribed
     r.sr_stolen r.sr_sleeps r.sr_peak_mb r.sr_peak_delta_mb
 
-(* ------------------------------------------------------------------ *)
-(* Labeling engine: shared per-domain arena vs fresh-manager-per-cone  *)
-(* ------------------------------------------------------------------ *)
-
-type label_row = {
-  lb_name : string;
-  lb_tests : int;
-  lb_fresh_wall : float;  (** materialize+label suite wall, fresh engine *)
-  lb_arena_wall : float;  (** same suite, shared-arena engine *)
-  lb_fresh_label_s : float;  (** labeling-only seconds, fresh engine *)
-  lb_arena_label_s : float;
-  lb_identical : bool;  (** byte-identical coverage JSON *)
-  lb_gamma_hits : int;  (** cross-cone gamma memo hits, arena run *)
-  lb_gamma_misses : int;
-  lb_arena_nodes : int;  (** arena size after the run, before trim *)
-  lb_peak_delta_mb : float;
-      (** watermark raise of the arena run, measured after the fresh
-          run: > 0 means the shared engine needed more heap than the
-          fresh-per-cone engine ever did *)
-}
-
-let label_speedup r = r.lb_fresh_label_s /. max 1e-9 r.lb_arena_label_s
-
-let label_hit_rate r =
-  float_of_int r.lb_gamma_hits
-  /. float_of_int (max 1 (r.lb_gamma_hits + r.lb_gamma_misses))
-
-(* Both engines run the identical suite sequentially (one domain, so
-   one arena) to isolate the labeling engine from scheduling. The
-   fresh (legacy) engine runs first: since [top_heap_words] is
-   monotone, the arena run's watermark delta then directly answers
-   "did the shared arena cost more heap than fresh-per-cone managers"
-   — 0 means no. The arena is trimmed before and after each row so
-   node counts are attributable and rows stay independent. *)
-let run_label_row name state testeds =
-  Label.trim_arena ();
-  let run ~arena =
-    timed (fun () ->
-        Netcov.analyze_suite ~pool:Pool.sequential ~label_arena:arena state
-          testeds)
-  in
-  let fresh_reports, fresh_wall = run ~arena:false in
-  let h0 = counter_value "bdd.gamma.hits" in
-  let m0 = counter_value "bdd.gamma.misses" in
-  let p0 = peak_heap_mb () in
-  let arena_reports, arena_wall = run ~arena:true in
-  let arena_nodes = Label.arena_node_count () in
-  let peak_delta = peak_heap_mb () -. p0 in
-  let label_s reports =
-    (Netcov.merge_reports reports).Netcov.timing.Netcov.label_s
-  in
-  let cov reports =
-    Json_export.coverage (Netcov.merge_reports reports).Netcov.coverage
-  in
-  let row =
-    {
-      lb_name = name;
-      lb_tests = List.length testeds;
-      lb_fresh_wall = fresh_wall;
-      lb_arena_wall = arena_wall;
-      lb_fresh_label_s = label_s fresh_reports;
-      lb_arena_label_s = label_s arena_reports;
-      lb_identical = String.equal (cov fresh_reports) (cov arena_reports);
-      lb_gamma_hits = counter_value "bdd.gamma.hits" - h0;
-      lb_gamma_misses = counter_value "bdd.gamma.misses" - m0;
-      lb_arena_nodes = arena_nodes;
-      lb_peak_delta_mb = peak_delta;
-    }
-  in
-  Label.trim_arena ();
-  row
-
-let print_label_row r =
-  Printf.printf
-    "  %-12s %3d tests  label %7.3fs fresh -> %7.3fs arena (%5.2fx)  wall \
-     %7.3fs -> %7.3fs  gamma %d/%d (%.1f%% hit)  arena-nodes %d  \
-     heap-delta %+.0fMB  identical %b\n"
-    r.lb_name r.lb_tests r.lb_fresh_label_s r.lb_arena_label_s
-    (label_speedup r) r.lb_fresh_wall r.lb_arena_wall r.lb_gamma_hits
-    (r.lb_gamma_hits + r.lb_gamma_misses)
-    (100. *. label_hit_rate r)
-    r.lb_arena_nodes r.lb_peak_delta_mb r.lb_identical
-
-let label_row_json r =
-  Printf.sprintf
-    "{\"name\": %S, \"tests\": %d, \"fresh_wall_s\": %.4f, \"arena_wall_s\": \
-     %.4f, \"fresh_label_s\": %.4f, \"arena_label_s\": %.4f, \
-     \"label_speedup\": %.3f, \"identical\": %b, \"gamma_hits\": %d, \
-     \"gamma_misses\": %d, \"gamma_hit_rate\": %.4f, \"arena_nodes\": %d, \
-     \"peak_heap_delta_mb\": %.1f}"
-    r.lb_name r.lb_tests r.lb_fresh_wall r.lb_arena_wall r.lb_fresh_label_s
-    r.lb_arena_label_s (label_speedup r) r.lb_identical r.lb_gamma_hits
-    r.lb_gamma_misses (label_hit_rate r) r.lb_arena_nodes r.lb_peak_delta_mb
-
 (* CI gate (@bench-scaling-smoke): identical coverage across domain
    counts is always asserted; the 2-domain speedup only where the
    hardware can actually run two domains in parallel. Wall times are
@@ -1057,11 +963,6 @@ let scaling_full () =
           (List.length devices, sim_s, state, testeds) );
     ]
   in
-  (* Labeling-engine rows ride along while each mega state is still
-     alive (building fattree-k16 twice would double the bench's
-     dominant cost); internet2/fattree-k8 rows are added below from
-     the shared envs. *)
-  let label_extra = ref [] in
   let mega =
     List.map
       (fun (name, make) ->
@@ -1072,64 +973,33 @@ let scaling_full () =
           run_scaling_rows ~cores ~domain_counts:mega_counts state testeds
         in
         List.iter print_scaling_row rows;
-        if List.mem name [ "fattree-k16"; "rr-wan" ] then
-          label_extra := run_label_row name state testeds :: !label_extra;
         (name, n_devices, List.length testeds, sim_s, rows))
       mega_specs
   in
-  Printf.printf
-    "labeling engine (shared per-domain arena vs fresh-manager-per-cone, \
-     sequential):\n";
-  let label_rows =
-    run_label_row "internet2" (Lazy.force i2_env).state
-      (List.map
-         (fun t -> t.result.Nettest.tested)
-         (Lazy.force i2_env).tests)
-    :: run_label_row "fattree-k8" env.ft_state testeds
-    :: List.rev !label_extra
-  in
-  List.iter print_label_row label_rows;
-  List.iter
-    (fun r ->
-      if not r.lb_identical then begin
-        Printf.eprintf
-          "label engine REGRESSION: %s coverage differs between arena and \
-           fresh engines\n"
-          r.lb_name;
-        exit 1
-      end)
-    label_rows;
   (* Memo-cache effect, measured sequentially on the Internet2 suite
      (its iBGP full mesh shares policy chains across sessions). The
-     canonical-key runs strip pass-through route attributes from the
-     cache key (lib/core/rules.ml), so "before" is the historical
-     full-route key and "after" the canonical one. *)
+     cache key strips pass-through route attributes
+     (lib/core/rules.ml). *)
   let i2 = Lazy.force i2_env in
   let i2_testeds = List.map (fun t -> t.result.Nettest.tested) i2.tests in
-  let run_cache ~sim_cache ~sim_canon =
+  let run_cache ~sim_cache =
     timed (fun () ->
-        Netcov.analyze_suite ~pool:Pool.sequential ~sim_cache ~sim_canon
-          i2.state i2_testeds)
+        Netcov.analyze_suite ~pool:Pool.sequential ~sim_cache i2.state
+          i2_testeds)
   in
   let rate_of reports =
     let tm = (Netcov.merge_reports reports).Netcov.timing in
     let h = tm.Netcov.sim_cache_hits and m = tm.Netcov.sim_cache_misses in
     (h, m, float_of_int h /. float_of_int (max 1 (h + m)))
   in
-  let full_reports, full_wall = run_cache ~sim_cache:true ~sim_canon:false in
-  let on_reports, on_wall = run_cache ~sim_cache:true ~sim_canon:true in
-  let off_reports, off_wall = run_cache ~sim_cache:false ~sim_canon:true in
+  let on_reports, on_wall = run_cache ~sim_cache:true in
+  let off_reports, off_wall = run_cache ~sim_cache:false in
   let on_merged = Netcov.merge_reports ~wall_s:on_wall on_reports in
   let hits, misses, hit_rate = rate_of on_reports in
-  let fk_hits, fk_misses, fk_rate = rate_of full_reports in
   let cache_identical =
     String.equal
       (Json_export.coverage on_merged.Netcov.coverage)
       (Json_export.coverage (Netcov.merge_reports off_reports).Netcov.coverage)
-    && String.equal
-         (Json_export.coverage on_merged.Netcov.coverage)
-         (Json_export.coverage
-            (Netcov.merge_reports full_reports).Netcov.coverage)
   in
   Printf.printf
     "internet2 suite sim cache: %d hits / %d misses (%.1f%% hit rate), wall \
@@ -1137,11 +1007,6 @@ let scaling_full () =
     hits misses (100. *. hit_rate) on_wall off_wall
     (off_wall /. max 1e-9 on_wall)
     cache_identical;
-  Printf.printf
-    "  key canonicalization: %.1f%% hit rate with full-route keys (%d/%d) -> \
-     %.1f%% with canonical keys (wall %.3fs -> %.3fs)\n"
-    (100. *. fk_rate) fk_hits (fk_hits + fk_misses) (100. *. hit_rate)
-    full_wall on_wall;
   (* The memo cache must never cost more than it saves: keys carry a
      precomputed hash and probe without re-canonicalizing the route
      (lib/core/rules.ml), so the cached run has to stay within noise
@@ -1191,32 +1056,19 @@ let scaling_full () =
         (if i < List.length mega - 1 then "," else ""))
     mega;
   Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    "  \"label_engine\": {\"note\": \"shared per-domain BDD arena + \
-     cross-cone gamma memo + single-pass essential variables vs the \
-     legacy fresh-manager-per-cone engine, both sequential on one \
-     domain; coverage is byte-identical in every row; \
-     peak_heap_delta_mb is the watermark raise of the arena run \
-     measured after the fresh run (0 = the shared arena never needed \
-     more heap than fresh-per-cone managers did)\", \"rows\": [\n";
-  emit_rows "    " label_row_json label_rows;
-  Buffer.add_string buf "  ]},\n";
   Printf.bprintf buf
     "  \"sim_cache\": {\"workload\": \"internet2-suite\", \"note\": \
-     \"re-measured on this run: full_key is the historical full-route \
-     cache key, canonical strips pass-through attributes; keys carry a \
-     precomputed hash, so regression (cached wall > 1.05x uncached) \
-     must stay false\", \"hits\": %d, \
+     \"re-measured on this run: canonical is the cache key with \
+     pass-through attributes stripped; keys carry a precomputed hash, so \
+     regression (cached wall > 1.05x uncached) must stay false\", \
+     \"hits\": %d, \
      \"misses\": %d, \"hit_rate\": %.4f, \"wall_on_s\": %.4f, \"wall_off_s\": \
      %.4f, \"speedup\": %.3f, \"identical\": %b, \"regression\": %b,\n\
-    \    \"full_key\": {\"hits\": %d, \"misses\": %d, \"hit_rate\": %.4f, \
-     \"wall_s\": %.4f},\n\
     \    \"canonical\": {\"hits\": %d, \"misses\": %d, \"hit_rate\": %.4f, \
      \"wall_s\": %.4f}}\n"
     hits misses hit_rate on_wall off_wall
     (off_wall /. max 1e-9 on_wall)
-    cache_identical cache_regression fk_hits fk_misses fk_rate full_wall hits
-    misses hit_rate on_wall;
+    cache_identical cache_regression hits misses hit_rate on_wall;
   Buffer.add_string buf "}\n";
   let oc = open_out "BENCH_parallel.json" in
   output_string oc (Buffer.contents buf);
@@ -1224,98 +1076,6 @@ let scaling_full () =
   Printf.printf "wrote BENCH_parallel.json\n"
 
 let scaling () = if !smoke then scaling_smoke () else scaling_full ()
-
-(* CI gate (@bench-label-smoke): the shared-arena labeling engine must
-   produce byte-identical coverage to the legacy fresh-per-cone engine
-   on internet2 and fattree-k8, and label fattree-k8 at least 1.5x
-   faster. The speedup compares labeling-only seconds (materialize and
-   simulation are engine-independent) and takes the best of two
-   fattree-k8 runs to stay robust on noisy shared runners; identity is
-   asserted on every run. *)
-let label_smoke () =
-  section "Label engine smoke: arena vs fresh byte-identity + speedup gate";
-  let i2 = Lazy.force i2_env in
-  let i2_testeds = List.map (fun t -> t.result.Nettest.tested) i2.tests in
-  let ft = Lazy.force ft_env in
-  let ft_testeds = List.map (fun t -> t.result.Nettest.tested) ft.ft_tests in
-  let rows =
-    [
-      run_label_row "internet2" i2.state i2_testeds;
-      run_label_row "fattree-k8" ft.ft_state ft_testeds;
-      run_label_row "fattree-k8" ft.ft_state ft_testeds;
-    ]
-  in
-  List.iter print_label_row rows;
-  let failures = ref [] in
-  List.iter
-    (fun r ->
-      if not r.lb_identical then
-        failures :=
-          Printf.sprintf "%s: arena coverage differs from the fresh engine"
-            r.lb_name
-          :: !failures)
-    rows;
-  let best =
-    List.fold_left
-      (fun acc r ->
-        if String.equal r.lb_name "fattree-k8" then
-          Float.max acc (label_speedup r)
-        else acc)
-      0. rows
-  in
-  if best < 1.5 then
-    failures :=
-      Printf.sprintf
-        "fattree-k8 labeling speedup %.2fx < 1.5x (best of two runs)" best
-      :: !failures;
-  if !failures <> [] then begin
-    List.iter (Printf.eprintf "label smoke failure: %s\n") !failures;
-    exit 1
-  end;
-  Printf.printf "label smoke ok (best fattree-k8 labeling speedup %.2fx)\n"
-    best
-
-let label_full () =
-  section "Labeling engine: shared per-domain arena vs fresh-manager-per-cone";
-  let i2 = Lazy.force i2_env in
-  let ft = Lazy.force ft_env in
-  let rows = ref [] in
-  let add r = rows := r :: !rows in
-  add
-    (run_label_row "internet2" i2.state
-       (List.map (fun t -> t.result.Nettest.tested) i2.tests));
-  add
-    (run_label_row "fattree-k8" ft.ft_state
-       (List.map (fun t -> t.result.Nettest.tested) ft.ft_tests));
-  (* Scope the mega states so each is collectible before the next one
-     is built. *)
-  (let e = make_ft_env 16 in
-   add
-     (run_label_row "fattree-k16" e.ft_state
-        (List.map (fun t -> t.result.Nettest.tested) e.ft_tests)));
-  (let w = Wan.generate () in
-   let state = Stable_state.compute (Registry.build w.Wan.devices) in
-   let testeds =
-     List.map
-       (fun (_, r) -> r.Nettest.tested)
-       (Nettest.run_suite state (Wan_suite.suite w))
-   in
-   add (run_label_row "rr-wan" state testeds));
-  let rows = List.rev !rows in
-  List.iter print_label_row rows;
-  if List.exists (fun r -> not r.lb_identical) rows then begin
-    List.iter
-      (fun r ->
-        if not r.lb_identical then
-          Printf.eprintf
-            "label engine REGRESSION: %s coverage differs between arena and \
-             fresh engines\n"
-            r.lb_name)
-      rows;
-    exit 1
-  end
-
-let label_bench () = if !smoke then label_smoke () else label_full ()
 
 (* ------------------------------------------------------------------ *)
 (* Interned fact identities (BENCH_intern.json)                        *)
@@ -1540,9 +1300,8 @@ let ribs_equal st_old st_new =
    every RIB unchanged. Networks without such a tweak get an impactful
    edit instead: prepend [set metric 77] to the first policy term of
    the first internal device (falling back to an interface-description
-   edit), which perturbs routes and exercises the cone-invalidation
-   path. Returns the edited devices, their stable state and a
-   description. *)
+   edit), which perturbs routes and exercises the re-analysis path.
+   Returns the edited devices, their stable state and a description. *)
 let one_line_edit state_old devs =
   let max_tries = 24 in
   let rec hunt n = function
@@ -1608,23 +1367,29 @@ let one_line_edit state_old devs =
         Stable_state.compute (Registry.build devs'),
         Option.value !edited ~default:"no edit applied" )
 
-(* The headline measurement of lib/incr: after a one-line configuration
-   edit, [Incr.update] must re-analyze the suite an order of magnitude
-   faster than a from-scratch run against the new state, with
-   byte-identical coverage (the [incremental-scratch] oracle asserts the
-   identity on random networks; here it is checked on the paper's
-   workloads and the run fails if it does not hold). *)
+(* The headline measurement of lib/incr, against scratch only: the
+   session build beside a from-scratch suite analysis of the same
+   state, and the update after a one-line configuration edit beside a
+   from-scratch analysis of the edited state. Everything is timed
+   after one untimed warm-up analysis, so first-run set-up lands on
+   neither side.
+   Every row must give coverage byte-identical to scratch (the
+   [incremental-scratch] oracle asserts the identity on random
+   networks; here it is checked on the paper's workloads), and a row
+   marked [fast] must take the fast path: its edit is a
+   behavior-preserving policy tweak the witness covers. *)
 let incr_bench () =
-  section "Incremental re-analysis: one-line edit vs from-scratch (lib/incr)";
+  section "Incremental re-analysis: session build and one-line edit vs scratch";
   let workloads =
-    if !smoke then [ ("fattree-k4", `Ft 4) ]
-    else [ ("internet2", `I2); ("fattree-k8", `Ft 8) ]
+    if !smoke then [ ("fattree-k4", `Ft 4, false); ("internet2", `I2, true) ]
+    else [ ("internet2", `I2, true); ("fattree-k8", `Ft 8, false) ]
   in
+  let reps = if !smoke then 1 else 5 in
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   let rows =
     List.map
-      (fun (name, w) ->
+      (fun (name, w, fast) ->
         let devices, tests =
           match w with
           | `Ft k ->
@@ -1641,46 +1406,75 @@ let incr_bench () =
             (Nettest.run_suite state tests)
         in
         let testeds_old = testeds_of state_old in
-        let (session, _), cold_s =
-          timed (fun () -> Incr.create state_old testeds_old)
+        let scratch state testeds =
+          Netcov.merge_reports
+            ~registry:(Stable_state.registry state)
+            (Netcov.analyze_suite ~pool:Pool.sequential state testeds)
+        in
+        (* Each side is the median of [reps] runs, alternating which
+           side runs first: single runs of either spread by ~20% on a
+           2-vCPU VM. [f] and [g] return the seconds they measured. *)
+        let paired f g =
+          let runs =
+            List.init reps (fun i ->
+                if i mod 2 = 0 then
+                  let a = f () in
+                  (a, g ())
+                else
+                  let b = g () in
+                  (f (), b))
+          in
+          (float_median (List.map fst runs), float_median (List.map snd runs))
+        in
+        let time f () = snd (timed f) in
+        ignore (scratch state_old testeds_old);
+        let scratch_create_s, create_s =
+          paired
+            (time (fun () -> scratch state_old testeds_old))
+            (time (fun () -> Incr.create state_old testeds_old))
         in
         let _devices', state_new, edit = one_line_edit state_old devices in
         let testeds_new = testeds_of state_new in
-        let st, incr_s =
-          timed (fun () -> Incr.update session state_new testeds_new)
+        let last = ref None in
+        let scratch_s, incr_s =
+          paired
+            (time (fun () -> scratch state_new testeds_new))
+            (fun () ->
+              let session, _ = Incr.create state_old testeds_old in
+              let st, t =
+                timed (fun () -> Incr.update session state_new testeds_new)
+              in
+              last := Some (session, st);
+              t)
         in
-        let scratch, scratch_s =
-          timed (fun () ->
-              Netcov.merge_reports
-                ~registry:(Stable_state.registry state_new)
-                (Netcov.analyze_suite ~pool:Pool.sequential state_new
-                   testeds_new))
-        in
+        let session, st = Option.get !last in
+        let scratch_new = scratch state_new testeds_new in
         let identical =
           String.equal
             (Json_export.coverage (Incr.report session).Netcov.coverage)
-            (Json_export.coverage scratch.Netcov.coverage)
+            (Json_export.coverage scratch_new.Netcov.coverage)
         in
-        let speedup = cold_s /. max 1e-9 incr_s in
         if not identical then
           fail "%s: incremental coverage differs from scratch" name;
-        if st.Incr.s_reuse_ratio <= 0. then
-          fail "%s: nothing was reused across the update" name;
+        if fast && (st.Incr.s_reuse_ratio < 1.0 || st.Incr.s_relabeled > 0)
+        then
+          fail "%s: the edit missed the fast path (reuse ratio %.2f, %d \
+                relabeled)"
+            name st.Incr.s_reuse_ratio st.Incr.s_relabeled;
         Printf.printf "  %-12s edit: %s\n" name edit;
         Printf.printf
-          "    cold %7.3fs  scratch(new) %7.3fs  incremental %7.3fs  speedup \
-           %6.1fx vs cold (%.1fx vs scratch)\n"
-          cold_s scratch_s incr_s speedup
+          "    create %7.3fs vs scratch %7.3fs (%.2fx)  update %7.3fs vs \
+           scratch %7.3fs (%.2fx faster)\n"
+          create_s scratch_create_s
+          (create_s /. max 1e-9 scratch_create_s)
+          incr_s scratch_s
           (scratch_s /. max 1e-9 incr_s);
         Printf.printf "    %s\n" (Incr.summary st);
         Printf.printf "    identical-coverage %b\n" identical;
         ( name,
           List.length testeds_new,
           edit,
-          cold_s,
-          scratch_s,
-          incr_s,
-          speedup,
+          (scratch_create_s, create_s, scratch_s, incr_s),
           st,
           identical ))
       workloads
@@ -1689,32 +1483,38 @@ let incr_bench () =
   Buffer.add_string buf "{\n";
   Buffer.add_string buf "  \"bench\": \"incr\",\n";
   Printf.bprintf buf "  \"smoke\": %b,\n" !smoke;
-  Buffer.add_string buf
-    "  \"note\": \"re-analysis after a one-line configuration edit: \
-     cold_s is the initial from-scratch session (the cold run speedup is \
-     measured against), scratch_s a from-scratch run against the edited \
-     state, incr_s the incremental update (config diff -> cone \
-     invalidation -> delta recompute); coverage is byte-identical to \
-     scratch in every row\",\n";
+  Printf.bprintf buf
+    "  \"note\": \"timed after one untimed warm-up analysis, each \
+     figure the median of %d runs alternating with its scratch \
+     counterpart: scratch_create_s is a from-scratch suite analysis of \
+     the original state and create_s the session build over it; \
+     scratch_s is a from-scratch analysis of the state after a one-line \
+     edit and incr_s the incremental update (fast path when its witness \
+     holds, otherwise per-test re-analysis over the replay-validated sim \
+     cache); ratios are against scratch only; coverage is \
+     byte-identical to scratch in every row\",\n"
+    reps;
   Buffer.add_string buf "  \"workloads\": [\n";
   List.iteri
-    (fun i (name, tests, edit, cold_s, scratch_s, incr_s, speedup, st, identical) ->
+    (fun i (name, tests, edit, times, st, identical) ->
+      let scratch_create_s, create_s, scratch_s, incr_s = times in
       Printf.bprintf buf
         "    {\"name\": %S, \"tests\": %d, \"edit\": %S,\n\
-        \     \"cold_s\": %.4f, \"scratch_s\": %.4f, \"incr_s\": %.4f, \
-         \"speedup\": %.1f, \"speedup_vs_scratch\": %.2f,\n\
-        \     \"changed\": %d, \"added\": %d, \"removed\": %d, \
-         \"dirty_cones\": %d, \"reused\": %d, \"relabeled\": %d,\n\
-        \     \"evicted_sim\": %d, \"evicted_labels\": %d, \"sim_hits\": %d, \
-         \"sim_misses\": %d,\n\
+        \     \"scratch_create_s\": %.4f, \"create_s\": %.4f, \
+         \"create_vs_scratch\": %.2f,\n\
+        \     \"scratch_s\": %.4f, \"incr_s\": %.4f, \"speedup_vs_scratch\": \
+         %.2f,\n\
+        \     \"changed\": %d, \"added\": %d, \"removed\": %d, \"reused\": \
+         %d, \"relabeled\": %d,\n\
+        \     \"evicted_sim\": %d, \"sim_hits\": %d, \"sim_misses\": %d,\n\
         \     \"reuse_ratio\": %.4f, \"identical_coverage\": %b}%s\n"
-        name tests edit cold_s scratch_s incr_s speedup
+        name tests edit scratch_create_s create_s
+        (create_s /. max 1e-9 scratch_create_s)
+        scratch_s incr_s
         (scratch_s /. max 1e-9 incr_s)
-        st.Incr.s_changed
-        st.Incr.s_added st.Incr.s_removed st.Incr.s_dirty_cones
-        st.Incr.s_reused st.Incr.s_relabeled st.Incr.s_evicted_sim
-        st.Incr.s_evicted_labels st.Incr.s_sim_hits st.Incr.s_sim_misses
-        st.Incr.s_reuse_ratio identical
+        st.Incr.s_changed st.Incr.s_added st.Incr.s_removed st.Incr.s_reused
+        st.Incr.s_relabeled st.Incr.s_evicted_sim st.Incr.s_sim_hits
+        st.Incr.s_sim_misses st.Incr.s_reuse_ratio identical
         (if i < List.length rows - 1 then "," else ""))
     rows;
   Buffer.add_string buf "  ]\n}\n";
@@ -1746,7 +1546,6 @@ let experiments =
     ("whatif", whatif);
     ("rr", rr);
     ("scaling", scaling);
-    ("label", label_bench);
     ("intern", intern_bench);
     ("incr", incr_bench);
     ("kernels", kernels);

@@ -892,9 +892,10 @@ let incr_cmd =
     (Cmd.info "incr"
        ~doc:
          "Incrementally re-analyze a configuration change: diff the old and \
-          new configuration directories at the element level, invalidate \
-          only the affected contribution cones and cached simulations, \
-          recompute the delta and report per-device coverage changes \
+          new configuration directories at the element level, replay the \
+          cached simulations of changed devices, reuse the stored labels \
+          when the change provably moves no behavior and re-analyze \
+          otherwise, then report per-device coverage changes \
           (docs/INCREMENTAL.md). Exits 1 with $(i,file: message) on a \
           malformed baseline report.")
     Term.(
@@ -1021,7 +1022,7 @@ let fuzz_cmd =
          "Run the differential property oracles (emit/parse roundtrip, \
           parallel determinism, sim-cache equivalence, BDD vs truth table, \
           coverage monotonicity/merge, intern-reference, fault-isolation, \
-          incremental-scratch, label-arena, mutation-falsifiability) on \
+          incremental-scratch, mutation-falsifiability) on \
           random networks. Exits 1 and prints a shrunk counterexample \
           plus a reproduction seed on any divergence. See docs/TESTING.md.")
     Term.(const run $ verbose $ seed $ iters $ oracles)

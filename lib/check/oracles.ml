@@ -571,8 +571,7 @@ let incr_prop ((sc : Netgen.scenario), pick) =
       fail "incremental update diverges from from-scratch analysis (edit %d)"
         pick
     else begin
-      (* Edit reverted: this update reuses heavily (the signature path)
-         and must still match from scratch. *)
+      (* Edit reverted: this update must match from scratch too. *)
       let state_a' = Stable_state.compute (Registry.build devs_old) in
       let testeds_a' = testeds_of state_a' sc in
       let (_ : Incr.stats) = Incr.update session state_a' testeds_a' in
@@ -588,8 +587,9 @@ let incr_oracle =
   {
     name = "incremental-scratch";
     describe =
-      "incremental update (diff -> invalidate -> delta recompute) produces \
-       byte-identical coverage to a from-scratch analysis";
+      "incremental update (diff -> fast path or re-analysis over the \
+       replay-validated sim cache) produces byte-identical coverage to a \
+       from-scratch analysis";
     run =
       (fun ~seed ~iters ->
         Check.run ~name:"incremental-scratch" ~seed ~iters ~print:print_incr
@@ -598,63 +598,7 @@ let incr_oracle =
   }
 
 (* ------------------------------------------------------------------ *)
-(* 9. shared-arena labeling engine vs fresh-manager-per-cone           *)
-(* ------------------------------------------------------------------ *)
-
-(* The reference is the legacy engine ([label_arena:false], fresh
-   manager per cone, sequential). The arena engine must reproduce it
-   byte-for-byte from one domain (a single arena shared by every cone
-   of the suite, with the cross-cone gamma memo fully engaged) and
-   from multi-domain pools (cones split across private per-domain
-   arenas mid-pass). Arenas deliberately stay warm across scenarios:
-   reuse of hash-consed nodes and apply-cache entries from earlier
-   iterations must never leak into coverage. *)
-let label_arena_prop pools (sc : Netgen.scenario) =
-  let state = state_of sc.Netgen.net in
-  let testeds = testeds_of state sc in
-  let reference =
-    List.map coverage_fp
-      (Netcov.analyze_suite ~pool:Pool.sequential ~label_arena:false state
-         testeds)
-  in
-  let check (dname, pool) =
-    let got =
-      List.map coverage_fp
-        (Netcov.analyze_suite ~pool ~label_arena:true state testeds)
-    in
-    match first_diff reference got with
-    | Some i ->
-        fail "report %d differs between the fresh engine and the arena \
-              engine at %s" i dname
-    | None -> Ok ()
-  in
-  List.fold_left
-    (fun acc p -> match acc with Error _ -> acc | Ok () -> check p)
-    (Ok ()) pools
-
-let label_arena_oracle =
-  {
-    name = "label-arena";
-    describe =
-      "shared-arena labeling (cross-cone gamma memo + essential-variables \
-       pass) is byte-identical to the fresh-per-cone engine at 1, 2 and 4 \
-       domains";
-    run =
-      (fun ~seed ~iters ->
-        Pool.with_pool ~domains:2 (fun p2 ->
-            Pool.with_pool ~domains:4 (fun p4 ->
-                Check.run ~name:"label-arena" ~seed ~iters
-                  ~print:Netgen.print_scenario Netgen.scenario
-                  (label_arena_prop
-                     [
-                       ("1 domain", Pool.sequential);
-                       ("2 domains", p2);
-                       ("4 domains", p4);
-                     ]))));
-  }
-
-(* ------------------------------------------------------------------ *)
-(* 10. mutation falsifiability                                         *)
+(* 9. mutation falsifiability                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* Mutation coverage as ground truth (paper §3.1): mutating a strongly
@@ -730,7 +674,6 @@ let all =
     intern_oracle;
     isolation_oracle;
     incr_oracle;
-    label_arena_oracle;
     mutation_oracle;
   ]
 

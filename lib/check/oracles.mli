@@ -14,11 +14,11 @@ type t = {
   run : seed:int -> iters:int -> Check.outcome;
 }
 
-(** The eight oracles, in documentation order: ["roundtrip"],
+(** The nine oracles, in documentation order: ["roundtrip"],
     ["parallel-determinism"], ["cache-equivalence"],
     ["bdd-truth-table"], ["monotonicity-merge"],
     ["intern-reference"], ["fault-isolation"],
-    ["incremental-scratch"]. *)
+    ["incremental-scratch"], ["mutation-falsifiability"]. *)
 val all : t list
 
 val find : string -> t option

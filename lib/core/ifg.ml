@@ -203,36 +203,3 @@ let config_nodes g =
 
 let mark_expanded g id = g.expanded.(id) <- true
 let is_expanded g id = g.expanded.(id)
-
-(* Multi-source closure over one adjacency direction, as a flat bool
-   array — an explicit int-list stack over the cell pool, no visited
-   hashtable, no recursion. *)
-let closure head_arr g seeds =
-  let reached = Array.make g.next false in
-  let stack = ref [] in
-  List.iter
-    (fun id ->
-      if id >= 0 && id < g.next && not reached.(id) then begin
-        reached.(id) <- true;
-        stack := id :: !stack
-      end)
-    seeds;
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | id :: rest ->
-        stack := rest;
-        let c = ref head_arr.(id) in
-        while !c >= 0 do
-          let n = g.cell_node.(!c) in
-          if not reached.(n) then begin
-            reached.(n) <- true;
-            stack := n :: !stack
-          end;
-          c := g.cell_next.(!c)
-        done
-  done;
-  reached
-
-let reachable g seeds = closure g.parents_head g seeds
-let reverse_reachable g seeds = closure g.children_head g seeds

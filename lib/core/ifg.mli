@@ -81,18 +81,3 @@ val config_nodes : t -> (node_id * Netcov_config.Element.id) list
 val mark_expanded : t -> node_id -> unit
 
 val is_expanded : t -> node_id -> bool
-
-(** [reachable g seeds] is the ancestor closure of [seeds] along parent
-    edges — the union of the seeds' contribution cones, seeds included.
-    The result has one slot per node ([n_nodes g]); out-of-range seeds
-    are ignored. The walk is iterative over the flat adjacency arrays
-    (no recursion, no per-node allocation beyond the result). *)
-val reachable : t -> node_id list -> bool array
-
-(** [reverse_reachable g seeds] is the dual of {!reachable}: the
-    descendant closure along child edges — every node whose ancestor
-    cone contains a seed. For seeds that are config-element nodes this
-    is exactly the set of facts (and tested roots) a configuration
-    change to those elements can invalidate:
-    [(reachable g [x]).(y)] iff [(reverse_reachable g [y]).(x)]. *)
-val reverse_reachable : t -> node_id list -> bool array

@@ -32,23 +32,9 @@ let disjunction_free_strong g ~tested =
   List.iter go tested;
   !strong
 
-(* Ancestor cone of one node, in reverse-DFS discovery order. *)
-let cone g root =
-  let seen = Hashtbl.create 256 in
-  let order = ref [] in
-  let rec go id =
-    if not (Hashtbl.mem seen id) then begin
-      Hashtbl.add seen id ();
-      order := id :: !order;
-      Ifg.iter_parents g id go
-    end
-  in
-  go root;
-  (seen, List.rev !order)
-
-(* Upper bound on BDD variables per cone; beyond it we conservatively
-   leave the remaining candidates weak (sound for strong-labeling: weak
-   is the safe default) and log. *)
+(* Upper bound on BDD variables per cone; beyond it the candidates
+   discovered last stay weak (sound for strong-labeling: weak is the
+   safe default) and the cone is logged. *)
 let max_cone_vars = 8192
 
 let src = Logs.Src.create "netcov.label" ~doc:"strong/weak labeling"
@@ -148,7 +134,6 @@ type arena = {
      stamp cell matches the current traversal stamp *)
   mutable a_seen : int array;  (* cone-membership DFS stamp *)
   mutable a_tstamp : int array;  (* translation stamp *)
-  mutable a_var : int array;  (* cone-local var of nid, under a_tstamp *)
   mutable a_bdd : Bdd.node array;  (* private gamma, under a_tstamp *)
   mutable a_ok : bool array;  (* gamma validated/shareable, under a_tstamp *)
   (* cross-cone memo, live while a_gctx matches the pass context *)
@@ -175,7 +160,6 @@ let arena_key =
         a_mgr = Bdd.create ~cache_size:arena_cache_size ();
         a_seen = [||];
         a_tstamp = [||];
-        a_var = [||];
         a_bdd = [||];
         a_ok = [||];
         a_gctx = [||];
@@ -192,7 +176,6 @@ let ensure_scratch a n =
     let zero = Bdd.bdd_false a.a_mgr in
     a.a_seen <- Array.make n 0;
     a.a_tstamp <- Array.make n 0;
-    a.a_var <- Array.make n (-1);
     a.a_bdd <- Array.make n zero;
     a.a_ok <- Array.make n false;
     a.a_gctx <- Array.make n (-1);
@@ -240,14 +223,6 @@ let arena_node_count () =
    slot by slot, costing misses, never wrong reuse. *)
 let ctx_counter = Atomic.make 0
 
-type cone_result = {
-  c_covered : Element.Id_set.t;
-  c_strong : Element.Id_set.t;
-  c_vars : int;
-  c_bdd_nodes : int;
-  c_capped : bool;
-}
-
 (* Flush the arena's apply-cache counter movement of one cone into the
    global metrics and report the arena size. *)
 let flush_bdd_metrics m (before : Bdd.cache_stats) =
@@ -257,190 +232,25 @@ let flush_bdd_metrics m (before : Bdd.cache_stats) =
   M.observe m_bdd_nodes (float_of_int (Bdd.node_count m));
   M.set m_arena_nodes (float_of_int (Bdd.node_count m))
 
-(* Isolated labeling of one tested fact's cone, independent of every
-   other cone: the candidate set is the cone's config nodes minus the
-   root's own disjunction-free strong set (not the global union over
-   all roots). For monotone cone predicates, necessity of a variable is
-   invariant under fixing other variables to true, so the union of
-   isolated per-cone results equals the global [run] result — this is
-   what makes per-cone results cacheable across incremental updates
-   (lib/incr), where the set of sibling cones changes between runs.
-   The only divergence window is [max_cone_vars]: isolated candidate
-   sets are supersets of the global ones, so a cone whose config count
-   exceeds the cap could cap differently; [c_capped] reports it and
-   callers must fall back to {!run}.
-
-   The per-root candidate set means gamma BDDs are not shareable
-   across roots; what is shared with other passes on this domain is
-   the arena manager itself — hash-consed nodes and a warm apply
-   cache, no per-cone allocation (stale cache entries stay valid:
-   nodes are immutable until a trim, which flushes the cache). *)
-let run_cone g ~root =
-  T.with_span "label.cone" @@ fun () ->
-  M.inc m_cones 1;
-  let pre_strong = disjunction_free_strong g ~tested:[ root ] in
-  let _, order = cone g root in
-  let covered = ref Element.Id_set.empty in
-  let candidate = Hashtbl.create 64 in
-  List.iter
-    (fun nid ->
-      match Ifg.config_eid g nid with
-      | Some eid ->
-          covered := Element.Id_set.add eid !covered;
-          if not (Element.Id_set.mem eid pre_strong) then
-            Hashtbl.replace candidate nid eid
-      | None -> ())
-    order;
-  let capped = Hashtbl.length candidate > max_cone_vars in
-  let var_of_node = Hashtbl.create 64 in
-  let eid_of_var = Hashtbl.create 64 in
-  let n_vars = ref 0 in
-  List.iter
-    (fun nid ->
-      if Hashtbl.mem candidate nid && !n_vars < max_cone_vars then begin
-        Hashtbl.replace var_of_node nid !n_vars;
-        Hashtbl.replace eid_of_var !n_vars (Hashtbl.find candidate nid);
-        incr n_vars
-      end)
-    order;
-  M.observe m_cone_vars (float_of_int !n_vars);
-  let strong, bdd_nodes =
-    if !n_vars = 0 then (pre_strong, 0)
-    else begin
-      let a = get_arena () in
-      let m = a.a_mgr in
-      let before = Bdd.cache_stats m in
-      let gamma = Hashtbl.create 256 in
-      let rec compute id =
-        match Hashtbl.find_opt gamma id with
-        | Some b -> b
-        | None ->
-            Hashtbl.replace gamma id (Bdd.bdd_true m);
-            let b =
-              if Ifg.is_disj g id then
-                Ifg.fold_parents g id
-                  (fun acc p -> Bdd.bdd_or m acc (compute p))
-                  (Bdd.bdd_false m)
-              else
-                let self =
-                  match Hashtbl.find_opt var_of_node id with
-                  | Some v -> Bdd.var m v
-                  | None -> Bdd.bdd_true m
-                in
-                Ifg.fold_parents g id
-                  (fun acc p -> Bdd.bdd_and m acc (compute p))
-                  self
-            in
-            Hashtbl.replace gamma id b;
-            b
-      in
-      let b = compute root in
-      let cone_strong = ref pre_strong in
-      List.iter
-        (fun v ->
-          match Hashtbl.find_opt eid_of_var v with
-          | Some eid -> cone_strong := Element.Id_set.add eid !cone_strong
-          | None -> ())
-        (Bdd.essential_vars m b);
-      flush_bdd_metrics m before;
-      (!cone_strong, Bdd.node_count m)
-    end
-  in
-  {
-    c_covered = !covered;
-    c_strong = strong;
-    c_vars = !n_vars;
-    c_bdd_nodes = bdd_nodes;
-    c_capped = capped;
-  }
-
 (* -------------------------------------------------------------------- *)
 (* Global labeling pass                                                  *)
 (* -------------------------------------------------------------------- *)
 
-(* Legacy fresh-per-cone labeling of one cone: private manager, private
-   cone-discovery variable numbering, restrict-based necessity over the
-   support. This is the differential reference for the arena engine
-   (the `label-arena` oracle and @bench-label-smoke compare against it)
-   and the exact-compatibility path for capped cones, whose "first
-   [max_cone_vars] candidates in cone-discovery order" subset depends
-   on the per-cone numbering. *)
-let label_one_fresh ~g ~candidate ~order =
-  (* var assignment local to this cone *)
-  let var_of_node = Hashtbl.create 64 in
-  let eid_of_var = Hashtbl.create 64 in
-  let n_vars = ref 0 in
-  List.iter
-    (fun nid ->
-      match Hashtbl.find_opt candidate nid with
-      | Some eid when !n_vars < max_cone_vars ->
-          Hashtbl.replace var_of_node nid !n_vars;
-          Hashtbl.replace eid_of_var !n_vars eid;
-          incr n_vars
-      | Some _ ->
-          Log.warn (fun m ->
-              m "cone of tested fact exceeds %d variables; leaving \
-                 remainder weak"
-                max_cone_vars)
-      | None -> ())
-    order;
-  M.observe m_cone_vars (float_of_int !n_vars);
-  if !n_vars = 0 then (Element.Id_set.empty, 0, 0)
-  else begin
-    let m = Bdd.create () in
-    let gamma = Hashtbl.create 256 in
-    let rec compute id =
-      match Hashtbl.find_opt gamma id with
-      | Some b -> b
-      | None ->
-          (* mark before recursing: a back edge (impossible in a
-             well-formed IFG) contributes true *)
-          Hashtbl.replace gamma id (Bdd.bdd_true m);
-          let b =
-            if Ifg.is_disj g id then
-              Ifg.fold_parents g id
-                (fun acc p -> Bdd.bdd_or m acc (compute p))
-                (Bdd.bdd_false m)
-            else
-              let self =
-                match Hashtbl.find_opt var_of_node id with
-                | Some v -> Bdd.var m v
-                | None -> Bdd.bdd_true m
-              in
-              Ifg.fold_parents g id
-                (fun acc p -> Bdd.bdd_and m acc (compute p))
-                self
-          in
-          Hashtbl.replace gamma id b;
-          b
-    in
-    let b = compute (List.hd order) in
-    let cone_strong = ref Element.Id_set.empty in
-    List.iter
-      (fun v ->
-        if Bdd.is_necessary m b ~var:v then
-          match Hashtbl.find_opt eid_of_var v with
-          | Some eid -> cone_strong := Element.Id_set.add eid !cone_strong
-          | None -> ())
-      (Bdd.support m b);
-    let cs = Bdd.cache_stats m in
-    M.inc m_bdd_hits cs.Bdd.hits;
-    M.inc m_bdd_misses cs.Bdd.misses;
-    M.observe m_bdd_nodes (float_of_int (Bdd.node_count m));
-    (!cone_strong, !n_vars, Bdd.node_count m)
-  end
-
 (* Shared-arena labeling of one cone.
 
-   Variable numbering is per-cone, in cone-discovery order — exactly
-   the fresh engine's numbering. A pass-global numbering was tried and
-   ruled out: it scatters the variables of a later cone's contribution
-   chains across the order established by earlier cones, and BDDs of
-   nested disjunction-of-chain predicates (ECMP fabrics, iBGP meshes)
-   are exponential under such interleavings. Only the cone's own
-   discovery order is known to keep them linear, so every cone keeps
-   its own order and the cross-cone memo must prove order agreement
-   before reuse.
+   Variable numbering is per-cone, in cone-discovery order (reverse
+   DFS from the tested fact, pre-order). A pass-global numbering was
+   tried and ruled out: it scatters the variables of a later cone's
+   contribution chains across the order established by earlier cones,
+   and BDDs of nested disjunction-of-chain predicates (ECMP fabrics,
+   iBGP meshes) are exponential under such interleavings. Only the
+   cone's own discovery order is known to keep them linear, so every
+   cone keeps its own order and the cross-cone memo must prove order
+   agreement before reuse.
+
+   The per-cone variable cap takes the same order: only the first
+   [n_vars] candidates discovered get a variable, and the rest stand
+   for constant true, so they stay weak.
 
    The proof is the [ok] flag threaded through [compute]: a shared
    entry for node [n] is reusable iff its recorded variable index
@@ -448,16 +258,15 @@ let label_one_fresh ~g ~candidate ~order =
    validated. Entries are only ever written with all-validated
    ancestry, so a validated entry's BDD is definitionally the node the
    borrowing cone would have hash-consed itself — reuse is exact, and
-   the per-cone results (hence reports) stay byte-identical to the
-   fresh engine at any domain count. Validation walks the ancestry
-   with integer comparisons only; what a hit saves is the BDD apply
-   work, which dominates translation.
+   the per-cone results (hence reports) are the same at any domain
+   count. Validation walks the ancestry with integer comparisons
+   only; what a hit saves is the BDD apply work, which dominates
+   translation.
 
    What is always shared, even when validation fails: the arena
    manager itself — hash-consed nodes (structurally identical BDDs of
    symmetric cones collapse to the same node ids) and a warm apply
-   cache, with none of the per-cone allocate/collect churn of fresh
-   managers. *)
+   cache, with no per-cone allocate/collect churn. *)
 
 let label_one_shared ~a ~g ~ctx ~candidate ~n_vars t =
   let m = a.a_mgr in
@@ -468,7 +277,6 @@ let label_one_shared ~a ~g ~ctx ~candidate ~n_vars t =
   a.a_stamp <- a.a_stamp + 1;
   let stamp = a.a_stamp in
   let tstamp = a.a_tstamp
-  and avar = a.a_var
   and abdd = a.a_bdd
   and aok = a.a_ok
   and gctx = a.a_gctx
@@ -476,11 +284,9 @@ let label_one_shared ~a ~g ~ctx ~candidate ~n_vars t =
   and gbdd = a.a_gbdd in
   (* One pre-order recursion does numbering and translation: a node's
      cone-local variable is assigned at first visit, before its
-     parents are entered — the same order in which the fresh engine's
-     discovery list hands out variables, so the numbering (and with it
-     every BDD) is identical to [label_one_fresh]'s. Back edges
-     (impossible in a well-formed IFG) read the in-progress marker
-     (true, unvalidated) and stay out of the shared memo. *)
+     parents are entered. Back edges (impossible in a well-formed IFG)
+     read the in-progress marker (true, unvalidated) and stay out of
+     the shared memo. *)
   let rec compute id =
     if tstamp.(id) = stamp then (abdd.(id), aok.(id))
     else begin
@@ -489,14 +295,13 @@ let label_one_shared ~a ~g ~ctx ~candidate ~n_vars t =
       aok.(id) <- false;
       let vself =
         match Hashtbl.find_opt candidate id with
-        | Some eid ->
+        | Some eid when !nv < n_vars ->
             let v = !nv in
             eid_of_var.(v) <- eid;
             incr nv;
             v
-        | None -> -1
+        | _ -> -1
       in
-      avar.(id) <- vself;
       let parents_ok =
         Ifg.fold_parents g id (fun acc p -> snd (compute p) && acc) true
       in
@@ -547,8 +352,8 @@ let label_one_shared ~a ~g ~ctx ~candidate ~n_vars t =
   flush_bdd_metrics m before;
   (!cone_strong, n_vars, Bdd.node_count m)
 
-let run ?(disjfree_heuristic = true) ?(arena = true)
-    ?(pool = Netcov_parallel.Pool.sequential) g ~tested =
+let run ?(disjfree_heuristic = true) ?(pool = Netcov_parallel.Pool.sequential)
+    g ~tested =
   T.with_span "label" ~args:[ ("tested", T.I (List.length tested)) ]
   @@ fun () ->
   let t0 = Timing.now () in
@@ -592,46 +397,34 @@ let run ?(disjfree_heuristic = true) ?(arena = true)
        cone (work-stealing keeps every domain busy until the last
        cone finishes). The per-cone merge below is a set union / max
        fold, order independent, so the merged result is identical at
-       any domain count; and the arena engine's per-cone strong sets
-       equal the fresh engine's (see [label_one_shared]), so it is
-       also identical across engines. *)
+       any domain count. *)
     let label_one t =
       T.with_span "label.cone" @@ fun () ->
       M.inc m_cones 1;
-      if not arena then begin
-        let _, order = cone g t in
-        label_one_fresh ~g ~candidate ~order
-      end
-      else begin
-        let a = get_arena () in
-        ensure_scratch a (Ifg.n_nodes g);
-        (* allocation-free candidate count of the cone (cap check) *)
-        a.a_stamp <- a.a_stamp + 1;
-        let stamp = a.a_stamp in
-        let seen = a.a_seen in
-        let n_vars = ref 0 in
-        let rec count id =
-          if seen.(id) <> stamp then begin
-            seen.(id) <- stamp;
-            if Hashtbl.mem candidate id then incr n_vars;
-            Ifg.iter_parents g id count
-          end
-        in
-        count t;
-        let n_vars = !n_vars in
-        if n_vars > max_cone_vars then begin
-          (* The cap subset ("first max_cone_vars candidates in
-             cone-discovery order") keeps its exact legacy semantics
-             on the fresh path. *)
-          let _, order = cone g t in
-          label_one_fresh ~g ~candidate ~order
+      let a = get_arena () in
+      ensure_scratch a (Ifg.n_nodes g);
+      (* allocation-free candidate count of the cone (cap check) *)
+      a.a_stamp <- a.a_stamp + 1;
+      let stamp = a.a_stamp in
+      let seen = a.a_seen in
+      let n_vars = ref 0 in
+      let rec count id =
+        if seen.(id) <> stamp then begin
+          seen.(id) <- stamp;
+          if Hashtbl.mem candidate id then incr n_vars;
+          Ifg.iter_parents g id count
         end
-        else begin
-          M.observe m_cone_vars (float_of_int n_vars);
-          if n_vars = 0 then (Element.Id_set.empty, 0, 0)
-          else label_one_shared ~a ~g ~ctx ~candidate ~n_vars t
-        end
-      end
+      in
+      count t;
+      if !n_vars > max_cone_vars then
+        Log.warn (fun m ->
+            m "cone of tested fact has %d candidates; leaving all but the \
+               first %d weak"
+              !n_vars max_cone_vars);
+      let n_vars = min !n_vars max_cone_vars in
+      M.observe m_cone_vars (float_of_int n_vars);
+      if n_vars = 0 then (Element.Id_set.empty, 0, 0)
+      else label_one_shared ~a ~g ~ctx ~candidate ~n_vars t
     in
     let work = List.filter (fun t -> tainted.(t)) tested in
     Netcov_parallel.Pool.map pool label_one work

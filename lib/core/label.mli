@@ -21,10 +21,11 @@
     pass ([Bdd.essential_vars]) instead of one restrict traversal per
     support variable. Arenas are trimmed automatically at a node-count
     watermark (and explicitly via {!trim_arena}), so warm sessions
-    ([lib/incr], [netcov serve]) keep a bounded footprint. The legacy
-    fresh-manager-per-cone engine is retained ([run ~arena:false]) as
-    the differential reference; both engines produce byte-identical
-    reports (docs/PERFORMANCE.md, "labeling engine").
+    ([lib/incr], [netcov serve]) keep a bounded footprint.
+
+    A cone with more than 8192 candidate variables keeps variables for
+    the first 8192 candidates in discovery order (reverse DFS from the
+    tested fact); the rest stay weak, which is the sound default.
 
     Each pass is wrapped in a [label] trace span with one [label.cone]
     child span per labeled cone; volumes land in the [label.*] and
@@ -40,9 +41,8 @@ type result = {
   weak : Element.Id_set.t;
   vars : int;  (** BDD variables after the heuristic *)
   bdd_nodes : int;
-      (** max BDD node count observed after labeling a cone: the
-          per-domain arena's size under [~arena:true], the largest
-          private manager under [~arena:false] *)
+      (** max BDD node count observed after labeling a cone (the
+          per-domain arena's size) *)
   seconds : float;
 }
 
@@ -50,48 +50,16 @@ type result = {
     variable-reduction heuristic; disabling it is exposed for the
     ablation benchmark only — results are identical.
 
-    [arena] (default true) selects the shared per-domain arena engine;
-    [~arena:false] is the legacy fresh-manager-per-cone engine kept as
-    the differential reference — results are byte-identical (the
-    `label-arena` oracle and [@bench-label-smoke] assert it).
-
     [pool] fans the per-tested-fact cone predicates out across domains
     (each domain owns a private arena); results are identical at any
     domain count because per-cone strong sets merge by set union.
     Default: sequential. *)
 val run :
   ?disjfree_heuristic:bool ->
-  ?arena:bool ->
   ?pool:Netcov_parallel.Pool.t ->
   Ifg.t ->
   tested:Ifg.node_id list ->
   result
-
-(** Isolated labeling of one tested fact's ancestor cone. *)
-type cone_result = {
-  c_covered : Element.Id_set.t;  (** config elements in the cone *)
-  c_strong : Element.Id_set.t;  (** subset of [c_covered] *)
-  c_vars : int;
-  c_bdd_nodes : int;
-  c_capped : bool;
-      (** the cone hit the per-cone BDD variable cap; the result is
-          still sound (capped candidates stay weak) but may diverge
-          from {!run}'s global labeling — callers needing equality must
-          fall back to {!run} *)
-}
-
-(** [run_cone g ~root] labels the cone of one tested fact independently
-    of any other tested fact. The union over roots of [c_covered] /
-    [c_strong] equals {!run}'s [covered] / [strong] (unless a cone is
-    [c_capped]): necessity of a monotone predicate's variable is
-    invariant under fixing sibling-cone variables to true. This is the
-    unit of reuse for the incremental engine (lib/incr).
-
-    Runs in the calling domain's persistent arena (the root-specific
-    candidate set keeps gamma private per call, but hash-consed nodes
-    and the warm apply cache are shared with every other pass on this
-    domain). *)
-val run_cone : Ifg.t -> root:Ifg.node_id -> cone_result
 
 (** Trim the calling domain's BDD arena now: drop all nodes, the gamma
     memo and the apply cache, shrinking back to the creation footprint.

@@ -83,8 +83,7 @@ let record_cache_breakdown cache =
             b.Rules.kb_defaults b.Rules.kb_protocols b.Rules.kb_routes))
     cache
 
-let analyze ?pool ?(sim_cache = true) ?(sim_canon = true) ?(label_arena = true)
-    ?identity ?diags state tested =
+let analyze ?pool ?(sim_cache = true) ?identity ?diags state tested =
   T.with_span "analyze"
     ~args:
       [
@@ -95,16 +94,13 @@ let analyze ?pool ?(sim_cache = true) ?(sim_canon = true) ?(label_arena = true)
   let pool = Option.value pool ~default:Pool.sequential in
   let t0 = Timing.now () in
   let reg = Stable_state.registry state in
-  let cache =
-    if sim_cache then Some (Rules.create_sim_cache ~canonical:sim_canon ())
-    else None
-  in
+  let cache = if sim_cache then Some (Rules.create_sim_cache ()) else None in
   let ctx = Rules.make_ctx ?cache ?diags state in
   let g, tested_ids, mstats =
     Materialize.run ?mode:identity ctx ~tested:tested.dp_facts
   in
   record_cache_breakdown cache;
-  let label = Label.run ~arena:label_arena ~pool g ~tested:tested_ids in
+  let label = Label.run ~pool g ~tested:tested_ids in
   let coverage =
     T.with_span "aggregate" @@ fun () ->
     Coverage.of_sets reg ~strong:label.Label.strong ~weak:label.Label.weak
@@ -215,8 +211,7 @@ let merge_reports ?wall_s ?registry = function
       | None -> merged
       | Some w -> { merged with timing = { merged.timing with total_s = w } }
 
-let analyze_suite ?pool ?(sim_cache = true) ?(sim_canon = true)
-    ?(label_arena = true) ?identity state testeds =
+let analyze_suite ?pool ?(sim_cache = true) ?identity state testeds =
   let run pool =
     (* The pool is also handed to each per-test labeling pass: nested
        fan-out is safe (a mapping caller executes from its own deque and
@@ -225,7 +220,7 @@ let analyze_suite ?pool ?(sim_cache = true) ?(sim_canon = true)
        suite has fewer tests than the pool has domains. *)
     Pool.map pool
       (fun tested ->
-        analyze ~pool ~sim_cache ~sim_canon ~label_arena ?identity state tested)
+        analyze ~pool ~sim_cache ?identity state tested)
       testeds
   in
   match pool with Some p -> run p | None -> Pool.with_pool run
@@ -239,8 +234,8 @@ type test_failure = {
 
 type suite_outcome = { ok : report list; failures : test_failure list }
 
-let analyze_suite_isolated ?pool ?(sim_cache = true) ?(sim_canon = true)
-    ?identity ?diags ?labels state testeds =
+let analyze_suite_isolated ?pool ?(sim_cache = true) ?identity ?diags ?labels
+    state testeds =
   let label_of i =
     match labels with
     | Some ls -> ( match List.nth_opt ls i with Some l -> l | None -> Printf.sprintf "test-%d" i)
@@ -249,7 +244,7 @@ let analyze_suite_isolated ?pool ?(sim_cache = true) ?(sim_canon = true)
   let run pool =
     Pool.map pool
       (fun (i, tested) ->
-        match analyze ~pool ~sim_cache ~sim_canon ?identity ?diags state tested with
+        match analyze ~pool ~sim_cache ?identity ?diags state tested with
         | r -> Ok r
         | exception ((Stack_overflow | Out_of_memory) as e) -> raise e
         | exception e ->

@@ -63,17 +63,12 @@ type report = {
 
     [pool] parallelizes the labeling pass across its domains (default:
     sequential). [sim_cache] (default true) memoizes targeted policy
-    simulations within this analysis; [sim_canon] (default true) keys
-    that memo cache by canonicalized routes — attributes the policy
-    chain neither reads nor writes are stripped from the key (see
-    {!Rules.create_sim_cache}). [label_arena] (default true) selects
-    the shared per-domain BDD arena for the labeling pass;
-    [~label_arena:false] is the legacy fresh-manager-per-cone engine
-    kept as the differential reference (see {!Label.run}). [identity]
-    selects the IFG's fact-identity mode (default {!Intern.Structural};
-    {!Intern.By_key} is the string-keyed reference for differential
-    testing). None of these options changes the report, only the wall
-    time.
+    simulations within this analysis (see {!Rules.create_sim_cache});
+    the uncached run is the reference of the [cache-equivalence]
+    oracle. [identity] selects the IFG's fact-identity mode (default
+    {!Intern.Structural}; {!Intern.By_key} is the string-keyed
+    reference for differential testing). None of these options changes
+    the report, only the wall time.
 
     [diags] installs a diagnostic sink on the rule context: with one, a
     crashing inference rule (unknown device, policy-eval failure, …)
@@ -83,8 +78,6 @@ type report = {
 val analyze :
   ?pool:Netcov_parallel.Pool.t ->
   ?sim_cache:bool ->
-  ?sim_canon:bool ->
-  ?label_arena:bool ->
   ?identity:Intern.mode ->
   ?diags:(Diag.t -> unit) ->
   Netcov_sim.Stable_state.t ->
@@ -102,8 +95,6 @@ val analyze :
 val analyze_suite :
   ?pool:Netcov_parallel.Pool.t ->
   ?sim_cache:bool ->
-  ?sim_canon:bool ->
-  ?label_arena:bool ->
   ?identity:Intern.mode ->
   Netcov_sim.Stable_state.t ->
   tested list ->
@@ -131,7 +122,6 @@ type suite_outcome = { ok : report list; failures : test_failure list }
 val analyze_suite_isolated :
   ?pool:Netcov_parallel.Pool.t ->
   ?sim_cache:bool ->
-  ?sim_canon:bool ->
   ?identity:Intern.mode ->
   ?diags:(Diag.t -> unit) ->
   ?labels:string list ->

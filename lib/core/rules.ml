@@ -139,28 +139,23 @@ module Sim_key = struct
     k_default : Eval.verdict;
     k_protocol : Route.protocol;
     k_route : Route.bgp;  (* raw input; compared modulo [k_mask] *)
-    k_mask : int;  (* read/write attribute mask; -1 = full key *)
+    k_mask : int;  (* read/write attribute mask *)
     k_hash : int;  (* precomputed, consistent with [equal] *)
   }
 
   (* Mask-aware route equality. Stripped attributes are pass-through
      for the chain, so ignoring them is exactly what comparing the
      canonical routes did. The community set compares via [Set.equal]
-     (tree shape may differ between equal sets); the full-key path
-     keeps the historical structural compare, where a shape mismatch
-     at worst turns a hit into a miss, never a wrong result. *)
+     (tree shape may differ between equal sets). *)
   let route_equal mask (a : Route.bgp) (b : Route.bgp) =
-    if mask = -1 then a = b
-    else
-      let keep x = mask land x <> 0 in
-      ((not (keep Attr.prefix)) || a.Route.prefix = b.Route.prefix)
-      && ((not (keep Attr.next_hop)) || a.Route.next_hop = b.Route.next_hop)
-      && ((not (keep Attr.as_path)) || a.Route.as_path = b.Route.as_path)
-      && ((not (keep Attr.local_pref))
-         || a.Route.local_pref = b.Route.local_pref)
-      && ((not (keep Attr.med)) || a.Route.med = b.Route.med)
-      && ((not (keep Attr.communities))
-         || Community.Set.equal a.Route.communities b.Route.communities)
+    let keep x = mask land x <> 0 in
+    ((not (keep Attr.prefix)) || a.Route.prefix = b.Route.prefix)
+    && ((not (keep Attr.next_hop)) || a.Route.next_hop = b.Route.next_hop)
+    && ((not (keep Attr.as_path)) || a.Route.as_path = b.Route.as_path)
+    && ((not (keep Attr.local_pref)) || a.Route.local_pref = b.Route.local_pref)
+    && ((not (keep Attr.med)) || a.Route.med = b.Route.med)
+    && ((not (keep Attr.communities))
+       || Community.Set.equal a.Route.communities b.Route.communities)
 
   let mix h v = (h * 31) + v + 1
 
@@ -170,23 +165,21 @@ module Sim_key = struct
      (in-order, hence canonical) because tree shape may differ between
      equal sets. *)
   let route_hash mask (r : Route.bgp) =
-    if mask = -1 then Route.hash_bgp r
-    else
-      let keep x = mask land x <> 0 in
-      let h = if keep Attr.prefix then Prefix.hash r.Route.prefix else 0 in
-      let h =
-        mix h (if keep Attr.next_hop then Ipv4.hash r.Route.next_hop else 0)
-      in
-      let h =
-        mix h (if keep Attr.as_path then As_path.hash r.Route.as_path else 0)
-      in
-      let h = mix h (if keep Attr.local_pref then r.Route.local_pref else 0) in
-      let h = mix h (if keep Attr.med then r.Route.med else 0) in
-      if keep Attr.communities then
-        Community.Set.fold
-          (fun c h -> mix h (Community.hash c))
-          r.Route.communities h
-      else h
+    let keep x = mask land x <> 0 in
+    let h = if keep Attr.prefix then Prefix.hash r.Route.prefix else 0 in
+    let h =
+      mix h (if keep Attr.next_hop then Ipv4.hash r.Route.next_hop else 0)
+    in
+    let h =
+      mix h (if keep Attr.as_path then As_path.hash r.Route.as_path else 0)
+    in
+    let h = mix h (if keep Attr.local_pref then r.Route.local_pref else 0) in
+    let h = mix h (if keep Attr.med then r.Route.med else 0) in
+    if keep Attr.communities then
+      Community.Set.fold
+        (fun c h -> mix h (Community.hash c))
+        r.Route.communities h
+    else h
 
   (* Host+chain hash component, memoized per (host, chain) alongside
      the attribute mask so the per-lookup work is default + protocol +
@@ -212,56 +205,26 @@ module Sim_tbl = Hashtbl.Make (Sim_key)
 
 type sim_cache = {
   tbl : Eval.result Sim_tbl.t;
-  mutable c_hits : int;
-  mutable c_misses : int;
-  canonical : bool;
   (* (host, chain) -> (read/write attribute mask, host+chain hash),
      lazily computed *)
   masks : (string * string list, int * int) Hashtbl.t;
 }
 
-let create_sim_cache ?(canonical = true) () =
-  {
-    tbl = Sim_tbl.create 4096;
-    c_hits = 0;
-    c_misses = 0;
-    canonical;
-    masks = Hashtbl.create 64;
-  }
+let create_sim_cache () =
+  { tbl = Sim_tbl.create 4096; masks = Hashtbl.create 64 }
 
-let sim_cache_stats c = (c.c_hits, c.c_misses)
-
-(* Selective eviction for the incremental engine (lib/incr): drop every
-   entry — and every memoized attribute mask — belonging to a host
-   whose device configuration changed. Chain evaluation reads nothing
-   but the device, so entries of unchanged hosts stay valid across an
-   update. Returns the number of evicted result entries. *)
-let sim_cache_evict_hosts c pred =
-  let doomed = ref [] in
-  Sim_tbl.iter
-    (fun k _ -> if pred k.Sim_key.k_host then doomed := k :: !doomed)
-    c.tbl;
-  List.iter (fun k -> Sim_tbl.remove c.tbl k) !doomed;
-  let doomed_masks = ref [] in
-  Hashtbl.iter
-    (fun ((h, _) as k) _ -> if pred h then doomed_masks := k :: !doomed_masks)
-    c.masks;
-  List.iter (fun k -> Hashtbl.remove c.masks k) !doomed_masks;
-  List.length !doomed
-
-(* Replay-based revalidation, the precise alternative to
-   [sim_cache_evict_hosts]: instead of dropping every entry of a changed
-   host, re-run each cached evaluation against the host's *new* device
-   and keep the entries whose results are unchanged. Sound for
-   canonical keys because the replay input — the key's stored raw
-   route — is a representative of the key's equivalence class: when
-   the chain's read/write attribute mask is unchanged, both the old
-   and the new chain treat the stripped attributes as pass-through, so
-   equality modulo the mask on the representative implies equality on
-   every member of the class (the kept attributes of the output depend
-   only on the kept attributes of the input). A changed mask shifts
-   the key space itself, so those entries are dropped
-   unconditionally. *)
+(* Replay-based revalidation for the incremental engine (lib/incr):
+   instead of dropping every entry of a changed host, re-run each
+   cached evaluation against the host's *new* device and keep the
+   entries whose results are unchanged. Sound because the replay
+   input — the key's stored raw route — is a representative of the
+   key's equivalence class: when the chain's read/write attribute mask
+   is unchanged, both the old and the new chain treat the stripped
+   attributes as pass-through, so equality modulo the mask on the
+   representative implies equality on every member of the class (the
+   kept attributes of the output depend only on the kept attributes of
+   the input). A changed mask shifts the key space itself, so those
+   entries are dropped unconditionally. *)
 
 let result_equiv mask (a : Eval.result) (b : Eval.result) =
   a.Eval.verdict = b.Eval.verdict
@@ -272,11 +235,10 @@ let result_equiv mask (a : Eval.result) (b : Eval.result) =
   | Some ra, Some rb ->
       (* pass-through attributes of the stored result come from its
          original (non-canonical) input; compare modulo the mask *)
-      if mask = -1 then ra = rb
-      else canonical_route mask ra = canonical_route mask rb
+      canonical_route mask ra = canonical_route mask rb
   | _ -> false
 
-let sim_cache_revalidate_hosts ?(apply = true) c state pred =
+let sim_cache_revalidate_hosts c state pred =
   let checked = ref 0 in
   let doomed = ref [] in
   let fresh_masks = Hashtbl.create 16 in
@@ -296,37 +258,28 @@ let sim_cache_revalidate_hosts ?(apply = true) c state pred =
           match Stable_state.find_device state k.Sim_key.k_host with
           | exception _ -> false (* host gone from the new state *)
           | d -> (
-              let mask =
-                if not c.canonical then Some (-1)
-                else
-                  let mk = (k.Sim_key.k_host, k.Sim_key.k_chain) in
-                  let m = new_mask d mk in
-                  match Hashtbl.find_opt c.masks mk with
-                  | Some (m_old, _) when m_old = m -> Some m
-                  | _ -> None
-              in
-              match mask with
-              | None -> false
-              | Some mask ->
+              let mk = (k.Sim_key.k_host, k.Sim_key.k_chain) in
+              let mask = new_mask d mk in
+              match Hashtbl.find_opt c.masks mk with
+              | Some (m_old, _) when m_old = mask ->
                   result_equiv mask r
                     (Eval.run_chain d ~chain:k.Sim_key.k_chain
                        ~default:k.Sim_key.k_default
-                       ~protocol:k.Sim_key.k_protocol k.Sim_key.k_route))
+                       ~protocol:k.Sim_key.k_protocol k.Sim_key.k_route)
+              | _ -> false)
         in
         if not valid then doomed := k :: !doomed
       end)
     c.tbl;
-  if apply then begin
-    List.iter (fun k -> Sim_tbl.remove c.tbl k) !doomed;
-    (* Memoized masks of the affected hosts are recomputed lazily on
-       the next evaluation; a stale mask would canonicalize keys for
-       the new device incorrectly. *)
-    let stale = ref [] in
-    Hashtbl.iter
-      (fun ((h, _) as mk) _ -> if pred h then stale := mk :: !stale)
-      c.masks;
-    List.iter (fun mk -> Hashtbl.remove c.masks mk) !stale
-  end;
+  List.iter (fun k -> Sim_tbl.remove c.tbl k) !doomed;
+  (* Memoized masks of the affected hosts are recomputed lazily on the
+     next evaluation; a stale mask would canonicalize keys for the new
+     device incorrectly. *)
+  let stale = ref [] in
+  Hashtbl.iter
+    (fun ((h, _) as mk) _ -> if pred h then stale := mk :: !stale)
+    c.masks;
+  List.iter (fun mk -> Hashtbl.remove c.masks mk) !stale;
   (!checked, List.length !doomed)
 
 let sim_cache_length c = Sim_tbl.length c.tbl
@@ -372,10 +325,6 @@ let sim_cache_breakdown c =
 
 type ctx = {
   state : Stable_state.t;
-  edge_of_key : (string, Session.edge) Hashtbl.t;
-  learned_edge : (string * Ipv4.t, Session.edge * string) Hashtbl.t;
-      (* (recv_host, send_ip) -> edge and its key: Figure 4's edge
-         lookup, without formatting a key per learned route *)
   cache : sim_cache option;
   sim_section : Timing.section;
   diags : (Netcov_diag.Diag.t -> unit) option;
@@ -384,18 +333,8 @@ type ctx = {
 }
 
 let make_ctx ?cache ?diags state =
-  let edge_of_key = Hashtbl.create 256 in
-  let learned_edge = Hashtbl.create 256 in
-  List.iter
-    (fun (e : Session.edge) ->
-      let key = Session.edge_key e in
-      Hashtbl.replace edge_of_key key e;
-      Hashtbl.replace learned_edge (e.recv_host, e.send_ip) (e, key))
-    (Stable_state.edges state);
   {
     state;
-    edge_of_key;
-    learned_edge;
     cache;
     sim_section = Timing.make "targeted-sim";
     diags;
@@ -417,19 +356,15 @@ let chain_eval ctx : Eval.chain_eval =
   | None -> Eval.run_chain d ~chain ~default ~protocol route
   | Some c -> (
       let mask, base =
-        if not c.canonical then
-          (-1, Sim_key.base_hash d.Device.hostname chain)
-        else
-          let mk = (d.Device.hostname, chain) in
-          match Hashtbl.find_opt c.masks mk with
-          | Some mb -> mb
-          | None ->
-              let mb =
-                ( Attr.of_chain d chain,
-                  Sim_key.base_hash d.Device.hostname chain )
-              in
-              Hashtbl.replace c.masks mk mb;
-              mb
+        let mk = (d.Device.hostname, chain) in
+        match Hashtbl.find_opt c.masks mk with
+        | Some mb -> mb
+        | None ->
+            let mb =
+              (Attr.of_chain d chain, Sim_key.base_hash d.Device.hostname chain)
+            in
+            Hashtbl.replace c.masks mk mb;
+            mb
       in
       let key =
         {
@@ -445,11 +380,9 @@ let chain_eval ctx : Eval.chain_eval =
       match Sim_tbl.find_opt c.tbl key with
       | Some r ->
           ctx.cache_hits <- ctx.cache_hits + 1;
-          c.c_hits <- c.c_hits + 1;
-          if mask = -1 then r else patch_result mask route r
+          patch_result mask route r
       | None ->
           ctx.cache_misses <- ctx.cache_misses + 1;
-          c.c_misses <- c.c_misses + 1;
           let r = Eval.run_chain d ~chain ~default ~protocol route in
           Sim_tbl.add c.tbl key r;
           r)
@@ -621,7 +554,7 @@ let rule_igp_rib ctx fact =
 let rule_bgp_rib_learned ctx fact =
   match fact with
   | Fact.F_bgp_rib { host; route; source = Rib.Learned send_ip } -> (
-      match Hashtbl.find_opt ctx.learned_edge (host, send_ip) with
+      match Stable_state.learned_edge ctx.state ~recv_host:host ~send_ip with
       | None -> []
       | Some (edge, ekey) ->
           let edge_fact = Fact.F_edge ekey in
@@ -826,7 +759,7 @@ let peering_config_parents ctx ~host ~peer_ip =
 let rule_edge ctx fact =
   match fact with
   | Fact.F_edge key -> (
-      match Hashtbl.find_opt ctx.edge_of_key key with
+      match Stable_state.edge_of_key ctx.state key with
       | None -> []
       | Some edge ->
           let topo = Stable_state.topology ctx.state in

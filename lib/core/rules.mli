@@ -17,41 +17,29 @@ type ctx
     instead (the cache never changes results, only skips re-runs). *)
 type sim_cache
 
-(** [canonical] (default true) strips route attributes the policy chain
-    neither reads nor writes from the cache key — per-chain read/write
-    sets are computed once from the device's policy ASTs — so
-    simulations that differ only in pass-through attributes share one
-    entry. On a hit the pass-through attributes of the cached
+(** A fresh, empty cache. Route attributes the policy chain neither
+    reads nor writes are stripped from the cache key — per-chain
+    read/write sets are computed once from the device's policy ASTs —
+    so simulations that differ only in pass-through attributes share
+    one entry. On a hit the pass-through attributes of the cached
     transformed route are restored from the actual input, reproducing a
-    fresh evaluation exactly. [~canonical:false] keeps the historical
-    full-route key (differential testing, before/after benchmarks). *)
-val create_sim_cache : ?canonical:bool -> unit -> sim_cache
+    fresh evaluation exactly. *)
+val create_sim_cache : unit -> sim_cache
 
-(** Lifetime (hits, misses) of the cache across every ctx that used
-    it. *)
-val sim_cache_stats : sim_cache -> int * int
-
-(** [sim_cache_evict_hosts c pred] drops every cached evaluation (and
-    memoized attribute mask) whose host satisfies [pred], returning the
-    number of evicted entries. Evaluations read nothing but the host's
-    device, so entries of hosts with unchanged configuration stay valid
-    across a configuration update (lib/incr). *)
-val sim_cache_evict_hosts : sim_cache -> (string -> bool) -> int
-
-(** [sim_cache_revalidate_hosts c state pred] is the precise alternative
-    to {!sim_cache_evict_hosts}: every cached evaluation whose host
-    satisfies [pred] is replayed against the host's device in [state]
-    (the *new* stable state) and kept when the result is unchanged.
+(** [sim_cache_revalidate_hosts c state pred] replays every cached
+    evaluation whose host satisfies [pred] against the host's device in
+    [state] (the {e new} stable state) and keeps it when the result is
+    unchanged. Evaluations read nothing but the host's device, so
+    entries of other hosts stay valid across a configuration update.
     Entries whose chain now behaves differently — or whose chain's
     read/write attribute mask changed, shifting the canonical key
     space — are dropped, as are entries of hosts absent from [state].
     Returns [(checked, dropped)]; [dropped = 0] certifies that every
     cached evaluation of the selected hosts is unaffected by the
     configuration change (the incremental engine's fast-path witness,
-    docs/INCREMENTAL.md). [~apply:false] only measures, mutating
-    nothing. *)
+    docs/INCREMENTAL.md). *)
 val sim_cache_revalidate_hosts :
-  ?apply:bool -> sim_cache -> Stable_state.t -> (string -> bool) -> int * int
+  sim_cache -> Stable_state.t -> (string -> bool) -> int * int
 
 (** Live entries in the cache. *)
 val sim_cache_length : sim_cache -> int

@@ -11,164 +11,29 @@ let m_updates =
   M.counter M.default ~help:"incremental engine passes (create or update)"
     ~unit_:"passes" "incr.updates"
 
-let m_dirty =
-  M.counter M.default
-    ~help:"stored cones invalidated by configuration changes" ~unit_:"cones"
-    "incr.dirty_cones"
-
 let m_reused =
-  M.counter M.default ~help:"cone label results reused across an update"
+  M.counter M.default
+    ~help:"tested roots whose label results were reused across an update"
     ~unit_:"cones" "incr.reused_cones"
 
 let m_evicted_sim =
   M.counter M.default ~help:"sim-cache entries evicted on update"
     ~unit_:"entries" "incr.evicted.sim"
 
-let m_evicted_labels =
-  M.counter M.default ~help:"cone label entries evicted on update"
-    ~unit_:"entries" "incr.evicted.labels"
-
 let m_reuse_ratio =
   M.gauge M.default
-    ~help:"reused / (reused + relabeled) cones of the last incremental pass"
+    ~help:"reused / (reused + relabeled) tested roots of the last pass"
     ~unit_:"ratio" "incr.reuse_ratio"
 
-(* ------------------------------------------------------------------ *)
-(* Cone signatures.
-
-   A stored label result may be reused only if relabeling would compute
-   the same thing. Label.run_cone is a pure function of the cone's
-   structure: node kinds, the facts at fact nodes (config facts carry
-   element ids) and the parent wiring. The signature captures exactly
-   that, with nodes in a deterministic discovery order and parents as
-   in-cone discovery indices, so two signatures are equal iff the cones
-   are isomorphic as labeled graphs — config ids compared through the
-   update's old → new translation. This is what makes reuse robust
-   against the state-propagation channel the config diff cannot see
-   (e.g. a best-path flip upstream changes which facts feed a cone even
-   though no element inside it changed): any such change alters the
-   materialized cone and breaks the signature.
-
-   Signatures are the slow path. Materialization is deterministic, so
-   across an update most of the new graph is *positionally* identical
-   to the old one — same node id, same kind, same fact (modulo the id
-   translation), same parent ids. The per-test suspect closure below
-   marks every node with at least one positionally-different ancestor;
-   a cone whose root is outside that closure is ancestor-closed inside
-   the identical region and is reused without touching its signature.
-   Signatures are therefore computed lazily, and only for roots inside
-   the suspect closure. *)
-
-type sig_node = { sn_fact : Fact.t option; sn_parents : int array }
-
-let cone_signature g root =
-  let idx = Hashtbl.create 256 in
-  let rev_order = ref [] in
-  let n = ref 0 in
-  let stack = ref [ root ] in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | id :: rest ->
-        stack := rest;
-        if not (Hashtbl.mem idx id) then begin
-          Hashtbl.add idx id !n;
-          incr n;
-          rev_order := id :: !rev_order;
-          Ifg.iter_parents g id (fun p ->
-              if not (Hashtbl.mem idx p) then stack := p :: !stack)
-        end
-  done;
-  let order = Array.of_list (List.rev !rev_order) in
-  Array.map
-    (fun id ->
-      let ps = ref [] in
-      (* cones are ancestor-closed, so every parent is indexed *)
-      Ifg.iter_parents g id (fun p -> ps := Hashtbl.find idx p :: !ps);
-      {
-        sn_fact =
-          (match Ifg.kind g id with
-          | Ifg.N_fact f -> Some f
-          | Ifg.N_disj -> None);
-        sn_parents = Array.of_list (List.rev !ps);
-      })
-    order
-
-(* Translate an old-registry fact into the new registry; [None] when it
-   mentions a removed element. *)
-let remap_fact id_map f =
-  match f with
-  | Fact.F_config oid ->
-      if oid >= 0 && oid < Array.length id_map && id_map.(oid) >= 0 then
-        Some (Fact.F_config id_map.(oid))
-      else None
-  | f -> Some f
-
-let sig_equal ~id_map old_sig new_sig =
-  Array.length old_sig = Array.length new_sig
-  &&
-  try
-    Array.iteri
-      (fun i (on : sig_node) ->
-        let nn = new_sig.(i) in
-        if on.sn_parents <> nn.sn_parents then raise Exit;
-        match (on.sn_fact, nn.sn_fact) with
-        | None, None -> ()
-        | Some fo, Some fn -> (
-            match remap_fact id_map fo with
-            | Some fo' when Fact.equal fo' fn -> ()
-            | _ -> raise Exit)
-        | _ -> raise Exit)
-      old_sig;
-    true
-  with Exit -> false
-
-(* Positional comparison of the old and the new graph of one test.
-   Returns [(clean, tainted)]: [clean] when every new node is
-   positionally identical to the old node with the same id; otherwise
-   [tainted] is the descendant closure (Ifg.reverse_reachable) of the
-   positionally-differing nodes, i.e. exactly the nodes with a
-   differing ancestor. A root outside [tainted] has an ancestor cone
-   that is node-for-node the old cone, so its stored label result is
-   reused with no signature work at all. *)
-let suspect_closure ~id_map g_old g_new =
-  let n_new = Ifg.n_nodes g_new in
-  let n_old = Ifg.n_nodes g_old in
-  let seeds = ref [] in
-  for j = 0 to n_new - 1 do
-    let same =
-      j < n_old
-      && (match (Ifg.kind g_old j, Ifg.kind g_new j) with
-         | Ifg.N_disj, Ifg.N_disj -> true
-         | Ifg.N_fact fo, Ifg.N_fact fn -> (
-             match remap_fact id_map fo with
-             | Some fo' -> Fact.equal fo' fn
-             | None -> false)
-         | _ -> false)
-      && Ifg.parents g_old j = Ifg.parents g_new j
-    in
-    if not same then seeds := j :: !seeds
-  done;
-  if !seeds = [] then (true, [||])
-  else (false, Ifg.reverse_reachable g_new !seeds)
-
-(* ------------------------------------------------------------------ *)
-
-type cone_entry = {
-  ce_sig : sig_node array Lazy.t;  (* forced only for suspect roots *)
-  ce_node : Ifg.node_id;  (* root node in the owning test's graph *)
-  ce_covered : Element.Id_set.t;  (* session-current registry ids *)
-  ce_strong : Element.Id_set.t;
-}
-
+(* What one test's analysis leaves in the session: its report, its
+   label sets before the tested control-plane elements are forced
+   strong (the fast path rebuilds the coverage over the new registry
+   from them), and its number of distinct tested roots. *)
 type test_state = {
-  ts_graph : Ifg.t;
-  ts_cones : cone_entry Fact.Tbl.t;
-  (* aggregate label result of the whole test (before the tested
-     control-plane elements are forced strong), for wholesale reuse
-     when an update leaves the test's graph untouched *)
+  ts_report : Netcov.report;
   ts_strong : Element.Id_set.t;
   ts_weak : Element.Id_set.t;
+  ts_roots : int;
 }
 
 type session = {
@@ -176,7 +41,6 @@ type session = {
   mutable reg : Registry.t;
   mutable tests : test_state list;
   mutable testeds : Netcov.tested list;
-  mutable reports : Netcov.report list;
   cache : Rules.sim_cache;
   mutable rep : Netcov.report;
   mutable diff : Registry_diff.t option;
@@ -186,341 +50,120 @@ type stats = {
   s_changed : int;
   s_added : int;
   s_removed : int;
-  s_dirty_cones : int;
   s_reused : int;
   s_relabeled : int;
-  s_full_fallbacks : int;
   s_evicted_sim : int;
-  s_evicted_labels : int;
   s_sim_hits : int;
   s_sim_misses : int;
   s_reuse_ratio : float;
   s_seconds : float;
 }
 
-(* Mutable accumulator threaded through one pass. *)
-type acc = {
-  mutable a_reused : int;
-  mutable a_relabeled : int;
-  mutable a_fallbacks : int;
-  mutable a_hits : int;
-  mutable a_misses : int;
-}
-
-let remap_set id_map s = Element.Id_set.map (fun oid -> id_map.(oid)) s
-
-let id_map_is_identity m =
-  try
-    Array.iteri (fun i v -> if v <> i then raise Exit) m;
-    true
-  with Exit -> false
-
-(* One test against one state: re-materialize (warm sim cache), then
-   splice stored cone labels where the materialized graph proves them
-   still valid and relabel the rest. [same_tested] says the test's
-   tested facts are unchanged since the stored pass, which unlocks
-   wholesale reuse when the whole graph is positionally identical.
-
-   Relabeling ([Label.run_cone] / the capped [Label.run] fallback) runs
-   in the calling domain's persistent BDD arena: across warm updates of
-   a long-lived session (netcov serve) the hash-consed node store and
-   apply cache stay hot, and the arena self-trims at its watermark so
-   an idle warm session holds a bounded BDD footprint rather than the
-   union of everything it ever labeled (lib/core/label.mli). *)
-let run_test cache state reg ~old ~id_map ~same_tested ~dead acc
-    (tested : Netcov.tested) =
+(* One test against one state: the materialize -> label sequence of
+   [Netcov.analyze], over the session's sim cache. Labeling runs in
+   the calling domain's persistent BDD arena, which self-trims at its
+   watermark, so a warm session (netcov serve) holds a bounded BDD
+   footprint (lib/core/label.mli). *)
+let analyze_test cache state reg ~dead (tested : Netcov.tested) =
   let t0 = Timing.now () in
   let ctx = Rules.make_ctx ~cache state in
-  let g, tested_ids, mstats = Materialize.run ctx ~tested:tested.Netcov.dp_facts in
-  acc.a_hits <- acc.a_hits + mstats.Materialize.sim_cache_hits;
-  acc.a_misses <- acc.a_misses + mstats.Materialize.sim_cache_misses;
-  let taint =
-    match (old, id_map) with
-    | Some (ts : test_state), Some id_map ->
-        Some (suspect_closure ~id_map ts.ts_graph g)
-    | _ -> None
+  let g, ids, ms = Materialize.run ctx ~tested:tested.Netcov.dp_facts in
+  let l = Label.run g ~tested:ids in
+  let coverage =
+    Coverage.with_strong
+      (Coverage.of_sets reg ~strong:l.Label.strong ~weak:l.Label.weak)
+      tested.Netcov.cp_elements
   in
-  let lt0 = Timing.now () in
-  let wholesale =
-    (* identical graph over identical tested facts: the previous pass
-       would be recomputed verbatim, splice it without per-cone work *)
-    match (old, id_map, taint) with
-    | Some ts, Some id_map, Some (true, _)
-      when same_tested && Ifg.n_nodes ts.ts_graph = Ifg.n_nodes g ->
-        Some (ts, id_map)
-    | _ -> None
-  in
-  let finish ~cones ~strong ~weak ~vars =
-    let coverage =
-      Coverage.with_strong
-        (Coverage.of_sets reg ~strong ~weak)
-        tested.Netcov.cp_elements
-    in
-    let label_s = Timing.now () -. lt0 in
-    let total_s = Timing.now () -. t0 in
-    let report =
-      {
-        Netcov.coverage;
-        timing =
-          {
-            Netcov.total_s;
-            cpu_total_s = total_s;
-            materialize_s = mstats.Materialize.rule_seconds;
-            sim_s = mstats.Materialize.sim_seconds;
-            label_s;
-            sim_count = mstats.Materialize.sim_count;
-            sim_cache_hits = mstats.Materialize.sim_cache_hits;
-            sim_cache_misses = mstats.Materialize.sim_cache_misses;
-            ifg_nodes = mstats.Materialize.nodes;
-            ifg_edges = mstats.Materialize.edges;
-            bdd_vars = vars;
-          };
-        dead;
-      }
-    in
-    (report, { ts_graph = g; ts_cones = cones; ts_strong = strong; ts_weak = weak })
-  in
-  match wholesale with
-  | Some (ts, id_map) ->
-      acc.a_reused <- acc.a_reused + Fact.Tbl.length ts.ts_cones;
-      let identity = id_map_is_identity id_map in
-      let cones =
-        if identity then ts.ts_cones
-        else begin
-          let t = Fact.Tbl.create (max 16 (Fact.Tbl.length ts.ts_cones)) in
-          Fact.Tbl.iter
-            (fun rf e ->
-              Fact.Tbl.replace t rf
-                {
-                  e with
-                  ce_covered = remap_set id_map e.ce_covered;
-                  ce_strong = remap_set id_map e.ce_strong;
-                })
-            ts.ts_cones;
-          t
-        end
-      in
-      let strong =
-        if identity then ts.ts_strong else remap_set id_map ts.ts_strong
-      in
-      let weak = if identity then ts.ts_weak else remap_set id_map ts.ts_weak in
-      finish ~cones ~strong ~weak ~vars:0
-  | None ->
-      let new_cones = Fact.Tbl.create 64 in
-      let covered = ref Element.Id_set.empty in
-      let strong = ref Element.Id_set.empty in
-      let capped = ref false in
-      let vars = ref 0 in
-      let seen = Hashtbl.create 16 in
-      List.iter
-        (fun root ->
-          if not (Hashtbl.mem seen root) then begin
-            Hashtbl.add seen root ();
-            match Ifg.kind g root with
-            | Ifg.N_disj -> ()
-            | Ifg.N_fact rf -> (
-                let stored =
-                  match (old, id_map) with
-                  | Some (ts : test_state), Some id_map -> (
-                      match Fact.Tbl.find_opt ts.ts_cones rf with
-                      | Some e -> Some (e, id_map)
-                      | None -> None)
-                  | _ -> None
-                in
-                (* the new signature is computed at most once, and only
-                   when a stored candidate forces the comparison *)
-                let nsig = ref None in
-                let new_sig () =
-                  match !nsig with
-                  | Some s -> s
-                  | None ->
-                      let s = cone_signature g root in
-                      nsig := Some s;
-                      s
-                in
-                let reuse =
-                  match (stored, taint) with
-                  | Some (e, id_map), Some (clean, tainted) ->
-                      if (clean || not tainted.(root)) && e.ce_node = root then
-                        Some (e, id_map)
-                      else if
-                        sig_equal ~id_map (Lazy.force e.ce_sig) (new_sig ())
-                      then Some (e, id_map)
-                      else None
-                  | Some (e, id_map), None ->
-                      if sig_equal ~id_map (Lazy.force e.ce_sig) (new_sig ())
-                      then Some (e, id_map)
-                      else None
-                  | None, _ -> None
-                in
-                let entry_sig () =
-                  match !nsig with
-                  | Some s -> Lazy.from_val s
-                  | None -> lazy (cone_signature g root)
-                in
-                match reuse with
-                | Some (e, id_map) ->
-                    acc.a_reused <- acc.a_reused + 1;
-                    let cov = remap_set id_map e.ce_covered in
-                    let str = remap_set id_map e.ce_strong in
-                    Fact.Tbl.replace new_cones rf
-                      {
-                        ce_sig = entry_sig ();
-                        ce_node = root;
-                        ce_covered = cov;
-                        ce_strong = str;
-                      };
-                    covered := Element.Id_set.union !covered cov;
-                    strong := Element.Id_set.union !strong str
-                | None ->
-                    acc.a_relabeled <- acc.a_relabeled + 1;
-                    let r = Label.run_cone g ~root in
-                    vars := !vars + r.Label.c_vars;
-                    if r.Label.c_capped then capped := true
-                    else
-                      Fact.Tbl.replace new_cones rf
-                        {
-                          ce_sig = entry_sig ();
-                          ce_node = root;
-                          ce_covered = r.Label.c_covered;
-                          ce_strong = r.Label.c_strong;
-                        };
-                    covered := Element.Id_set.union !covered r.Label.c_covered;
-                    strong := Element.Id_set.union !strong r.Label.c_strong)
-          end)
-        tested_ids;
-      let strong_set, weak_set =
-        if !capped then begin
-          (* A capped cone's isolated labeling may diverge from the
-             global pass; force the exact global pass for this test and
-             cache nothing (docs/INCREMENTAL.md, "when a full run is
-             forced"). *)
-          acc.a_fallbacks <- acc.a_fallbacks + 1;
-          Fact.Tbl.reset new_cones;
-          let l = Label.run g ~tested:tested_ids in
-          vars := l.Label.vars;
-          (l.Label.strong, l.Label.weak)
-        end
-        else (!strong, Element.Id_set.diff !covered !strong)
-      in
-      finish ~cones:new_cones ~strong:strong_set ~weak:weak_set ~vars:!vars
-
-let finish_stats ~t0 ~d ~dirty ~evicted_sim ~evicted_labels acc =
-  let reuse_ratio =
-    let total = acc.a_reused + acc.a_relabeled in
-    if total = 0 then 0. else float_of_int acc.a_reused /. float_of_int total
-  in
-  M.inc m_updates 1;
-  M.inc m_dirty dirty;
-  M.inc m_reused acc.a_reused;
-  M.inc m_evicted_sim evicted_sim;
-  M.inc m_evicted_labels evicted_labels;
-  M.set m_reuse_ratio reuse_ratio;
-  let changed, added, removed =
-    match d with
-    | None -> (0, 0, 0)
-    | Some (d : Registry_diff.t) ->
-        ( List.length d.Registry_diff.changed,
-          List.length d.Registry_diff.added,
-          List.length d.Registry_diff.removed )
+  let total_s = Timing.now () -. t0 in
+  let timing =
+    {
+      Netcov.total_s;
+      cpu_total_s = total_s;
+      materialize_s = ms.Materialize.rule_seconds;
+      sim_s = ms.Materialize.sim_seconds;
+      label_s = l.Label.seconds;
+      sim_count = ms.Materialize.sim_count;
+      sim_cache_hits = ms.Materialize.sim_cache_hits;
+      sim_cache_misses = ms.Materialize.sim_cache_misses;
+      ifg_nodes = ms.Materialize.nodes;
+      ifg_edges = ms.Materialize.edges;
+      bdd_vars = l.Label.vars;
+    }
   in
   {
-    s_changed = changed;
-    s_added = added;
-    s_removed = removed;
-    s_dirty_cones = dirty;
-    s_reused = acc.a_reused;
-    s_relabeled = acc.a_relabeled;
-    s_full_fallbacks = acc.a_fallbacks;
+    ts_report = { Netcov.coverage; timing; dead };
+    ts_strong = l.Label.strong;
+    ts_weak = l.Label.weak;
+    ts_roots = List.length (List.sort_uniq Int.compare ids);
+  }
+
+let merged ~t0 reg tests =
+  Netcov.merge_reports ~wall_s:(Timing.now () -. t0) ~registry:reg
+    (List.map (fun ts -> ts.ts_report) tests)
+
+(* Counts of one pass: [results] pairs each test's state with whether
+   it was reused. *)
+let stats_of ~t0 ~d ~evicted_sim results =
+  let reused = ref 0 and relabeled = ref 0 in
+  let hits = ref 0 and misses = ref 0 in
+  List.iter
+    (fun (ts, was_reused) ->
+      if was_reused then reused := !reused + ts.ts_roots
+      else begin
+        let tm = ts.ts_report.Netcov.timing in
+        relabeled := !relabeled + ts.ts_roots;
+        hits := !hits + tm.Netcov.sim_cache_hits;
+        misses := !misses + tm.Netcov.sim_cache_misses
+      end)
+    results;
+  let reused = !reused and relabeled = !relabeled in
+  let reuse_ratio =
+    if reused + relabeled = 0 then 0.
+    else float_of_int reused /. float_of_int (reused + relabeled)
+  in
+  M.inc m_updates 1;
+  M.inc m_reused reused;
+  M.inc m_evicted_sim evicted_sim;
+  M.set m_reuse_ratio reuse_ratio;
+  let count f = match d with None -> 0 | Some d -> List.length (f d) in
+  {
+    s_changed = count (fun d -> d.Registry_diff.changed);
+    s_added = count (fun d -> d.Registry_diff.added);
+    s_removed = count (fun d -> d.Registry_diff.removed);
+    s_reused = reused;
+    s_relabeled = relabeled;
     s_evicted_sim = evicted_sim;
-    s_evicted_labels = evicted_labels;
-    s_sim_hits = acc.a_hits;
-    s_sim_misses = acc.a_misses;
+    s_sim_hits = !hits;
+    s_sim_misses = !misses;
     s_reuse_ratio = reuse_ratio;
     s_seconds = Timing.now () -. t0;
   }
 
-let run_suite cache state reg ~olds ~old_testeds ~id_map ~reuse_test acc testeds
-    =
-  let dead = Deadcode.analyze reg in
-  List.mapi
-    (fun i tested ->
-      match reuse_test ~dead i tested with
-      | Some r -> r
-      | None ->
-          let old =
-            match olds with
-            | Some arr when i < Array.length arr -> Some arr.(i)
-            | _ -> None
-          in
-          let same_tested =
-            match old_testeds with
-            | Some arr when i < Array.length arr -> arr.(i) = tested
-            | _ -> false
-          in
-          run_test cache state reg ~old ~id_map ~same_tested ~dead acc tested)
-    testeds
-
-let no_reuse ~dead:_ _ _ = None
-
-let create ?(sim_canon = true) state testeds =
+let create state testeds =
   let t0 = Timing.now () in
-  let cache = Rules.create_sim_cache ~canonical:sim_canon () in
+  let cache = Rules.create_sim_cache () in
   let reg = Stable_state.registry state in
-  let acc =
-    { a_reused = 0; a_relabeled = 0; a_fallbacks = 0; a_hits = 0; a_misses = 0 }
-  in
-  let results =
-    run_suite cache state reg ~olds:None ~old_testeds:None ~id_map:None
-      ~reuse_test:no_reuse acc testeds
-  in
-  let wall = Timing.now () -. t0 in
-  let rep =
-    Netcov.merge_reports ~wall_s:wall ~registry:reg (List.map fst results)
-  in
+  let dead = Deadcode.analyze reg in
+  let tests = List.map (analyze_test cache state reg ~dead) testeds in
   let s =
     {
       st = state;
       reg;
-      tests = List.map snd results;
+      tests;
       testeds;
-      reports = List.map fst results;
       cache;
-      rep;
+      rep = merged ~t0 reg tests;
       diff = None;
     }
   in
-  let stats =
-    finish_stats ~t0 ~d:None ~dirty:0 ~evicted_sim:0 ~evicted_labels:0 acc
-  in
-  (s, stats)
-
-(* Cone invalidation: walk each old graph forward (child edges) from
-   the changed/removed elements' config nodes; every stored cone whose
-   root lies in that descendant closure could have been derived through
-   a changed element, so its label result is evicted eagerly. *)
-let evict_dirty ts dirty_old_ids =
-  let seeds =
-    List.filter_map
-      (fun oid -> Ifg.find ts.ts_graph (Fact.F_config oid))
-      dirty_old_ids
-  in
-  if seeds = [] then 0
-  else begin
-    let dirty = Ifg.reverse_reachable ts.ts_graph seeds in
-    let doomed = ref [] in
-    Fact.Tbl.iter
-      (fun rf e -> if dirty.(e.ce_node) then doomed := rf :: !doomed)
-      ts.ts_cones;
-    List.iter (fun rf -> Fact.Tbl.remove ts.ts_cones rf) !doomed;
-    List.length !doomed
-  end
+  let results = List.map (fun ts -> (ts, false)) tests in
+  (s, stats_of ~t0 ~d:None ~evicted_sim:0 results)
 
 (* ------------------------------------------------------------------ *)
 (* The whole-update fast path.
 
    A configuration edit that provably changes no behavior needs no
-   re-materialization at all. The witness has three independent legs:
+   re-analysis at all. The witness has three independent legs:
 
    - every changed element belongs to a class that influences the
      analysis only through policy-chain evaluation (clauses and the
@@ -534,7 +177,9 @@ let evict_dirty ts dirty_old_ids =
 
    Under that witness a test whose tested facts are unchanged would
    re-materialize its exact old graph and relabel it to its exact old
-   result, so the stored pass is spliced wholesale. *)
+   result, so its stored labels are reused over the new registry.
+   Without the witness every test is re-analyzed from scratch against
+   the new state; only the replay-validated sim cache carries over. *)
 
 let reusable_etype = function
   | Element.Route_policy_clause | Element.Prefix_list | Element.Community_list
@@ -556,6 +201,12 @@ let state_unchanged st_old st_new =
             = Rib.table_entries (Stable_state.igp_rib st_new h))
        (Stable_state.internal_hosts st_old)
 
+let id_map_is_identity m =
+  try
+    Array.iteri (fun i v -> if v <> i then raise Exit) m;
+    true
+  with Exit -> false
+
 let update s state testeds =
   let t0 = Timing.now () in
   let reg = Stable_state.registry state in
@@ -570,7 +221,6 @@ let update s state testeds =
   let _checked, dropped =
     Rules.sim_cache_revalidate_hosts s.cache state (Hashtbl.mem changed_devs)
   in
-  let evicted_sim = dropped in
   let fast =
     d.Registry_diff.added = []
     && d.Registry_diff.removed = []
@@ -584,78 +234,37 @@ let update s state testeds =
   in
   let olds = Array.of_list s.tests in
   let old_testeds = Array.of_list s.testeds in
-  let old_reports = Array.of_list s.reports in
-  let n_new = List.length testeds in
-  let dirty = ref 0 in
-  if not fast then begin
-    (* Cone invalidation (eager eviction): under the fast-path witness
-       the invalidated set is provably behavior-empty, so the stored
-       cones survive; otherwise every cone derived through a changed or
-       removed element loses its label result here. *)
-    let dirty_old_ids =
-      List.map (fun e -> e.Registry_diff.e_old_id) d.Registry_diff.changed
-      @ List.map (fun e -> e.Registry_diff.e_old_id) d.Registry_diff.removed
-    in
-    Array.iteri
-      (fun i ts ->
-        if i < n_new then dirty := !dirty + evict_dirty ts dirty_old_ids)
-      olds
-  end;
-  (* Tests past the end of the new suite are dropped with their cones. *)
-  let stale = ref 0 in
-  Array.iteri
-    (fun i ts -> if i >= n_new then stale := !stale + Fact.Tbl.length ts.ts_cones)
-    olds;
-  let evicted_labels = !dirty + !stale in
-  let acc =
-    { a_reused = 0; a_relabeled = 0; a_fallbacks = 0; a_hits = 0; a_misses = 0 }
-  in
-  let reuse_test ~dead i tested =
-    if
-      fast
-      && i < Array.length olds
-      && i < Array.length old_testeds
-      && old_testeds.(i) = tested
-    then begin
-      let ts = olds.(i) in
-      acc.a_reused <- acc.a_reused + Fact.Tbl.length ts.ts_cones;
-      let coverage =
-        Coverage.with_strong
-          (Coverage.of_sets reg ~strong:ts.ts_strong ~weak:ts.ts_weak)
-          tested.Netcov.cp_elements
-      in
-      Some
-        ( { Netcov.coverage; timing = old_reports.(i).Netcov.timing; dead },
-          ts )
-    end
-    else None
-  in
+  let dead = Deadcode.analyze reg in
   let results =
-    run_suite s.cache state reg ~olds:(Some olds)
-      ~old_testeds:(Some old_testeds)
-      ~id_map:(Some d.Registry_diff.id_map) ~reuse_test acc testeds
+    List.mapi
+      (fun i (tested : Netcov.tested) ->
+        if fast && i < Array.length olds && old_testeds.(i) = tested then
+          let ts = olds.(i) in
+          let coverage =
+            Coverage.with_strong
+              (Coverage.of_sets reg ~strong:ts.ts_strong ~weak:ts.ts_weak)
+              tested.Netcov.cp_elements
+          in
+          let report = { ts.ts_report with Netcov.coverage; dead } in
+          ({ ts with ts_report = report }, true)
+        else (analyze_test s.cache state reg ~dead tested, false))
+      testeds
   in
-  let wall = Timing.now () -. t0 in
-  let rep =
-    Netcov.merge_reports ~wall_s:wall ~registry:reg (List.map fst results)
-  in
+  let tests = List.map fst results in
   s.st <- state;
   s.reg <- reg;
-  s.tests <- List.map snd results;
+  s.tests <- tests;
   s.testeds <- testeds;
-  s.reports <- List.map fst results;
-  s.rep <- rep;
+  s.rep <- merged ~t0 reg tests;
   s.diff <- Some d;
-  let stats =
-    finish_stats ~t0 ~d:(Some d) ~dirty:!dirty ~evicted_sim ~evicted_labels acc
-  in
+  let stats = stats_of ~t0 ~d:(Some d) ~evicted_sim:dropped results in
   Log.info (fun m ->
       m
-        "update%s: %d changed / %d added / %d removed elements; %d dirty \
-         cones, %d reused, %d relabeled, reuse ratio %.2f"
+        "update%s: %d changed / %d added / %d removed elements; %d tested \
+         roots reused, %d relabeled, reuse ratio %.2f"
         (if fast then " (fast path)" else "")
-        stats.s_changed stats.s_added stats.s_removed stats.s_dirty_cones
-        stats.s_reused stats.s_relabeled stats.s_reuse_ratio);
+        stats.s_changed stats.s_added stats.s_removed stats.s_reused
+        stats.s_relabeled stats.s_reuse_ratio);
   stats
 
 let report s = s.rep
@@ -667,17 +276,16 @@ let last_diff s = s.diff
 let summary st =
   Printf.sprintf
     "elements: %d changed, %d added, %d removed\n\
-     cones: %d dirty, %d reused, %d relabeled (%d full fallback(s)), reuse \
-     ratio %.2f\n\
-     evicted: %d sim entries, %d label entries; sims: %d hits / %d misses\n\
+     tested roots: %d reused, %d relabeled, reuse ratio %.2f\n\
+     evicted: %d sim entries; sims: %d hits / %d misses\n\
      wall: %.3fs\n"
-    st.s_changed st.s_added st.s_removed st.s_dirty_cones st.s_reused
-    st.s_relabeled st.s_full_fallbacks st.s_reuse_ratio st.s_evicted_sim
-    st.s_evicted_labels st.s_sim_hits st.s_sim_misses st.s_seconds
+    st.s_changed st.s_added st.s_removed st.s_reused st.s_relabeled
+    st.s_reuse_ratio st.s_evicted_sim st.s_sim_hits st.s_sim_misses
+    st.s_seconds
 
 (* ------------------------------------------------------------------ *)
 (* Falsifiability: mutation coverage as ground truth for the session's
-   IFG coverage (ISSUE: the tenth differential oracle). *)
+   IFG coverage (the mutation-falsifiability differential oracle). *)
 
 type falsifiability = {
   fz_strong : Element.id list;

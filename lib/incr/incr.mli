@@ -1,37 +1,27 @@
-(** Incremental coverage engine: config-diff → cone invalidation →
-    delta recompute.
+(** Incremental coverage engine: config diff → fast-path witness →
+    reuse or re-analysis.
 
-    A {!session} holds everything one analyzed network state left
-    behind: per-test IFGs, per-tested-fact cone label results
-    ({!Netcov_core.Label.run_cone}), per-test aggregate label sets, and
-    a persistent targeted-simulation memo cache. {!update} moves the
-    session to a new configuration version: the registries are diffed
-    ({!Registry_diff}), the sim-memo cache is invalidated precisely by
-    replaying each cached evaluation of a changed device
-    ({!Netcov_core.Rules.sim_cache_revalidate_hosts}), the dirty cone
-    set is computed by walking each old IFG forward from the changed
-    elements ({!Netcov_core.Ifg.reverse_reachable}) and evicted, and
-    only what cannot be reused is recomputed.
+    A {!session} holds what one analyzed network state left behind:
+    each test's report and label sets, and a persistent
+    targeted-simulation memo cache. {!update} moves the session to a
+    new configuration version along one of two paths:
 
-    Soundness (see [docs/INCREMENTAL.md]): by default every test is
-    re-materialized against the new state (simulations mostly hit the
-    persistent cache), so the new IFG is always exact; a cone's stored
-    label result is reused when the new cone is positionally identical
-    to the old one (no node in it lies in the descendant closure of a
-    positionally-differing node) or, failing that, when the cone's
-    structural signature — node kinds, facts (config ids translated
-    through the diff's id map) and in-cone wiring — is unchanged.
-    Labeling is a function of that structure, so reused results equal
-    recomputed ones. When the whole update carries a behavior-free
-    witness — only policy-class elements changed, every replayed
-    simulation was reproduced exactly, and the new stable state's
-    hosts, sessions and RIBs equal the old one's — tests with unchanged
-    tested facts skip re-materialization entirely and splice their
-    stored pass wholesale. Either way the incremental report is
-    byte-identical to a from-scratch run (asserted by the
-    [incremental-scratch] differential oracle). A full per-test
-    labeling pass is forced — and its cones are not cached — when a
-    cone overflows the BDD variable cap. *)
+    - {b Fast path.} The registries are diffed ({!Registry_diff}), and
+      every cached evaluation of a changed device is replayed against
+      its new configuration
+      ({!Netcov_core.Rules.sim_cache_revalidate_hosts}). When only
+      policy-class elements changed, every replay reproduced its result
+      and the new stable state's hosts, sessions and RIBs equal the old
+      one's, no behavior moved: each test whose tested facts are
+      unchanged keeps its stored labels, rebuilt over the new registry.
+    - {b Re-analysis.} Otherwise every test is analyzed again with the
+      materialize → {!Netcov_core.Label.run} sequence of
+      {!Netcov.analyze}, over the session's replay-validated sim cache.
+
+    Either way the session's report is byte-identical to a
+    from-scratch [Netcov.analyze_suite] merged (asserted by the
+    [incremental-scratch] differential oracle; see
+    [docs/INCREMENTAL.md]). *)
 
 open Netcov_config
 open Netcov_sim
@@ -45,17 +35,11 @@ type stats = {
   s_changed : int;  (** changed elements (old ∩ new, text differs) *)
   s_added : int;
   s_removed : int;
-  s_dirty_cones : int;
-      (** stored cones evicted because a changed/removed element was in
-          their old contribution cone *)
-  s_reused : int;  (** cone results spliced from the previous run *)
-  s_relabeled : int;  (** cones relabeled (dirty, new, or sig mismatch) *)
-  s_full_fallbacks : int;
-      (** tests forced to a full {!Label.run} by the per-cone cap *)
+  s_reused : int;  (** distinct tested roots whose labels were reused *)
+  s_relabeled : int;  (** distinct tested roots of re-analyzed tests *)
   s_evicted_sim : int;
       (** sim-cache entries of changed devices whose replayed result
           (or canonical key space) moved *)
-  s_evicted_labels : int;  (** = [s_dirty_cones] plus stale-test drops *)
   s_sim_hits : int;  (** sim-cache hits during this pass *)
   s_sim_misses : int;
   s_reuse_ratio : float;
@@ -63,17 +47,16 @@ type stats = {
   s_seconds : float;
 }
 
-(** [create state testeds] runs the cold, from-scratch analysis and
-    returns the primed session. [sim_canon] is
-    {!Netcov.analyze}'s [sim_canon] (default true). *)
-val create :
-  ?sim_canon:bool -> Stable_state.t -> Netcov.tested list -> session * stats
+(** [create state testeds] analyzes every test from scratch and
+    returns the primed session. *)
+val create : Stable_state.t -> Netcov.tested list -> session * stats
 
-(** [update s state testeds] re-analyzes against the new stable state,
-    reusing everything the config diff did not invalidate. Tests are
-    matched to the previous run by position; extra tests run cold,
-    missing tests are dropped. The resulting {!report} is byte-identical
-    (coverage-wise) to [Netcov.analyze_suite state testeds] merged. *)
+(** [update s state testeds] moves the session to the new stable
+    state, on the fast path when its witness holds and by re-analysis
+    otherwise. Tests are matched to the previous run by position; extra
+    tests are analyzed, missing tests are dropped. The resulting
+    {!report} is byte-identical (coverage-wise) to
+    [Netcov.analyze_suite state testeds] merged. *)
 val update : session -> Stable_state.t -> Netcov.tested list -> stats
 
 (** Merged suite report of the session's current state (the same shape
@@ -92,7 +75,8 @@ val state : session -> Stable_state.t
 (** The tested list of the most recent {!create} or {!update}, in
     position order. Because {!update} matches tests to the previous run
     positionally, a caller growing a suite should pass
-    [testeds s @ extra] to reuse every stored pass of the prefix. *)
+    [testeds s @ extra] so the fast path can reuse every stored test of
+    the prefix. *)
 val testeds : session -> Netcov.tested list
 
 (** The diff computed by the most recent {!update} ([None] after

@@ -220,12 +220,9 @@ let stats_json (s : Incr.stats) =
       ("changed", J.J_int s.Incr.s_changed);
       ("added", J.J_int s.Incr.s_added);
       ("removed", J.J_int s.Incr.s_removed);
-      ("dirty_cones", J.J_int s.Incr.s_dirty_cones);
       ("reused_cones", J.J_int s.Incr.s_reused);
       ("relabeled_cones", J.J_int s.Incr.s_relabeled);
-      ("full_fallbacks", J.J_int s.Incr.s_full_fallbacks);
       ("evicted_sim_entries", J.J_int s.Incr.s_evicted_sim);
-      ("evicted_label_entries", J.J_int s.Incr.s_evicted_labels);
       ("sim_cache_hits", J.J_int s.Incr.s_sim_hits);
       ("sim_cache_misses", J.J_int s.Incr.s_sim_misses);
       ("reuse_ratio", J.J_float s.Incr.s_reuse_ratio);

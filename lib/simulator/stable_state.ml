@@ -13,6 +13,11 @@ type t = {
       (* primed lazily by [prime]; always [None] on a freshly assembled
          state — a memo is only valid for warm updates seeded from the
          exact state it was primed on, so it never carries over *)
+  edge_of_key : (string, Session.edge) Hashtbl.t;
+  learned_edge : (string * Ipv4.t, Session.edge * string) Hashtbl.t;
+      (* (recv_host, send_ip) -> edge and its key. Both edge indexes
+         are built once per state and never written after, so any
+         domain may read them without a lock. *)
   traces : (string * Ipv4.t, Forward.path list) Hashtbl.t;
       (* [trace] memo, filled on demand; the pool's domains share a
          state, so every access holds [trace_lock] *)
@@ -73,6 +78,14 @@ let assemble reg down topo sim devices =
   List.iter
     (fun (d : Device.t) -> Hashtbl.replace sim_devices d.hostname d)
     devices;
+  let edge_of_key = Hashtbl.create 256 in
+  let learned_edge = Hashtbl.create 256 in
+  List.iter
+    (fun (e : Session.edge) ->
+      let key = Session.edge_key e in
+      Hashtbl.replace edge_of_key key e;
+      Hashtbl.replace learned_edge (e.recv_host, e.send_ip) (e, key))
+    sim.Bgp.edges;
   {
     reg;
     topo;
@@ -80,6 +93,8 @@ let assemble reg down topo sim devices =
     sim_devices;
     down;
     import_memo = None;
+    edge_of_key;
+    learned_edge;
     traces = Hashtbl.create 64;
     trace_lock = Mutex.create ();
   }
@@ -271,6 +286,11 @@ let main_rib t host = table_of t.sim.main_ribs host
 let bgp_rib t host = table_of t.sim.bgp_ribs host
 let igp_rib t host = table_of t.sim.igp_ribs host
 let edges t = t.sim.edges
+
+let edge_of_key t key = Hashtbl.find_opt t.edge_of_key key
+
+let learned_edge t ~recv_host ~send_ip =
+  Hashtbl.find_opt t.learned_edge (recv_host, send_ip)
 
 let edges_in t host =
   List.filter (fun (e : Session.edge) -> e.recv_host = host) t.sim.edges

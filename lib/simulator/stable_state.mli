@@ -80,6 +80,18 @@ val igp_rib : t -> string -> Rib.igp_entry Rib.table
 (** All established directed routing edges. *)
 val edges : t -> Session.edge list
 
+(** The edge whose {!Session.edge_key} is the given key. *)
+val edge_of_key : t -> string -> Session.edge option
+
+(** [learned_edge t ~recv_host ~send_ip] is the edge over which
+    [recv_host] learns routes from session address [send_ip], paired
+    with its {!Session.edge_key}: Figure 4's edge lookup for a learned
+    BGP route, without formatting a key per lookup. Both edge indexes
+    are built once per state, so lookups from any domain need no
+    lock. *)
+val learned_edge :
+  t -> recv_host:string -> send_ip:Ipv4.t -> (Session.edge * string) option
+
 val edges_in : t -> string -> Session.edge list
 val edges_out : t -> string -> Session.edge list
 

@@ -1,10 +1,10 @@
-(* Units for the incremental engine's building blocks: the backward
-   closure [Ifg.reverse_reachable] (plus its duality with [reachable],
-   checked exhaustively on hand-built graphs and sampled on generated
-   ones), the typed-element registry diff, canonical sim-cache keys and
-   host eviction, per-device coverage deltas, and an identity update
-   through a full [Incr] session. The end-to-end incremental == scratch
-   property lives in the [incremental-scratch] oracle (test_prop.ml). *)
+(* Units for the incremental engine's building blocks: the
+   typed-element registry diff, sim-cache replay revalidation,
+   per-device coverage deltas, and full [Incr] sessions — an identity
+   update, an edit on the chain network, and both update paths on a
+   fat-tree whose tests have many tested roots. The end-to-end
+   incremental == scratch property on random networks lives in the
+   [incremental-scratch] oracle (test_prop.ml). *)
 open Netcov_config
 open Netcov_sim
 open Netcov_core
@@ -13,134 +13,6 @@ open Netcov_check
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-
-(* ---------------- reverse_reachable on hand-built graphs ----------- *)
-
-let f name = Fact.F_edge name
-
-(* Build a graph from labelled edges [(parent, child); ...]; returns the
-   graph and the node id of each label. *)
-let graph_of edges =
-  let g = Ifg.create () in
-  let node l = fst (Ifg.add_fact g (f l)) in
-  List.iter
-    (fun (p, c) -> Ifg.add_edge g ~parent:(node p) ~child:(node c))
-    edges;
-  (g, node)
-
-let set_of arr =
-  let acc = ref [] in
-  Array.iteri (fun i b -> if b then acc := i :: !acc) arr;
-  List.sort compare !acc
-
-(* (reachable g [x]).(y) iff (reverse_reachable g [y]).(x), all pairs. *)
-let check_duality g =
-  let n = Ifg.n_nodes g in
-  for x = 0 to n - 1 do
-    let fwd = Ifg.reachable g [ x ] in
-    let rev = Ifg.reverse_reachable g [ x ] in
-    for y = 0 to n - 1 do
-      check_bool
-        (Printf.sprintf "dual fwd %d/%d" x y)
-        fwd.(y)
-        (Ifg.reverse_reachable g [ y ]).(x);
-      check_bool
-        (Printf.sprintf "dual rev %d/%d" x y)
-        rev.(y)
-        (Ifg.reachable g [ y ]).(x)
-    done
-  done
-
-let test_chain () =
-  let g, node = graph_of [ ("a", "b"); ("b", "c"); ("c", "d") ] in
-  let a, b, c, d = (node "a", node "b", node "c", node "d") in
-  Alcotest.(check (list int))
-    "descendants of a" (List.sort compare [ a; b; c; d ])
-    (set_of (Ifg.reverse_reachable g [ a ]));
-  Alcotest.(check (list int))
-    "descendants of c" (List.sort compare [ c; d ])
-    (set_of (Ifg.reverse_reachable g [ c ]));
-  Alcotest.(check (list int))
-    "ancestors of d" (List.sort compare [ a; b; c; d ])
-    (set_of (Ifg.reachable g [ d ]));
-  check_duality g
-
-let test_diamond () =
-  let g, node =
-    graph_of [ ("a", "b"); ("a", "c"); ("b", "d"); ("c", "d") ]
-  in
-  let a, b, c, d = (node "a", node "b", node "c", node "d") in
-  Alcotest.(check (list int))
-    "a invalidates everything" (List.sort compare [ a; b; c; d ])
-    (set_of (Ifg.reverse_reachable g [ a ]));
-  Alcotest.(check (list int))
-    "one arm only" (List.sort compare [ b; d ])
-    (set_of (Ifg.reverse_reachable g [ b ]));
-  Alcotest.(check (list int))
-    "ancestors of b stop at a" (List.sort compare [ a; b ])
-    (set_of (Ifg.reachable g [ b ]));
-  check_duality g
-
-let test_fan_in () =
-  let g, node = graph_of [ ("x1", "y"); ("x2", "y"); ("x3", "y") ] in
-  let x1, x2, x3, y = (node "x1", node "x2", node "x3", node "y") in
-  Alcotest.(check (list int))
-    "one source" (List.sort compare [ x2; y ])
-    (set_of (Ifg.reverse_reachable g [ x2 ]));
-  Alcotest.(check (list int))
-    "multi-seed union" (List.sort compare [ x1; x3; y ])
-    (set_of (Ifg.reverse_reachable g [ x1; x3 ]));
-  Alcotest.(check (list int))
-    "fan-in cone" (List.sort compare [ x1; x2; x3; y ])
-    (set_of (Ifg.reachable g [ y ]));
-  check_duality g
-
-let test_edge_cases () =
-  let g, node = graph_of [ ("a", "b") ] in
-  check_int "out-of-range seeds ignored" 0
-    (List.length (set_of (Ifg.reverse_reachable g [ 999; -3 ])));
-  check_int "no seeds, empty closure" 0
-    (List.length (set_of (Ifg.reverse_reachable g [])));
-  Alcotest.(check (list int))
-    "sink closes on itself" [ node "b" ]
-    (set_of (Ifg.reverse_reachable g [ node "b" ]))
-
-(* ---------------- duality on materialized Netgen graphs ------------ *)
-
-(* Same duality property on a real IFG: generate a scenario, materialize
-   its tests' cones, then spot-check forward/backward closures against
-   each other on a sample grid (the full quadratic check is reserved for
-   the tiny hand-built graphs above). *)
-let test_netgen_duality () =
-  (* hunt for a seed whose scenario materializes a non-trivial graph *)
-  let rec hunt seed =
-    if seed > 40 then Alcotest.fail "no non-trivial scenario in 40 seeds"
-    else
-      let sc = Gen.generate ~seed Netgen.scenario in
-      let state =
-        Stable_state.compute (Registry.build (Netgen.devices_of sc.Netgen.net))
-      in
-      let facts =
-        List.concat_map
-          (fun spec -> (Netgen.tested_of state spec).Netcov.dp_facts)
-          sc.Netgen.tests
-      in
-      let ctx = Rules.make_ctx state in
-      let g, _roots, _stats = Materialize.run ctx ~tested:facts in
-      if Ifg.n_nodes g > 30 then g else hunt (seed + 1)
-  in
-  let g = hunt 1 in
-  let n = Ifg.n_nodes g in
-  let stride = max 1 (n / 24) in
-  let samples = List.init (n / stride) (fun i -> i * stride) in
-  let rev = List.map (fun s -> (s, Ifg.reverse_reachable g [ s ])) samples in
-  for j = 0 to n - 1 do
-    let fwd = Ifg.reachable g [ j ] in
-    List.iter
-      (fun (s, rev_s) ->
-        check_bool (Printf.sprintf "dual %d/%d" j s) fwd.(s) rev_s.(j))
-      rev
-  done
 
 (* ---------------- registry diff ------------------------------------ *)
 
@@ -223,7 +95,7 @@ let test_diff_changed () =
     (let s = Registry_diff.summary d in
      String.length s > 0)
 
-(* ---------------- canonical sim-cache keys ------------------------- *)
+(* ---------------- sim-cache replay revalidation -------------------- *)
 
 (* Find a generated scenario whose analysis actually exercises the
    targeted-simulation cache (a policied uplink on a probed path). *)
@@ -249,24 +121,6 @@ let policied_state () =
         else hunt (seed + 1)
   in
   hunt 1
-
-let test_evict_hosts () =
-  let _sc, state, facts = policied_state () in
-  let cache = Rules.create_sim_cache () in
-  let ctx = Rules.make_ctx ~cache state in
-  ignore (Materialize.run ctx ~tested:facts);
-  let l0 = Rules.sim_cache_length cache in
-  check_bool "cache populated" true (l0 > 0);
-  check_int "no-op predicate evicts nothing" 0
-    (Rules.sim_cache_evict_hosts cache (fun _ -> false));
-  check_int "length unchanged" l0 (Rules.sim_cache_length cache);
-  let all = Rules.sim_cache_evict_hosts cache (fun _ -> true) in
-  check_int "evict-all returns every entry" l0 all;
-  check_int "cache empty after evict-all" 0 (Rules.sim_cache_length cache);
-  (* evicted entries are recomputed, not resurrected: a re-run refills *)
-  let ctx = Rules.make_ctx ~cache state in
-  ignore (Materialize.run ctx ~tested:facts);
-  check_int "refilled to the same population" l0 (Rules.sim_cache_length cache)
 
 let test_revalidate_hosts () =
   let sc, state, facts = policied_state () in
@@ -315,30 +169,12 @@ let test_revalidate_hosts () =
       (Netgen.devices_of sc.Netgen.net)
   in
   let broken_state = Stable_state.compute (Registry.build broken) in
-  let _, would_drop =
-    Rules.sim_cache_revalidate_hosts ~apply:false cache broken_state (fun _ ->
-        true)
-  in
-  check_bool "dry run reports invalid entries" true (would_drop >= 1);
-  check_int "dry run mutates nothing" l0 (Rules.sim_cache_length cache);
   let _, dropped =
     Rules.sim_cache_revalidate_hosts cache broken_state (fun _ -> true)
   in
-  check_int "apply drops what the dry run reported" would_drop dropped;
+  check_bool "invalid entries reported" true (dropped >= 1);
   check_int "invalid entries removed" (l0 - dropped)
     (Rules.sim_cache_length cache)
-
-let test_canonical_equivalent_and_no_worse () =
-  let _sc, state, facts = policied_state () in
-  let tested = { Netcov.dp_facts = facts; cp_elements = [] } in
-  let canon = Netcov.analyze ~sim_canon:true state tested in
-  let full = Netcov.analyze ~sim_canon:false state tested in
-  check_bool "same coverage" true
-    (Json_export.coverage canon.Netcov.coverage
-    = Json_export.coverage full.Netcov.coverage);
-  check_bool "canonical keys never hit less" true
-    (canon.Netcov.timing.Netcov.sim_cache_hits
-    >= full.Netcov.timing.Netcov.sim_cache_hits)
 
 (* ---------------- per-device coverage deltas ----------------------- *)
 
@@ -404,15 +240,14 @@ let chain_tested state =
 let test_identity_update () =
   let state = Testnet.state_of (chain_devices ()) in
   let session, cold = Incr.create state [ chain_tested state ] in
-  check_bool "cold run labels cones" true (cold.Incr.s_relabeled > 0);
+  check_bool "cold run labels tested roots" true (cold.Incr.s_relabeled > 0);
   let fp0 = Json_export.coverage (Incr.report session).Netcov.coverage in
   (* same configuration, recomputed: everything must be reused *)
   let state' = Testnet.state_of (chain_devices ()) in
   let st = Incr.update session state' [ chain_tested state' ] in
   check_int "no changed elements" 0 st.Incr.s_changed;
-  check_int "no dirty cones" 0 st.Incr.s_dirty_cones;
   check_int "nothing relabeled" 0 st.Incr.s_relabeled;
-  check_bool "cones reused" true (st.Incr.s_reused > 0);
+  check_bool "tested roots reused" true (st.Incr.s_reused > 0);
   check_bool "full reuse ratio" true (st.Incr.s_reuse_ratio = 1.0);
   check_int "no sim evictions" 0 st.Incr.s_evicted_sim;
   check_bool "identity diff is empty" true
@@ -443,17 +278,88 @@ let test_edit_update_matches_scratch () =
   check_bool "incremental equals scratch" true
     (Json_export.coverage (Incr.report session).Netcov.coverage = scratch)
 
+(* Both update paths on a session whose tests each have many tested
+   roots (the fat-tree k=4 datacenter suite). A description edit
+   changes no behavior but is outside the fast path's element classes,
+   so every test is re-analyzed; widening the [upto] bound of a
+   spine's IMPORT-WAN prefix match is behavior-free (the WAN stubs
+   announce only the default route) and policy-class, so it takes the
+   fast path. After creation and after each edit the session's
+   coverage must equal a scratch analysis byte for byte. *)
+let test_fattree_paths () =
+  let module Fattree = Netcov_workloads.Fattree in
+  let ft = Fattree.generate ~k:4 () in
+  let suite = Netcov_nettest.Datacenter.suite ft in
+  let analyze devices =
+    let state = Testnet.state_of devices in
+    let testeds =
+      List.map
+        (fun (_, r) -> r.Netcov_nettest.Nettest.tested)
+        (Netcov_nettest.Nettest.run_suite state suite)
+    in
+    (state, testeds)
+  in
+  let scratch state testeds =
+    Json_export.coverage
+      (Netcov.merge_reports
+         ~registry:(Stable_state.registry state)
+         (Netcov.analyze_suite state testeds))
+      .Netcov.coverage
+  in
+  let check_scratch what session state testeds =
+    check_bool (what ^ ": coverage equals scratch") true
+      (Json_export.coverage (Incr.report session).Netcov.coverage
+      = scratch state testeds)
+  in
+  let state, testeds = analyze ft.Fattree.devices in
+  let session, cold = Incr.create state testeds in
+  check_bool "tests have many tested roots" true
+    (cold.Incr.s_relabeled > 2 * List.length testeds);
+  check_scratch "create" session state testeds;
+  let spine = List.hd ft.Fattree.spines in
+  let described =
+    map_device edit_interface (List.hd ft.Fattree.leaves) ft.Fattree.devices
+  in
+  let state, testeds = analyze described in
+  let st = Incr.update session state testeds in
+  check_int "description: one changed element" 1 st.Incr.s_changed;
+  check_int "description: nothing reused" 0 st.Incr.s_reused;
+  check_int "description: every root relabeled" cold.Incr.s_relabeled
+    st.Incr.s_relabeled;
+  check_scratch "description" session state testeds;
+  let widen (d : Device.t) =
+    let widen_term (t : Policy_ast.term) =
+      {
+        t with
+        Policy_ast.matches =
+          List.map
+            (function
+              | Policy_ast.Match_prefix (p, _) ->
+                  Policy_ast.Match_prefix (p, Policy_ast.Upto 24)
+              | m -> m)
+            t.Policy_ast.matches;
+      }
+    in
+    {
+      d with
+      Device.policies =
+        List.map
+          (fun (p : Policy_ast.policy) ->
+            if p.Policy_ast.pol_name <> ft.Fattree.wan_import_policy then p
+            else { p with Policy_ast.terms = List.map widen_term p.Policy_ast.terms })
+          d.Device.policies;
+    }
+  in
+  let state, testeds = analyze (map_device widen spine described) in
+  let st = Incr.update session state testeds in
+  check_int "policy: one changed element" 1 st.Incr.s_changed;
+  check_int "policy: nothing relabeled" 0 st.Incr.s_relabeled;
+  check_bool "policy: full reuse ratio" true (st.Incr.s_reuse_ratio = 1.0);
+  check_scratch "policy" session state testeds
+
 let () =
   Alcotest.run "incr"
     [
-      ( "reverse-reachable",
-        [
-          Alcotest.test_case "chain" `Quick test_chain;
-          Alcotest.test_case "diamond" `Quick test_diamond;
-          Alcotest.test_case "fan-in" `Quick test_fan_in;
-          Alcotest.test_case "edge cases" `Quick test_edge_cases;
-          Alcotest.test_case "netgen duality" `Quick test_netgen_duality;
-        ] );
       ( "registry-diff",
         [
           Alcotest.test_case "identity" `Quick test_diff_identity;
@@ -462,10 +368,7 @@ let () =
         ] );
       ( "sim-cache",
         [
-          Alcotest.test_case "host eviction" `Quick test_evict_hosts;
           Alcotest.test_case "replay revalidation" `Quick test_revalidate_hosts;
-          Alcotest.test_case "canonical keys" `Quick
-            test_canonical_equivalent_and_no_worse;
         ] );
       ( "coverage-diff",
         [ Alcotest.test_case "by device" `Quick test_by_device ] );
@@ -474,5 +377,7 @@ let () =
           Alcotest.test_case "identity update" `Quick test_identity_update;
           Alcotest.test_case "edit matches scratch" `Quick
             test_edit_update_matches_scratch;
+          Alcotest.test_case "fat-tree fast path and re-analysis" `Quick
+            test_fattree_paths;
         ] );
     ]

@@ -127,13 +127,13 @@ let test_nested_disjunctions () =
   Alcotest.check eq_set "none strong" Element.Id_set.empty r.Label.strong
 
 (* ------------------------------------------------------------------ *)
-(* Shared-arena engine vs the fresh-per-cone reference                 *)
+(* Per-domain arena: domain counts, the variable cap, trimming         *)
 (* ------------------------------------------------------------------ *)
 
 module Pool = Netcov_parallel.Pool
 
 (* Every scenario above, as (name, graph, tested roots) for the
-   engine-equality sweep. Graphs are rebuilt per call: Ifg.t is
+   domain-count sweep. Graphs are rebuilt per call: Ifg.t is
    mutable and labeling consumes it per pass. *)
 let scenarios () =
   let build make =
@@ -176,75 +176,67 @@ let scenarios () =
           [ t1; t2 ]) );
   ]
 
-let check_engines_agree ?pool name g tested =
-  let fresh = Label.run ~arena:false g ~tested in
-  let arena = Label.run ~arena:true ?pool g ~tested in
-  Alcotest.check eq_set (name ^ ": covered agrees") fresh.Label.covered
-    arena.Label.covered;
-  Alcotest.check eq_set (name ^ ": strong agrees") fresh.Label.strong
-    arena.Label.strong;
-  Alcotest.check eq_set (name ^ ": weak agrees") fresh.Label.weak
-    arena.Label.weak
-
-let test_engines_agree () =
-  List.iter (fun (name, (g, tested)) -> check_engines_agree name g tested)
-    (scenarios ())
-
-let test_engines_agree_pool () =
+(* One pass on the calling domain (one arena, cross-cone gamma memo
+   fully engaged) and one over a 2-domain pool (cones split across
+   private per-domain arenas) must label identically. *)
+let test_domains_agree () =
   Pool.with_pool ~domains:2 (fun pool ->
       List.iter
-        (fun (name, (g, tested)) -> check_engines_agree ~pool name g tested)
+        (fun (name, (g, tested)) ->
+          let seq = Label.run g ~tested in
+          let par = Label.run ~pool g ~tested in
+          Alcotest.check eq_set (name ^ ": covered agrees") seq.Label.covered
+            par.Label.covered;
+          Alcotest.check eq_set (name ^ ": strong agrees") seq.Label.strong
+            par.Label.strong;
+          Alcotest.check eq_set (name ^ ": weak agrees") seq.Label.weak
+            par.Label.weak)
         (scenarios ()))
 
-(* Past the per-cone variable cap the arena engine must fall back to
-   the legacy path (the cap subset is defined by per-cone discovery
-   order), and both engines must still agree. n > max_cone_vars = 8192
-   configs sit behind one alternative; the other alternative is
-   config-free, so the cone predicate collapses to true and every
-   config is weak — which keeps the test linear in n instead of
-   paying the legacy engine's quadratic necessity loop over 8k
-   variables. *)
-let test_capped_cone_agrees () =
-  let n = 8300 in
+(* The per-cone variable cap (8192) keeps variables for the first
+   candidates in discovery order. One tested fact's two alternatives
+   share a chain m_i <- c_i, m_(i+1) of n configs; c_i is m_i's first
+   parent in iteration order, so discovery meets c_0, c_1, ... in
+   turn, and the chain keeps the BDD linear. Every c_i is necessary,
+   but only c_0 .. c_8191 get a variable: exactly those are strong,
+   the other n - 8192 weak. *)
+let test_capped_cone () =
+  let n = 8300 and cap = 8192 in
   let g = Ifg.create () in
   let add x = fst (Ifg.add_fact g x) in
   let t = add (f "t") in
+  ignore (Ifg.add_disj g ~target:t [ f "a1"; f "a2" ]);
+  let m i = add (f (Printf.sprintf "m%d" i)) in
+  Ifg.add_edge g ~parent:(m 0) ~child:(add (f "a1"));
+  Ifg.add_edge g ~parent:(m 0) ~child:(add (f "a2"));
   for i = 0 to n - 1 do
-    (* x_i <- disj(alt_i, env_i); c_i -> alt_i; env_i is config-free,
-       so each x_i's predicate is (v_i or true) = true and the BDD
-       work stays constant per candidate. *)
-    let x = add (f (Printf.sprintf "x%d" i)) in
-    let alt = Printf.sprintf "alt%d" i and envf = Printf.sprintf "env%d" i in
-    ignore
-      (Ifg.add_disj g ~target:x [ Fact.F_edge alt; Fact.F_edge envf ]);
-    let c = add (cfg i) in
-    Ifg.add_edge g ~parent:c ~child:(fst (Ifg.add_fact g (Fact.F_edge alt)));
-    Ifg.add_edge g ~parent:x ~child:t
+    (* parents iterate in reverse insertion order: c_i goes in last *)
+    if i + 1 < n then Ifg.add_edge g ~parent:(m (i + 1)) ~child:(m i);
+    Ifg.add_edge g ~parent:(add (cfg i)) ~child:(m i)
   done;
-  let fresh = Label.run ~arena:false g ~tested:[ t ] in
-  let arena = Label.run ~arena:true g ~tested:[ t ] in
-  Alcotest.check eq_set "capped: strong agrees" fresh.Label.strong
-    arena.Label.strong;
-  Alcotest.check eq_set "capped: weak agrees" fresh.Label.weak
-    arena.Label.weak;
-  check_int "capped: covered size" n
-    (Element.Id_set.cardinal arena.Label.covered);
-  Alcotest.check eq_set "capped: nothing strong" Element.Id_set.empty
-    arena.Label.strong
+  let r = Label.run g ~tested:[ t ] in
+  check_int "covered" n (Element.Id_set.cardinal r.Label.covered);
+  Alcotest.check eq_set "first candidates strong"
+    (set_of (List.init cap Fun.id))
+    r.Label.strong;
+  Alcotest.check eq_set "the rest weak"
+    (set_of (List.init (n - cap) (fun i -> cap + i)))
+    r.Label.weak;
+  check_int "vars capped" cap r.Label.vars
 
 (* Trimming the calling domain's arena between passes must shrink it
    back to the creation footprint and leave labels unchanged. *)
 let test_arena_trim () =
   Label.trim_arena ();
   let g, f1 = figure5 () in
-  let r1 = Label.run ~arena:true g ~tested:[ f1 ] in
+  let r1 = Label.run g ~tested:[ f1 ] in
   check_bool "arena grew during the pass" true (Label.arena_node_count () >= 2);
   let grown = Label.arena_node_count () in
   Label.trim_arena ();
   check_bool "trim shrank the arena" true (Label.arena_node_count () <= grown);
   check_int "trim leaves only terminals" 2 (Label.arena_node_count ());
   let g2, f1' = figure5 () in
-  let r2 = Label.run ~arena:true g2 ~tested:[ f1' ] in
+  let r2 = Label.run g2 ~tested:[ f1' ] in
   Alcotest.check eq_set "strong unchanged after trim" r1.Label.strong
     r2.Label.strong;
   Alcotest.check eq_set "weak unchanged after trim" r1.Label.weak
@@ -262,7 +254,7 @@ let test_arena_watermark () =
     ~finally:(fun () -> Label.set_arena_watermark (1 lsl 20))
     (fun () ->
       let g, f1 = figure5 () in
-      let r = Label.run ~arena:true g ~tested:[ f1 ] in
+      let r = Label.run g ~tested:[ f1 ] in
       Alcotest.check eq_set "strong under constant trimming"
         (set_of [ 6; 7 ]) r.Label.strong;
       Alcotest.check eq_set "weak under constant trimming" (set_of [ 5 ])
@@ -284,12 +276,10 @@ let () =
         ] );
       ( "arena",
         [
-          Alcotest.test_case "engines agree (sequential)" `Quick
-            test_engines_agree;
-          Alcotest.test_case "engines agree (2-domain pool)" `Quick
-            test_engines_agree_pool;
-          Alcotest.test_case "capped cone falls back identically" `Quick
-            test_capped_cone_agrees;
+          Alcotest.test_case "sequential and 2-domain pool agree" `Quick
+            test_domains_agree;
+          Alcotest.test_case "capped cone keeps first 8192" `Quick
+            test_capped_cone;
           Alcotest.test_case "trim shrinks, labels unchanged" `Quick
             test_arena_trim;
           Alcotest.test_case "tiny watermark self-trims safely" `Quick

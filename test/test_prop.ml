@@ -1,6 +1,6 @@
 (* The property-based correctness harness: engine self-tests (seeded
    reproducibility, integrated shrinking to minimal counterexamples)
-   and the ten differential oracles of lib/check/oracles.ml, each
+   and the nine differential oracles of lib/check/oracles.ml, each
    pinned at a fixed seed with a bounded iteration budget so tier-1
    stays fast. `netcov_cli fuzz` runs the same oracles with a larger
    budget; docs/TESTING.md explains how to replay a printed seed. *)
@@ -105,7 +105,7 @@ let oracle_case name iters =
       | Some o -> Check.assert_ok (o.Oracles.run ~seed:42 ~iters))
 
 let test_all_oracles_listed () =
-  check_int "ten oracles" 10 (List.length Oracles.all);
+  check_int "nine oracles" 9 (List.length Oracles.all);
   List.iter
     (fun n ->
       check_bool (n ^ " registered") true (Oracles.find n <> None))
@@ -118,7 +118,6 @@ let test_all_oracles_listed () =
       "intern-reference";
       "fault-isolation";
       "incremental-scratch";
-      "label-arena";
       "mutation-falsifiability";
     ]
 
@@ -136,7 +135,7 @@ let () =
         ] );
       ( "oracles",
         [
-          test_all_oracles_listed |> Alcotest.test_case "all ten registered" `Quick;
+          test_all_oracles_listed |> Alcotest.test_case "all nine registered" `Quick;
           oracle_case "roundtrip" 60;
           oracle_case "parallel-determinism" 20;
           oracle_case "cache-equivalence" 20;
@@ -145,7 +144,6 @@ let () =
           oracle_case "intern-reference" 20;
           oracle_case "fault-isolation" 10;
           oracle_case "incremental-scratch" 10;
-          oracle_case "label-arena" 10;
           oracle_case "mutation-falsifiability" 5;
         ] );
     ]
