@@ -84,7 +84,8 @@ let () =
   (* how much do the custom tests add on top of the improved suite? *)
   let base = Nettest.run_suite state (Iterations.improved_suite net) in
   let with_custom =
-    Netcov.merge_tested (Nettest.suite_tested base) (Nettest.suite_tested results)
+    Netcov.union_tested
+      [ Nettest.suite_tested base; Nettest.suite_tested results ]
   in
   let before = Netcov.analyze state (Nettest.suite_tested base) in
   let after = Netcov.analyze state with_custom in

@@ -326,10 +326,11 @@ let monotone_prop (sc : Netgen.scenario) =
   | extra :: rest ->
       let state = state_of sc.Netgen.net in
       let base =
-        List.fold_left Netcov.merge_tested Netcov.no_tests
-          (List.map (Netgen.tested_of state) rest)
+        Netcov.union_tested (List.map (Netgen.tested_of state) rest)
       in
-      let grown = Netcov.merge_tested base (Netgen.tested_of state extra) in
+      let grown =
+        Netcov.union_tested [ base; Netgen.tested_of state extra ]
+      in
       let strong_base = strong_set (Netcov.analyze state base) in
       let strong_grown = strong_set (Netcov.analyze state grown) in
       let lost =
@@ -339,21 +340,29 @@ let monotone_prop (sc : Netgen.scenario) =
         fail "adding a test lost strong coverage of elements [%s]"
           (String.concat ";" (List.map string_of_int lost))
       else
-        (* merge_reports is order-insensitive on coverage *)
+        (* merge_reports is order-insensitive on coverage, and one
+           analysis of the suite's union equals the merged per-test
+           reports (what Incr's union analysis relies on) *)
+        let testeds = List.map (Netgen.tested_of state) sc.Netgen.tests in
         let reports =
-          Netcov.analyze_suite ~pool:Pool.sequential state
-            (List.map (Netgen.tested_of state) sc.Netgen.tests)
+          Netcov.analyze_suite ~pool:Pool.sequential state testeds
         in
         let fwd = coverage_fp (Netcov.merge_reports reports) in
         let rev = coverage_fp (Netcov.merge_reports (List.rev reports)) in
+        let union =
+          coverage_fp (Netcov.analyze state (Netcov.union_tested testeds))
+        in
         if fwd <> rev then fail "merge_reports coverage depends on report order"
+        else if union <> fwd then
+          fail "analyzing the suite's union differs from the merged reports"
         else Ok ()
 
 let monotone_oracle =
   {
     name = "monotonicity-merge";
     describe =
-      "coverage grows monotonically with tests; merge is order-insensitive";
+      "coverage grows monotonically with tests; merge is order-insensitive \
+       and equals one analysis of the suite's union";
     run =
       (fun ~seed ~iters ->
         Check.run ~name:"monotonicity-merge" ~seed ~iters
@@ -562,23 +571,41 @@ let incr_prop ((sc : Netgen.scenario), pick) =
   let state_b = Stable_state.compute (Registry.build devs_new) in
   let testeds_a = testeds_of state_a sc in
   let testeds_b = testeds_of state_b sc in
-  let session, _ = Incr.create state_a testeds_a in
-  if coverage_fp (Incr.report session) <> scratch_fp state_a testeds_a then
+  (* The session starts on the first half of the suite, and the rest is
+     registered on the live session: the old tests are a prefix of the
+     new list, so only the appended ones are analyzed and merged in. *)
+  let half =
+    List.filteri (fun i _ -> 2 * i < List.length testeds_a) testeds_a
+  in
+  let session, _ = Incr.create state_a half in
+  let diverges state testeds =
+    coverage_fp (Incr.report session) <> scratch_fp state testeds
+  in
+  let update state testeds =
+    ignore (Incr.update session state testeds : Incr.stats)
+  in
+  if diverges state_a half then
     fail "cold incremental run diverges from Netcov.analyze_suite"
-  else
-    let (_ : Incr.stats) = Incr.update session state_b testeds_b in
-    if coverage_fp (Incr.report session) <> scratch_fp state_b testeds_b then
-      fail "incremental update diverges from from-scratch analysis (edit %d)"
-        pick
+  else begin
+    update state_a testeds_a;
+    if diverges state_a testeds_a then
+      fail "registering tests on a live session diverges from scratch"
     else begin
-      (* Edit reverted: this update must match from scratch too. *)
-      let state_a' = Stable_state.compute (Registry.build devs_old) in
-      let testeds_a' = testeds_of state_a' sc in
-      let (_ : Incr.stats) = Incr.update session state_a' testeds_a' in
-      if coverage_fp (Incr.report session) <> scratch_fp state_a' testeds_a'
-      then fail "incremental revert diverges from from-scratch analysis"
-      else Ok ()
+      update state_b testeds_b;
+      if diverges state_b testeds_b then
+        fail "incremental update diverges from from-scratch analysis (edit %d)"
+          pick
+      else begin
+        (* Edit reverted: this update must match from scratch too. *)
+        let state_a' = Stable_state.compute (Registry.build devs_old) in
+        let testeds_a' = testeds_of state_a' sc in
+        update state_a' testeds_a';
+        if diverges state_a' testeds_a' then
+          fail "incremental revert diverges from from-scratch analysis"
+        else Ok ()
+      end
     end
+  end
 
 let print_incr (sc, pick) =
   Printf.sprintf "%s edit=%d" (Netgen.print_scenario sc) pick
@@ -587,9 +614,9 @@ let incr_oracle =
   {
     name = "incremental-scratch";
     describe =
-      "incremental update (diff -> fast path or re-analysis over the \
-       replay-validated sim cache) produces byte-identical coverage to a \
-       from-scratch analysis";
+      "incremental registration and update (diff -> fast path or union \
+       re-analysis over the replay-validated sim cache) produces \
+       byte-identical coverage to a from-scratch analysis";
     run =
       (fun ~seed ~iters ->
         Check.run ~name:"incremental-scratch" ~seed ~iters ~print:print_incr

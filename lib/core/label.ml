@@ -32,9 +32,12 @@ let disjunction_free_strong g ~tested =
   List.iter go tested;
   !strong
 
-(* Upper bound on BDD variables per cone; beyond it the candidates
-   discovered last stay weak (sound for strong-labeling: weak is the
-   safe default) and the cone is logged. *)
+(* Variable budget of one cone, counted in config nodes (candidate or
+   pre-strong) in discovery order: only candidates at a position below
+   it get a variable, the rest stay weak (sound for strong-labeling:
+   weak is the safe default) and the cone is logged. Counting
+   pre-strong nodes too makes the numbered prefix a property of the
+   cone alone, whatever other tested facts share the graph. *)
 let max_cone_vars = 8192
 
 let src = Logs.Src.create "netcov.label" ~doc:"strong/weak labeling"
@@ -248,9 +251,15 @@ let flush_bdd_metrics m (before : Bdd.cache_stats) =
    cone keeps its own order and the cross-cone memo must prove order
    agreement before reuse.
 
-   The per-cone variable cap takes the same order: only the first
-   [n_vars] candidates discovered get a variable, and the rest stand
-   for constant true, so they stay weak.
+   The per-cone variable cap takes the same order: it numbers config
+   nodes as they are discovered, and only candidates numbered below
+   [max_cone_vars] get a variable; the rest stand for constant true,
+   so they stay weak. Pre-strong nodes take a position too, so a
+   cone's capped prefix does not depend on which of its nodes other
+   tested facts made pre-strong: setting a variable to true never
+   changes which other variables of a monotone predicate are
+   essential, so labels inside the budget are the same in any graph
+   that contains the cone.
 
    The proof is the [ok] flag threaded through [compute]: a shared
    entry for node [n] is reusable iff its recorded variable index
@@ -268,11 +277,11 @@ let flush_bdd_metrics m (before : Bdd.cache_stats) =
    symmetric cones collapse to the same node ids) and a warm apply
    cache, with no per-cone allocate/collect churn. *)
 
-let label_one_shared ~a ~g ~ctx ~candidate ~n_vars t =
+let label_one_shared ~a ~g ~ctx ~is_config ~candidate ~n_vars t =
   let m = a.a_mgr in
   let before = Bdd.cache_stats m in
   let eid_of_var = Array.make n_vars (-1) in
-  let nv = ref 0 in
+  let nv = ref 0 and pos = ref 0 in
   let hits = ref 0 and misses = ref 0 in
   a.a_stamp <- a.a_stamp + 1;
   let stamp = a.a_stamp in
@@ -294,13 +303,18 @@ let label_one_shared ~a ~g ~ctx ~candidate ~n_vars t =
       abdd.(id) <- Bdd.bdd_true m;
       aok.(id) <- false;
       let vself =
-        match Hashtbl.find_opt candidate id with
-        | Some eid when !nv < n_vars ->
-            let v = !nv in
-            eid_of_var.(v) <- eid;
-            incr nv;
-            v
-        | _ -> -1
+        if not is_config.(id) then -1
+        else begin
+          let p = !pos in
+          incr pos;
+          match Hashtbl.find_opt candidate id with
+          | Some eid when p < max_cone_vars ->
+              let v = !nv in
+              eid_of_var.(v) <- eid;
+              incr nv;
+              v
+          | _ -> -1
+        end
       in
       let parents_ok =
         Ifg.fold_parents g id (fun acc p -> snd (compute p) && acc) true
@@ -378,6 +392,8 @@ let run ?(disjfree_heuristic = true) ?(pool = Netcov_parallel.Pool.sequential)
   let total_vars = ref 0 in
   let bdd_nodes = ref 0 in
   if Hashtbl.length candidate > 0 then begin
+    let is_config = Array.make (Ifg.n_nodes g) false in
+    List.iter (fun (nid, _) -> is_config.(nid) <- true) config;
     (* Forward closure of the candidate nodes: only tested facts inside
        it have any variable in their cone; the rest are skipped without
        traversal. *)
@@ -392,39 +408,45 @@ let run ?(disjfree_heuristic = true) ?(pool = Netcov_parallel.Pool.sequential)
     let ctx = Atomic.fetch_and_add ctx_counter 1 in
     (* Predicates are built per tested fact over its ancestor cone.
        Cones are mutually independent given the shared per-domain
-       arena — the graph, [candidate] and [tainted] are only read
-       from here on — so they fan out over the pool, one task per
-       cone (work-stealing keeps every domain busy until the last
-       cone finishes). The per-cone merge below is a set union / max
-       fold, order independent, so the merged result is identical at
-       any domain count. *)
+       arena — the graph, [is_config], [candidate] and [tainted] are
+       only read from here on — so they fan out over the pool, one
+       task per cone (work-stealing keeps every domain busy until the
+       last cone finishes). The per-cone merge below is a set union /
+       max fold, order independent, so the merged result is identical
+       at any domain count. *)
     let label_one t =
       T.with_span "label.cone" @@ fun () ->
       M.inc m_cones 1;
       let a = get_arena () in
       ensure_scratch a (Ifg.n_nodes g);
-      (* allocation-free candidate count of the cone (cap check) *)
+      (* allocation-free count of the cone's config nodes and of the
+         candidates among the first [max_cone_vars] of them, in
+         discovery order (the cap) *)
       a.a_stamp <- a.a_stamp + 1;
       let stamp = a.a_stamp in
       let seen = a.a_seen in
-      let n_vars = ref 0 in
+      let n_config = ref 0 and n_vars = ref 0 in
       let rec count id =
         if seen.(id) <> stamp then begin
           seen.(id) <- stamp;
-          if Hashtbl.mem candidate id then incr n_vars;
+          if is_config.(id) then begin
+            if !n_config < max_cone_vars && Hashtbl.mem candidate id then
+              incr n_vars;
+            incr n_config
+          end;
           Ifg.iter_parents g id count
         end
       in
       count t;
-      if !n_vars > max_cone_vars then
+      if !n_config > max_cone_vars then
         Log.warn (fun m ->
-            m "cone of tested fact has %d candidates; leaving all but the \
-               first %d weak"
-              !n_vars max_cone_vars);
-      let n_vars = min !n_vars max_cone_vars in
+            m "cone of tested fact has %d config nodes; leaving candidates \
+               past the first %d weak"
+              !n_config max_cone_vars);
+      let n_vars = !n_vars in
       M.observe m_cone_vars (float_of_int n_vars);
       if n_vars = 0 then (Element.Id_set.empty, 0, 0)
-      else label_one_shared ~a ~g ~ctx ~candidate ~n_vars t
+      else label_one_shared ~a ~g ~ctx ~is_config ~candidate ~n_vars t
     in
     let work = List.filter (fun t -> tainted.(t)) tested in
     Netcov_parallel.Pool.map pool label_one work

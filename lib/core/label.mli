@@ -23,9 +23,12 @@
     watermark (and explicitly via {!trim_arena}), so warm sessions
     ([lib/incr], [netcov serve]) keep a bounded footprint.
 
-    A cone with more than 8192 candidate variables keeps variables for
-    the first 8192 candidates in discovery order (reverse DFS from the
-    tested fact); the rest stay weak, which is the sound default.
+    A cone with more than 8192 config nodes keeps variables only for
+    the candidates among its first 8192 config nodes in discovery order
+    (reverse DFS from the tested fact); the rest stay weak, which is
+    the sound default. Pre-strong config nodes count toward the 8192
+    too, so a cone labels the same alone and inside a larger (union)
+    graph.
 
     Each pass is wrapped in a [label] trace span with one [label.cone]
     child span per labeled cone; volumes land in the [label.*] and

@@ -6,22 +6,24 @@ type tested = { dp_facts : Fact.t list; cp_elements : Element.id list }
 
 let no_tests = { dp_facts = []; cp_elements = [] }
 
-let merge_tested a b =
-  (* Deduplicate data plane facts by identity (structural, equivalent
-     to the historical key-string dedup — see Fact.equal). *)
+let union_tested testeds =
+  (* One identity table for the whole suite (structural identity,
+     equivalent to the historical key-string dedup — see Fact.equal):
+     each fact keeps its first occurrence, in suite order. *)
   let seen = Fact.Tbl.create 256 in
-  let dp_facts =
-    List.filter
-      (fun f ->
-        if Fact.Tbl.mem seen f then false
-        else begin
-          Fact.Tbl.add seen f ();
-          true
-        end)
-      (a.dp_facts @ b.dp_facts)
+  let fresh f =
+    if Fact.Tbl.mem seen f then false
+    else begin
+      Fact.Tbl.add seen f ();
+      true
+    end
   in
-  let cp_elements = List.sort_uniq Int.compare (a.cp_elements @ b.cp_elements) in
-  { dp_facts; cp_elements }
+  {
+    dp_facts = List.concat_map (fun t -> List.filter fresh t.dp_facts) testeds;
+    cp_elements =
+      List.sort_uniq Int.compare
+        (List.concat_map (fun t -> t.cp_elements) testeds);
+  }
 
 type timing = {
   total_s : float;

@@ -16,9 +16,11 @@ type tested = { dp_facts : Fact.t list; cp_elements : Element.id list }
 (** The empty test description: analyzing it yields zero coverage. *)
 val no_tests : tested
 
-(** Union of two test descriptions; data plane facts are deduplicated
-    by fact identity, element ids sorted and deduplicated. *)
-val merge_tested : tested -> tested -> tested
+(** Union of a suite's test descriptions: data plane facts
+    deduplicated by fact identity, each kept at its first occurrence in
+    list order; element ids sorted and deduplicated. [union_tested []]
+    is {!no_tests}. *)
+val union_tested : tested list -> tested
 
 (** Wall-clock and volume breakdown of one analysis (the per-run view;
     the cumulative cross-run view lives in the {!Netcov_obs.Metrics}

@@ -25,26 +25,30 @@ let m_reuse_ratio =
     ~help:"reused / (reused + relabeled) tested roots of the last pass"
     ~unit_:"ratio" "incr.reuse_ratio"
 
-(* What one test's analysis leaves in the session: its report, its
-   label sets before the tested control-plane elements are forced
-   strong (the fast path rebuilds the coverage over the new registry
-   from them), and its number of distinct tested roots. *)
-type test_state = {
-  ts_report : Netcov.report;
-  ts_strong : Element.Id_set.t;
-  ts_weak : Element.Id_set.t;
-  ts_roots : int;
+let m_create_seconds =
+  M.histogram M.default ~help:"wall time of one Incr.create" ~unit_:"seconds"
+    ~buckets:M.seconds_buckets "incr.create.seconds"
+
+let m_update_seconds =
+  M.histogram M.default ~help:"wall time of one Incr.update" ~unit_:"seconds"
+    ~buckets:M.seconds_buckets "incr.update.seconds"
+
+(* What one pass leaves behind: the label sets of the union of its
+   tests, before the tested control-plane elements are forced strong
+   (the fast path rebuilds the coverage over the new registry from
+   them), and the union's number of distinct tested roots. *)
+type snapshot = {
+  st : Stable_state.t;
+  reg : Registry.t;
+  testeds : Netcov.tested list;
+  strong : Element.Id_set.t;
+  weak : Element.Id_set.t;
+  roots : int;
+  rep : Netcov.report;
+  diff : Registry_diff.t option;
 }
 
-type session = {
-  mutable st : Stable_state.t;
-  mutable reg : Registry.t;
-  mutable tests : test_state list;
-  mutable testeds : Netcov.tested list;
-  cache : Rules.sim_cache;
-  mutable rep : Netcov.report;
-  mutable diff : Registry_diff.t option;
-}
+type session = { cache : Rules.sim_cache; mutable cur : snapshot }
 
 type stats = {
   s_changed : int;
@@ -59,73 +63,53 @@ type stats = {
   s_seconds : float;
 }
 
-(* One test against one state: the materialize -> label sequence of
-   [Netcov.analyze], over the session's sim cache. Labeling runs in
-   the calling domain's persistent BDD arena, which self-trims at its
-   watermark, so a warm session (netcov serve) holds a bounded BDD
-   footprint (lib/core/label.mli). *)
-let analyze_test cache state reg ~dead (tested : Netcov.tested) =
-  let t0 = Timing.now () in
+(* One union of tests against one state: the materialize -> label
+   sequence of [Netcov.analyze], over the session's sim cache, and the
+   union's distinct tested roots (its deduplicated facts). Labeling
+   runs in the calling domain's persistent BDD arena, which self-trims
+   at its watermark, so a warm session (netcov serve) holds a bounded
+   BDD footprint (lib/core/label.mli). *)
+let analyze cache state (u : Netcov.tested) =
   let ctx = Rules.make_ctx ~cache state in
-  let g, ids, ms = Materialize.run ctx ~tested:tested.Netcov.dp_facts in
-  let l = Label.run g ~tested:ids in
-  let coverage =
-    Coverage.with_strong
-      (Coverage.of_sets reg ~strong:l.Label.strong ~weak:l.Label.weak)
-      tested.Netcov.cp_elements
-  in
+  let g, ids, ms = Materialize.run ctx ~tested:u.Netcov.dp_facts in
+  (Label.run g ~tested:ids, ms, List.length u.Netcov.dp_facts)
+
+(* The pass's wall time beside the volumes of the union analysis it
+   ran; zero volumes when it ran none (fast path, unchanged tests). *)
+let pass_timing ~t0 analyzed =
   let total_s = Timing.now () -. t0 in
-  let timing =
-    {
-      Netcov.total_s;
-      cpu_total_s = total_s;
-      materialize_s = ms.Materialize.rule_seconds;
-      sim_s = ms.Materialize.sim_seconds;
-      label_s = l.Label.seconds;
-      sim_count = ms.Materialize.sim_count;
-      sim_cache_hits = ms.Materialize.sim_cache_hits;
-      sim_cache_misses = ms.Materialize.sim_cache_misses;
-      ifg_nodes = ms.Materialize.nodes;
-      ifg_edges = ms.Materialize.edges;
-      bdd_vars = l.Label.vars;
-    }
-  in
+  let of_ms z f = Option.fold ~none:z ~some:(fun (_, ms, _) -> f ms) analyzed in
+  let of_l z f = Option.fold ~none:z ~some:(fun (l, _, _) -> f l) analyzed in
   {
-    ts_report = { Netcov.coverage; timing; dead };
-    ts_strong = l.Label.strong;
-    ts_weak = l.Label.weak;
-    ts_roots = List.length (List.sort_uniq Int.compare ids);
+    Netcov.total_s;
+    cpu_total_s = total_s;
+    materialize_s = of_ms 0. (fun ms -> ms.Materialize.rule_seconds);
+    sim_s = of_ms 0. (fun ms -> ms.Materialize.sim_seconds);
+    label_s = of_l 0. (fun l -> l.Label.seconds);
+    sim_count = of_ms 0 (fun ms -> ms.Materialize.sim_count);
+    sim_cache_hits = of_ms 0 (fun ms -> ms.Materialize.sim_cache_hits);
+    sim_cache_misses = of_ms 0 (fun ms -> ms.Materialize.sim_cache_misses);
+    ifg_nodes = of_ms 0 (fun ms -> ms.Materialize.nodes);
+    ifg_edges = of_ms 0 (fun ms -> ms.Materialize.edges);
+    bdd_vars = of_l 0 (fun l -> l.Label.vars);
   }
 
-let merged ~t0 reg tests =
-  Netcov.merge_reports ~wall_s:(Timing.now () -. t0) ~registry:reg
-    (List.map (fun ts -> ts.ts_report) tests)
-
-(* Counts of one pass: [results] pairs each test's state with whether
-   it was reused. *)
-let stats_of ~t0 ~d ~evicted_sim results =
-  let reused = ref 0 and relabeled = ref 0 in
-  let hits = ref 0 and misses = ref 0 in
-  List.iter
-    (fun (ts, was_reused) ->
-      if was_reused then reused := !reused + ts.ts_roots
-      else begin
-        let tm = ts.ts_report.Netcov.timing in
-        relabeled := !relabeled + ts.ts_roots;
-        hits := !hits + tm.Netcov.sim_cache_hits;
-        misses := !misses + tm.Netcov.sim_cache_misses
-      end)
-    results;
-  let reused = !reused and relabeled = !relabeled in
+(* Counts of one pass: [reused] tested roots kept their labels and
+   [relabeled] were analyzed, with the sim-cache counts of [timing]. *)
+let stats_of ~t0 ~d ~evicted_sim ~reused ~relabeled (timing : Netcov.timing) =
   let reuse_ratio =
     if reused + relabeled = 0 then 0.
     else float_of_int reused /. float_of_int (reused + relabeled)
   in
+  let count f = match d with None -> 0 | Some d -> List.length (f d) in
+  let s_seconds = Timing.now () -. t0 in
   M.inc m_updates 1;
   M.inc m_reused reused;
   M.inc m_evicted_sim evicted_sim;
   M.set m_reuse_ratio reuse_ratio;
-  let count f = match d with None -> 0 | Some d -> List.length (f d) in
+  M.observe
+    (if Option.is_none d then m_create_seconds else m_update_seconds)
+    s_seconds;
   {
     s_changed = count (fun d -> d.Registry_diff.changed);
     s_added = count (fun d -> d.Registry_diff.added);
@@ -133,31 +117,54 @@ let stats_of ~t0 ~d ~evicted_sim results =
     s_reused = reused;
     s_relabeled = relabeled;
     s_evicted_sim = evicted_sim;
-    s_sim_hits = !hits;
-    s_sim_misses = !misses;
+    s_sim_hits = timing.Netcov.sim_cache_hits;
+    s_sim_misses = timing.Netcov.sim_cache_misses;
     s_reuse_ratio = reuse_ratio;
-    s_seconds = Timing.now () -. t0;
+    s_seconds;
   }
+
+(* One pass to [state] and [testeds]. [kept] is [Some (old, extra)]
+   when [old]'s labels stay valid (the fast-path witness below holds)
+   and its tests are a prefix of [testeds]: only the appended [extra]
+   tests are analyzed, as their own union, and their label sets merged
+   in (strong = S1 ∪ S2, weak = (W1 ∪ W2) \ strong; a cone labels the
+   same in any graph that contains it, lib/core/label.mli). [None]
+   analyzes the whole union. *)
+let pass cache ~t0 ~d ~evicted_sim state testeds kept =
+  let u = Netcov.union_tested testeds in
+  let (strong, weak), reused, analyzed =
+    match kept with
+    | Some (old, []) -> ((old.strong, old.weak), old.roots, None)
+    | Some (old, extra) ->
+        let ue = Netcov.union_tested extra in
+        let ((l, _, _) as a) = analyze cache state ue in
+        let strong = Element.Id_set.union old.strong l.Label.strong in
+        let weak =
+          Element.Id_set.(diff (union old.weak l.Label.weak) strong)
+        in
+        ((strong, weak), old.roots, Some a)
+    | None ->
+        let ((l, _, _) as a) = analyze cache state u in
+        ((l.Label.strong, l.Label.weak), 0, Some a)
+  in
+  let reg = Stable_state.registry state in
+  let coverage =
+    Coverage.with_strong
+      (Coverage.of_sets reg ~strong ~weak)
+      u.Netcov.cp_elements
+  in
+  let timing = pass_timing ~t0 analyzed in
+  let rep = { Netcov.coverage; timing; dead = Deadcode.analyze reg } in
+  let relabeled = Option.fold ~none:0 ~some:(fun (_, _, n) -> n) analyzed in
+  let roots = List.length u.Netcov.dp_facts in
+  ( { st = state; reg; testeds; strong; weak; roots; rep; diff = d },
+    stats_of ~t0 ~d ~evicted_sim ~reused ~relabeled timing )
 
 let create state testeds =
   let t0 = Timing.now () in
   let cache = Rules.create_sim_cache () in
-  let reg = Stable_state.registry state in
-  let dead = Deadcode.analyze reg in
-  let tests = List.map (analyze_test cache state reg ~dead) testeds in
-  let s =
-    {
-      st = state;
-      reg;
-      tests;
-      testeds;
-      cache;
-      rep = merged ~t0 reg tests;
-      diff = None;
-    }
-  in
-  let results = List.map (fun ts -> (ts, false)) tests in
-  (s, stats_of ~t0 ~d:None ~evicted_sim:0 results)
+  let cur, stats = pass cache ~t0 ~d:None ~evicted_sim:0 state testeds None in
+  ({ cache; cur }, stats)
 
 (* ------------------------------------------------------------------ *)
 (* The whole-update fast path.
@@ -175,11 +182,11 @@ let create state testeds =
    - the new stable state's RIBs, hosts and sessions are equal to the
      old one's, so the same evaluations feed the same fixed point.
 
-   Under that witness a test whose tested facts are unchanged would
-   re-materialize its exact old graph and relabel it to its exact old
-   result, so its stored labels are reused over the new registry.
-   Without the witness every test is re-analyzed from scratch against
-   the new state; only the replay-validated sim cache carries over. *)
+   Under that witness the stored union would re-materialize its exact
+   old graph and relabel it to its exact old result, so when the old
+   tests are a prefix of the new list their labels are reused over the
+   new registry. Anything else re-analyzes the whole union against the
+   new state; only the replay-validated sim cache carries over. *)
 
 let reusable_etype = function
   | Element.Route_policy_clause | Element.Prefix_list | Element.Community_list
@@ -207,10 +214,19 @@ let id_map_is_identity m =
     true
   with Exit -> false
 
+(* [Some extra] when [old] is a prefix of [testeds], [extra] the
+   tests after it. *)
+let rec appended old testeds =
+  match (old, testeds) with
+  | [], extra -> Some extra
+  | o :: old, t :: testeds when o = t -> appended old testeds
+  | _ -> None
+
 let update s state testeds =
   let t0 = Timing.now () in
+  let old = s.cur in
   let reg = Stable_state.registry state in
-  let d = Registry_diff.diff ~old:s.reg reg in
+  let d = Registry_diff.diff ~old:old.reg reg in
   let changed_devs = Hashtbl.create 16 in
   List.iter
     (fun h -> Hashtbl.replace changed_devs h ())
@@ -230,48 +246,30 @@ let update s state testeds =
            reusable_etype e.Registry_diff.e_key.Element.etype)
          d.Registry_diff.changed
     && dropped = 0
-    && state_unchanged s.st state
+    && state_unchanged old.st state
   in
-  let olds = Array.of_list s.tests in
-  let old_testeds = Array.of_list s.testeds in
-  let dead = Deadcode.analyze reg in
-  let results =
-    List.mapi
-      (fun i (tested : Netcov.tested) ->
-        if fast && i < Array.length olds && old_testeds.(i) = tested then
-          let ts = olds.(i) in
-          let coverage =
-            Coverage.with_strong
-              (Coverage.of_sets reg ~strong:ts.ts_strong ~weak:ts.ts_weak)
-              tested.Netcov.cp_elements
-          in
-          let report = { ts.ts_report with Netcov.coverage; dead } in
-          ({ ts with ts_report = report }, true)
-        else (analyze_test s.cache state reg ~dead tested, false))
-      testeds
+  let kept =
+    if not fast then None
+    else Option.map (fun extra -> (old, extra)) (appended old.testeds testeds)
   in
-  let tests = List.map fst results in
-  s.st <- state;
-  s.reg <- reg;
-  s.tests <- tests;
-  s.testeds <- testeds;
-  s.rep <- merged ~t0 reg tests;
-  s.diff <- Some d;
-  let stats = stats_of ~t0 ~d:(Some d) ~evicted_sim:dropped results in
+  let cur, stats =
+    pass s.cache ~t0 ~d:(Some d) ~evicted_sim:dropped state testeds kept
+  in
+  s.cur <- cur;
   Log.info (fun m ->
       m
         "update%s: %d changed / %d added / %d removed elements; %d tested \
          roots reused, %d relabeled, reuse ratio %.2f"
-        (if fast then " (fast path)" else "")
+        (if Option.is_some kept then " (fast path)" else "")
         stats.s_changed stats.s_added stats.s_removed stats.s_reused
         stats.s_relabeled stats.s_reuse_ratio);
   stats
 
-let report s = s.rep
-let registry s = s.reg
-let state s = s.st
-let testeds s = s.testeds
-let last_diff s = s.diff
+let report s = s.cur.rep
+let registry s = s.cur.reg
+let state s = s.cur.st
+let testeds s = s.cur.testeds
+let last_diff s = s.cur.diff
 
 let summary st =
   Printf.sprintf
@@ -305,18 +303,15 @@ let rec take n = function
   | x :: rest -> x :: take (n - 1) rest
 
 let falsifiability ?operators ?mode ?pool ?max_elements ?diags s =
-  let reg = s.reg in
-  let cov = s.rep.Netcov.coverage in
-  let facts = List.concat_map (fun t -> t.Netcov.dp_facts) s.testeds in
+  let reg = s.cur.reg in
+  let cov = s.cur.rep.Netcov.coverage in
+  let u = Netcov.union_tested s.cur.testeds in
   (* Elements strong only by decree — control-plane test targets
      ([cp_elements], Coverage.with_strong) — are outside the
      falsifiability claim: their coverage does not assert any
      data-plane effect, so no mutant is required to kill them. *)
   let decreed = Hashtbl.create 16 in
-  List.iter
-    (fun (t : Netcov.tested) ->
-      List.iter (fun id -> Hashtbl.replace decreed id ()) t.Netcov.cp_elements)
-    s.testeds;
+  List.iter (fun id -> Hashtbl.replace decreed id ()) u.Netcov.cp_elements;
   let strong = ref [] and weak = ref [] and uncov = ref [] in
   Registry.iter_elements reg (fun e ->
       if not (Hashtbl.mem decreed e.Element.id) then
@@ -343,7 +338,7 @@ let falsifiability ?operators ?mode ?pool ?max_elements ?diags s =
   let elements = strong_s @ uncov_s @ weak_s in
   let fz_mutation =
     Mutation.run reg
-      ~oracle:(Mutation.facts_oracle facts)
+      ~oracle:(Mutation.facts_oracle u.Netcov.dp_facts)
       ~elements ?operators ?mode ?pool ?diags ()
   in
   let killed id = Element.Id_set.mem id fz_mutation.Mutation.killed in

@@ -2,9 +2,12 @@
     reuse or re-analysis.
 
     A {!session} holds what one analyzed network state left behind:
-    each test's report and label sets, and a persistent
-    targeted-simulation memo cache. {!update} moves the session to a
-    new configuration version along one of two paths:
+    one merged report, the label sets of one analysis of the union of
+    its tests ({!Netcov.union_tested}) and a persistent
+    targeted-simulation memo cache. Every pass runs the materialize →
+    {!Netcov_core.Label.run} sequence of {!Netcov.analyze} at most
+    once, over a union of tests. {!update} moves the session to a new
+    configuration version along one of two paths:
 
     - {b Fast path.} The registries are diffed ({!Registry_diff}), and
       every cached evaluation of a changed device is replayed against
@@ -12,11 +15,11 @@
       ({!Netcov_core.Rules.sim_cache_revalidate_hosts}). When only
       policy-class elements changed, every replay reproduced its result
       and the new stable state's hosts, sessions and RIBs equal the old
-      one's, no behavior moved: each test whose tested facts are
-      unchanged keeps its stored labels, rebuilt over the new registry.
-    - {b Re-analysis.} Otherwise every test is analyzed again with the
-      materialize → {!Netcov_core.Label.run} sequence of
-      {!Netcov.analyze}, over the session's replay-validated sim cache.
+      one's, no behavior moved. If the old tests are a prefix of the
+      new list, their labels are kept and only the appended tests (a
+      registered suite) are analyzed, as their own union.
+    - {b Re-analysis.} Otherwise the whole union is analyzed again,
+      over the session's replay-validated sim cache.
 
     Either way the session's report is byte-identical to a
     from-scratch [Netcov.analyze_suite] merged (asserted by the
@@ -35,8 +38,8 @@ type stats = {
   s_changed : int;  (** changed elements (old ∩ new, text differs) *)
   s_added : int;
   s_removed : int;
-  s_reused : int;  (** distinct tested roots whose labels were reused *)
-  s_relabeled : int;  (** distinct tested roots of re-analyzed tests *)
+  s_reused : int;  (** distinct tested roots of the kept union *)
+  s_relabeled : int;  (** distinct tested roots of the analyzed union *)
   s_evicted_sim : int;
       (** sim-cache entries of changed devices whose replayed result
           (or canonical key space) moved *)
@@ -44,23 +47,23 @@ type stats = {
   s_sim_misses : int;
   s_reuse_ratio : float;
       (** reused / (reused + relabeled), 0 when nothing ran *)
-  s_seconds : float;
+  s_seconds : float;  (** also observed into [incr.{create,update}.seconds] *)
 }
 
-(** [create state testeds] analyzes every test from scratch and
-    returns the primed session. *)
+(** [create state testeds] analyzes the union of every test from
+    scratch and returns the primed session. *)
 val create : Stable_state.t -> Netcov.tested list -> session * stats
 
 (** [update s state testeds] moves the session to the new stable
-    state, on the fast path when its witness holds and by re-analysis
-    otherwise. Tests are matched to the previous run by position; extra
-    tests are analyzed, missing tests are dropped. The resulting
-    {!report} is byte-identical (coverage-wise) to
+    state. When the fast-path witness holds and the previous tests are
+    a prefix of [testeds], only the tests after the prefix are
+    analyzed; anything else re-analyzes the union of [testeds]. The
+    resulting {!report} is byte-identical (coverage-wise) to
     [Netcov.analyze_suite state testeds] merged. *)
 val update : session -> Stable_state.t -> Netcov.tested list -> stats
 
-(** Merged suite report of the session's current state (the same shape
-    {!Netcov.merge_reports} produces). *)
+(** Merged suite report of the session's current state; its timing is
+    the last pass's wall time and the volumes of the analysis it ran. *)
 val report : session -> Netcov.report
 
 val registry : session -> Registry.t
@@ -72,11 +75,9 @@ val registry : session -> Registry.t
     than recomputing it. *)
 val state : session -> Stable_state.t
 
-(** The tested list of the most recent {!create} or {!update}, in
-    position order. Because {!update} matches tests to the previous run
-    positionally, a caller growing a suite should pass
-    [testeds s @ extra] so the fast path can reuse every stored test of
-    the prefix. *)
+(** The tested list of the most recent {!create} or {!update}. A
+    caller growing a suite should pass [testeds s @ extra] to
+    {!update}: then only [extra] is analyzed. *)
 val testeds : session -> Netcov.tested list
 
 (** The diff computed by the most recent {!update} ([None] after

@@ -17,9 +17,7 @@ type t = { name : string; kind : kind; run : Stable_state.t -> result }
 let run_suite state tests = List.map (fun t -> (t, t.run state)) tests
 
 let suite_tested results =
-  List.fold_left
-    (fun acc (_, r) -> Netcov.merge_tested acc r.tested)
-    Netcov.no_tests results
+  Netcov.union_tested (List.map (fun (_, r) -> r.tested) results)
 
 let main_facts state host p =
   List.map

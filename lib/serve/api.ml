@@ -196,7 +196,9 @@ let compile_spec state reg = function
       }
 
 (* One tested per registered test, suites flattened in registration
-   order — the positional contract [Incr.update] reuses across. *)
+   order: a newly registered suite appends to the old list, so
+   [Incr.update] keeps the old tests as a prefix and analyzes only the
+   new suite. *)
 let compile_suites state reg suites =
   List.concat_map
     (fun (s : Session_table.suite) ->

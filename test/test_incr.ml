@@ -1,8 +1,9 @@
 (* Units for the incremental engine's building blocks: the
    typed-element registry diff, sim-cache replay revalidation,
    per-device coverage deltas, and full [Incr] sessions — an identity
-   update, an edit on the chain network, and both update paths on a
-   fat-tree whose tests have many tested roots. The end-to-end
+   update, an edit on the chain network, both update paths on a
+   fat-tree whose tests have many tested roots, a suite registered on
+   a live session and a dropped test. The end-to-end
    incremental == scratch property on random networks lives in the
    [incremental-scratch] oracle (test_prop.ml). *)
 open Netcov_config
@@ -278,6 +279,18 @@ let test_edit_update_matches_scratch () =
   check_bool "incremental equals scratch" true
     (Json_export.coverage (Incr.report session).Netcov.coverage = scratch)
 
+let scratch_coverage state testeds =
+  Json_export.coverage
+    (Netcov.merge_reports
+       ~registry:(Stable_state.registry state)
+       (Netcov.analyze_suite state testeds))
+      .Netcov.coverage
+
+let check_scratch what session state testeds =
+  check_bool (what ^ ": coverage equals scratch") true
+    (Json_export.coverage (Incr.report session).Netcov.coverage
+    = scratch_coverage state testeds)
+
 (* Both update paths on a session whose tests each have many tested
    roots (the fat-tree k=4 datacenter suite). A description edit
    changes no behavior but is outside the fast path's element classes,
@@ -298,18 +311,6 @@ let test_fattree_paths () =
         (Netcov_nettest.Nettest.run_suite state suite)
     in
     (state, testeds)
-  in
-  let scratch state testeds =
-    Json_export.coverage
-      (Netcov.merge_reports
-         ~registry:(Stable_state.registry state)
-         (Netcov.analyze_suite state testeds))
-      .Netcov.coverage
-  in
-  let check_scratch what session state testeds =
-    check_bool (what ^ ": coverage equals scratch") true
-      (Json_export.coverage (Incr.report session).Netcov.coverage
-      = scratch state testeds)
   in
   let state, testeds = analyze ft.Fattree.devices in
   let session, cold = Incr.create state testeds in
@@ -357,6 +358,60 @@ let test_fattree_paths () =
   check_bool "policy: full reuse ratio" true (st.Incr.s_reuse_ratio = 1.0);
   check_scratch "policy" session state testeds
 
+(* The fat-tree k=4 datacenter suite, then a second suite of rib
+   tests (each leaf subnet on each leaf), over one stable state. *)
+let two_suites () =
+  let module Fattree = Netcov_workloads.Fattree in
+  let module Nettest = Netcov_nettest.Nettest in
+  let ft = Fattree.generate ~k:4 () in
+  let state = Testnet.state_of ft.Fattree.devices in
+  let first =
+    List.map
+      (fun (_, r) -> r.Nettest.tested)
+      (Nettest.run_suite state (Netcov_nettest.Datacenter.suite ft))
+  in
+  let second =
+    List.concat_map
+      (fun leaf ->
+        List.map
+          (fun (_, p) ->
+            {
+              Netcov.dp_facts = Nettest.main_facts state leaf p;
+              cp_elements = [];
+            })
+          ft.Fattree.leaf_subnets)
+      ft.Fattree.leaves
+  in
+  (state, first, second)
+
+(* Registering a second suite on a live session (what netcov serve
+   does) keeps the old tests as a prefix: only the appended tests are
+   analyzed, as their own union, and merged into the stored labels. *)
+let test_register_suite () =
+  let state, first, second = two_suites () in
+  let session, cold = Incr.create state first in
+  check_scratch "first suite" session state first;
+  let st = Incr.update session state (first @ second) in
+  check_int "old roots reused" cold.Incr.s_relabeled st.Incr.s_reused;
+  check_int "only the new tests' roots relabeled"
+    (List.length (Netcov.union_tested second).Netcov.dp_facts)
+    st.Incr.s_relabeled;
+  check_bool "new tests have roots" true (st.Incr.s_relabeled > 0);
+  check_scratch "both suites" session state (first @ second)
+
+(* Dropping a test breaks the prefix: the whole union is re-analyzed. *)
+let test_drop_test () =
+  let state, first, second = two_suites () in
+  let all = first @ second in
+  let session, _ = Incr.create state all in
+  let kept = List.filteri (fun i _ -> i <> 1) all in
+  let st = Incr.update session state kept in
+  check_int "nothing reused" 0 st.Incr.s_reused;
+  check_int "every root of the remaining union relabeled"
+    (List.length (Netcov.union_tested kept).Netcov.dp_facts)
+    st.Incr.s_relabeled;
+  check_scratch "after the drop" session state kept
+
 let () =
   Alcotest.run "incr"
     [
@@ -379,5 +434,9 @@ let () =
             test_edit_update_matches_scratch;
           Alcotest.test_case "fat-tree fast path and re-analysis" `Quick
             test_fattree_paths;
+          Alcotest.test_case "registering a suite analyzes only its tests"
+            `Quick test_register_suite;
+          Alcotest.test_case "dropping a test re-analyzes the union" `Quick
+            test_drop_test;
         ] );
     ]

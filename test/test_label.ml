@@ -224,6 +224,51 @@ let test_capped_cone () =
     r.Label.weak;
   check_int "vars capped" cap r.Label.vars
 
+(* The cap must depend only on the cone. Root A is the capped chain
+   above; root B has a direct edge from each of c_0 .. c_99, which
+   makes them disjunction-free strong in a graph that holds both
+   roots. They still take their positions in A's budget, so A numbers
+   the same prefix c_0 .. c_8191 in the union graph as alone, and the
+   union labels like the two separate graphs merged: 8192 strong, 108
+   weak. *)
+let test_capped_cone_union () =
+  let n = 8300 and cap = 8192 and direct = 100 in
+  let build ~a ~b =
+    let g = Ifg.create () in
+    let add x = fst (Ifg.add_fact g x) in
+    let roots = ref [] in
+    if a then begin
+      let t = add (f "t") in
+      ignore (Ifg.add_disj g ~target:t [ f "a1"; f "a2" ]);
+      let m i = add (f (Printf.sprintf "m%d" i)) in
+      Ifg.add_edge g ~parent:(m 0) ~child:(add (f "a1"));
+      Ifg.add_edge g ~parent:(m 0) ~child:(add (f "a2"));
+      for i = 0 to n - 1 do
+        if i + 1 < n then Ifg.add_edge g ~parent:(m (i + 1)) ~child:(m i);
+        Ifg.add_edge g ~parent:(add (cfg i)) ~child:(m i)
+      done;
+      roots := t :: !roots
+    end;
+    if b then begin
+      let t = add (f "tb") in
+      for i = 0 to direct - 1 do
+        Ifg.add_edge g ~parent:(add (cfg i)) ~child:t
+      done;
+      roots := t :: !roots
+    end;
+    Label.run g ~tested:(List.rev !roots)
+  in
+  let ra = build ~a:true ~b:false and rb = build ~a:false ~b:true in
+  let ru = build ~a:true ~b:true in
+  let strong = Element.Id_set.union ra.Label.strong rb.Label.strong in
+  let weak =
+    Element.Id_set.(diff (union ra.Label.weak rb.Label.weak) strong)
+  in
+  Alcotest.check eq_set "union strong = merged strong" strong ru.Label.strong;
+  Alcotest.check eq_set "union weak = merged weak" weak ru.Label.weak;
+  check_int "strong" cap (Element.Id_set.cardinal ru.Label.strong);
+  check_int "weak" (n - cap) (Element.Id_set.cardinal ru.Label.weak)
+
 (* Trimming the calling domain's arena between passes must shrink it
    back to the creation footprint and leave labels unchanged. *)
 let test_arena_trim () =
@@ -280,6 +325,9 @@ let () =
             test_domains_agree;
           Alcotest.test_case "capped cone keeps first 8192" `Quick
             test_capped_cone;
+          Alcotest.test_case
+            "capped cone labels the same alone and in a union graph" `Quick
+            test_capped_cone_union;
           Alcotest.test_case "trim shrinks, labels unchanged" `Quick
             test_arena_trim;
           Alcotest.test_case "tiny watermark self-trims safely" `Quick

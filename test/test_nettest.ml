@@ -82,7 +82,7 @@ let test_sanityin_covers_all_terms () =
   let reg = Stable_state.registry state in
   let _, (r : Nettest.result) = result "SanityIn" in
   let _, (nm : Nettest.result) = result "NoMartian" in
-  let combined = Netcov.merge_tested r.tested nm.tested in
+  let combined = Netcov.union_tested [ r.tested; nm.tested ] in
   let covered_terms =
     List.filter_map
       (fun id ->

@@ -238,8 +238,7 @@ let test_merge_equals_union_analysis () =
     Netcov.merge_reports (Netcov.analyze_suite ~pool:Pool.sequential state testeds)
   in
   let union =
-    Netcov.analyze state
-      (List.fold_left Netcov.merge_tested Netcov.no_tests testeds)
+    Netcov.analyze state (Netcov.union_tested testeds)
   in
   check_str "merged per-test = union analysis" (report_fingerprint union)
     (report_fingerprint merged)

@@ -7,7 +7,7 @@
    `netcov audit` code path computes on the same configuration texts.
    The warm-session property (a second update reuses every cone and
    does no full re-analysis) is asserted twice: from the update
-   response's [incr] object and from the incr.* counters in
+   response's [incr] object and from the incr.* metrics in
    [/metrics]. *)
 open Netcov_config
 open Netcov_sim
@@ -226,9 +226,10 @@ let jstr j name = Option.get (Json_import.to_str (jmem j name))
 let jint j name = Option.get (Json_import.to_int (jmem j name))
 let jnum j name = Option.get (Json_import.to_num (jmem j name))
 
-(* Sum of every sample of a counter in a /metrics payload (incr.*
-   counters are label-free, so this is just that counter's value). *)
-let metric_total mjson name =
+(* Sum of one integer field over every sample of a metric in a
+   /metrics payload (incr.* metrics are label-free, so this is just
+   that metric's field). *)
+let metric_field field mjson name =
   match Json_import.to_list (jmem mjson "metrics") with
   | None -> Alcotest.fail "/metrics: \"metrics\" is not an array"
   | Some samples ->
@@ -236,11 +237,15 @@ let metric_total mjson name =
         (fun acc s ->
           match
             ( Option.bind (Json_import.member "name" s) Json_import.to_str,
-              Option.bind (Json_import.member "value" s) Json_import.to_int )
+              Option.bind (Json_import.member field s) Json_import.to_int )
           with
           | Some n, Some v when n = name -> acc + v
           | _ -> acc)
         0 samples
+
+(* A counter's value; a histogram's observation count. *)
+let metric_total = metric_field "value"
+let histogram_count = metric_field "count"
 
 (* ---------------- fixtures ----------------------------------------- *)
 
@@ -446,6 +451,9 @@ let test_lifecycle () =
     (metric_total m1 "incr.updates");
   check_bool "metrics: reused cones grew" true
     (metric_total m1 "incr.reused_cones" > metric_total m0 "incr.reused_cones");
+  check_int "metrics: one more update timed"
+    (histogram_count m0 "incr.update.seconds" + 1)
+    (histogram_count m1 "incr.update.seconds");
   let _, body = request ~port (net "/coverage?format=coverage") in
   check_string "warm coverage still == audit"
     (J.coverage scratch'.Netcov.coverage)
