@@ -1,7 +1,7 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (sections 6-8). Run with no argument for everything, or pass
    one of: fig6b fig7 fig8 fig9 fig10a fig10b fig11a fig11b table2
-   ablation mutation whatif rr scaling label intern incr kernels.
+   ablation mutation whatif rr scaling incr kernels.
 
    Flags: --smoke shrinks workloads to a seconds-scale budget (CI),
    --oversubscribe re-enables scaling rows with more domains than
@@ -215,18 +215,6 @@ let fig10a () =
   let tm = suite.Netcov.timing in
   Printf.printf "%-24s %10.3f %12.3f %10.3f %10.3f\n" "Full suite" exec_total
     cov_s tm.Netcov.sim_s tm.Netcov.label_s;
-  let hits, misses =
-    List.fold_left
-      (fun (h, m) t ->
-        ( h + t.report.Netcov.timing.Netcov.sim_cache_hits,
-          m + t.report.Netcov.timing.Netcov.sim_cache_misses ))
-      (tm.Netcov.sim_cache_hits, tm.Netcov.sim_cache_misses)
-      bagpipe
-  in
-  Printf.printf
-    "targeted-simulation memo cache: %d hits / %d misses (%.1f%% hit rate)\n"
-    hits misses
-    (100. *. float_of_int hits /. float_of_int (max 1 (hits + misses)));
   Printf.printf
     "test execution including the control-plane computation the tests run \
      against: %.2fs (the paper's 2358s includes Batfish's data plane \
@@ -893,7 +881,7 @@ let scaling_smoke () =
   Printf.printf "scaling smoke ok\n"
 
 let scaling_full () =
-  section "Scaling: suite coverage across domain counts + sim memo cache";
+  section "Scaling: suite coverage across domain counts";
   let env = Lazy.force ft_env in
   let testeds = List.map (fun t -> t.result.Nettest.tested) env.ft_tests in
   (* Honesty: [cores] is what this host can actually run in parallel.
@@ -972,48 +960,6 @@ let scaling_full () =
         (name, n_devices, List.length testeds, sim_s, rows))
       mega_specs
   in
-  (* Memo-cache effect, measured sequentially on the Internet2 suite
-     (its iBGP full mesh shares policy chains across sessions). The
-     cache key strips pass-through route attributes
-     (lib/core/rules.ml). *)
-  let i2 = Lazy.force i2_env in
-  let i2_testeds = List.map (fun t -> t.result.Nettest.tested) i2.tests in
-  let run_cache ~sim_cache =
-    timed (fun () ->
-        Netcov.analyze_suite ~pool:Pool.sequential ~sim_cache i2.state
-          i2_testeds)
-  in
-  let rate_of reports =
-    let tm = (Netcov.merge_reports reports).Netcov.timing in
-    let h = tm.Netcov.sim_cache_hits and m = tm.Netcov.sim_cache_misses in
-    (h, m, float_of_int h /. float_of_int (max 1 (h + m)))
-  in
-  let on_reports, on_wall = run_cache ~sim_cache:true in
-  let off_reports, off_wall = run_cache ~sim_cache:false in
-  let on_merged = Netcov.merge_reports ~wall_s:on_wall on_reports in
-  let hits, misses, hit_rate = rate_of on_reports in
-  let cache_identical =
-    String.equal
-      (Json_export.coverage on_merged.Netcov.coverage)
-      (Json_export.coverage (Netcov.merge_reports off_reports).Netcov.coverage)
-  in
-  Printf.printf
-    "internet2 suite sim cache: %d hits / %d misses (%.1f%% hit rate), wall \
-     %.3fs on vs %.3fs off (%.2fx), identical-report %b\n"
-    hits misses (100. *. hit_rate) on_wall off_wall
-    (off_wall /. max 1e-9 on_wall)
-    cache_identical;
-  (* The memo cache must never cost more than it saves: keys carry a
-     precomputed hash and probe without re-canonicalizing the route
-     (lib/core/rules.ml), so the cached run has to stay within noise
-     of the uncached one even on hit-hostile workloads. *)
-  let cache_regression = on_wall > off_wall *. 1.05 in
-  if cache_regression then
-    Printf.eprintf
-      "sim cache REGRESSION: cached run %.3fs vs uncached %.3fs (%.2fx > \
-       1.05x) — the memo cache is costing more than it saves\n"
-      on_wall off_wall
-      (on_wall /. max 1e-9 off_wall);
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf "  \"workload\": \"fattree-k8-suite\",\n";
@@ -1051,149 +997,13 @@ let scaling_full () =
       Printf.bprintf buf "    ]}%s\n"
         (if i < List.length mega - 1 then "," else ""))
     mega;
-  Buffer.add_string buf "  ],\n";
-  Printf.bprintf buf
-    "  \"sim_cache\": {\"workload\": \"internet2-suite\", \"note\": \
-     \"re-measured on this run: canonical is the cache key with \
-     pass-through attributes stripped; keys carry a precomputed hash, so \
-     regression (cached wall > 1.05x uncached) must stay false\", \
-     \"hits\": %d, \
-     \"misses\": %d, \"hit_rate\": %.4f, \"wall_on_s\": %.4f, \"wall_off_s\": \
-     %.4f, \"speedup\": %.3f, \"identical\": %b, \"regression\": %b,\n\
-    \    \"canonical\": {\"hits\": %d, \"misses\": %d, \"hit_rate\": %.4f, \
-     \"wall_s\": %.4f}}\n"
-    hits misses hit_rate on_wall off_wall
-    (off_wall /. max 1e-9 on_wall)
-    cache_identical cache_regression hits misses hit_rate on_wall;
-  Buffer.add_string buf "}\n";
+  Buffer.add_string buf "  ]\n}\n";
   let oc = open_out "BENCH_parallel.json" in
   output_string oc (Buffer.contents buf);
   close_out oc;
   Printf.printf "wrote BENCH_parallel.json\n"
 
 let scaling () = if !smoke then scaling_smoke () else scaling_full ()
-
-(* ------------------------------------------------------------------ *)
-(* Interned fact identities (BENCH_intern.json)                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Measures exactly what the interner changed: the materialize+label
-   pipeline under the two identity modes. [By_key] pays a formatted
-   key string per fact-identity operation — the pre-interning
-   representation — while [Structural] hashes the fact variant
-   directly into dense ids. The targeted-simulation memo cache is
-   warmed by an unmeasured run and shared across iterations so policy
-   evaluation, identical in both modes, does not dilute the
-   identity-cost delta. Coverage equality is checked on the full
-   pipeline via the exported JSON (docs/PERFORMANCE.md). *)
-let intern_bench () =
-  section "Interning: materialize+label under By_key vs Structural identity";
-  let workloads =
-    if !smoke then [ ("fattree-k4", `Ft 4, 1) ]
-    else [ ("fattree-k8", `Ft 8, 5); ("internet2", `I2, 5) ]
-  in
-  let rows =
-    List.map
-      (fun (name, w, iters) ->
-        let state, tests =
-          match w with
-          | `Ft k ->
-              let ft = Fattree.generate ~k () in
-              let state =
-                Stable_state.compute (Registry.build ft.Fattree.devices)
-              in
-              (state, Datacenter.suite ft)
-          | `I2 ->
-              let net = Internet2.generate Internet2.paper_params in
-              let state =
-                Stable_state.compute (Registry.build net.Internet2.devices)
-              in
-              (state, Iterations.improved_suite net)
-        in
-        let tested = Nettest.suite_tested (Nettest.run_suite state tests) in
-        let facts = tested.Netcov.dp_facts in
-        let measure mode =
-          let cache = Rules.create_sim_cache () in
-          let one () =
-            let ctx = Rules.make_ctx ~cache state in
-            let g, ids, _ = Materialize.run ~mode ctx ~tested:facts in
-            ignore (Label.run g ~tested:ids)
-          in
-          one ();
-          let a0 = Gc.allocated_bytes () in
-          let (), wall =
-            timed (fun () ->
-                for _ = 1 to iters do
-                  one ()
-                done)
-          in
-          let alloc = Gc.allocated_bytes () -. a0 in
-          (wall /. float_of_int iters, alloc /. float_of_int iters)
-        in
-        let key_wall, key_alloc = measure Intern.By_key in
-        let str_wall, str_alloc = measure Intern.Structural in
-        let cov mode =
-          Json_export.coverage
-            (Netcov.analyze ~pool:Pool.sequential ~identity:mode state tested)
-              .Netcov.coverage
-        in
-        let identical =
-          String.equal (cov Intern.By_key) (cov Intern.Structural)
-        in
-        let speedup = key_wall /. max 1e-9 str_wall in
-        let alloc_ratio = key_alloc /. max 1. str_alloc in
-        let mb b = b /. 1048576. in
-        Printf.printf
-          "  %-12s facts=%d iters=%d  by_key %7.3fs %8.1fMB  structural \
-           %7.3fs %8.1fMB  speedup %.2fx  alloc x%.2f  identical %b\n"
-          name (List.length facts) iters key_wall (mb key_alloc) str_wall
-          (mb str_alloc) speedup alloc_ratio identical;
-        ( name,
-          iters,
-          List.length facts,
-          (key_wall, key_alloc),
-          (str_wall, str_alloc),
-          speedup,
-          alloc_ratio,
-          identical ))
-      workloads
-  in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"bench\": \"intern\",\n";
-  Printf.bprintf buf "  \"smoke\": %b,\n" !smoke;
-  Buffer.add_string buf
-    "  \"note\": \"materialize+label wall seconds and allocated bytes per \
-     iteration; by_key rebuilds formatted fact-key strings per identity \
-     operation (the pre-interning representation), structural hashes the \
-     fact variant into dense interned ids; the sim memo cache is warmed \
-     and shared so both modes pay identical policy-evaluation cost\",\n";
-  Buffer.add_string buf "  \"workloads\": [\n";
-  List.iteri
-    (fun i
-         ( name,
-           iters,
-           nfacts,
-           (key_wall, key_alloc),
-           (str_wall, str_alloc),
-           speedup,
-           alloc_ratio,
-           identical ) ->
-      Printf.bprintf buf
-        "    {\"name\": %S, \"iters\": %d, \"tested_facts\": %d,\n\
-        \     \"by_key\": {\"wall_s\": %.4f, \"alloc_bytes\": %.0f},\n\
-        \     \"structural\": {\"wall_s\": %.4f, \"alloc_bytes\": %.0f},\n\
-        \     \"speedup\": %.3f, \"alloc_ratio\": %.3f, \
-         \"identical_coverage\": %b}%s\n"
-        name iters nfacts key_wall key_alloc str_wall str_alloc speedup
-        alloc_ratio identical
-        (if i < List.length rows - 1 then "," else ""))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out "BENCH_intern.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote BENCH_intern.json\n"
 
 (* ------------------------------------------------------------------ *)
 (* Incremental re-analysis (BENCH_incr.json)                           *)
@@ -1575,7 +1385,6 @@ let experiments =
     ("whatif", whatif);
     ("rr", rr);
     ("scaling", scaling);
-    ("intern", intern_bench);
     ("incr", incr_bench);
     ("kernels", kernels);
   ]

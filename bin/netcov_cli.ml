@@ -1019,12 +1019,12 @@ let fuzz_cmd =
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:
-         "Run the differential property oracles (emit/parse roundtrip, \
-          parallel determinism, sim-cache equivalence, BDD vs truth table, \
-          coverage monotonicity/merge, intern-reference, fault-isolation, \
-          incremental-scratch, mutation-falsifiability) on \
-          random networks. Exits 1 and prints a shrunk counterexample \
-          plus a reproduction seed on any divergence. See docs/TESTING.md.")
+         "Run the seven differential property oracles (emit/parse \
+          roundtrip, parallel determinism, BDD vs truth table, coverage \
+          monotonicity/merge, fault-isolation, incremental-scratch, \
+          mutation-falsifiability) on random networks. Exits 1 and prints \
+          a shrunk counterexample plus a reproduction seed on any \
+          divergence. See docs/TESTING.md.")
     Term.(const run $ verbose $ seed $ iters $ oracles)
 
 let () =

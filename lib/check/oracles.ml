@@ -138,32 +138,7 @@ let parallel_oracle =
   }
 
 (* ------------------------------------------------------------------ *)
-(* 3. targeted-simulation memo cache on vs off                         *)
-(* ------------------------------------------------------------------ *)
-
-let cache_prop (sc : Netgen.scenario) =
-  let state = state_of sc.Netgen.net in
-  let testeds = testeds_of state sc in
-  let run sim_cache =
-    List.map coverage_fp
-      (Netcov.analyze_suite ~pool:Pool.sequential ~sim_cache state testeds)
-  in
-  match first_diff (run true) (run false) with
-  | Some i -> fail "report %d differs between sim_cache:true and sim_cache:false" i
-  | None -> Ok ()
-
-let cache_oracle =
-  {
-    name = "cache-equivalence";
-    describe = "sim_cache:true and sim_cache:false produce identical reports";
-    run =
-      (fun ~seed ~iters ->
-        Check.run ~name:"cache-equivalence" ~seed ~iters
-          ~print:Netgen.print_scenario Netgen.scenario cache_prop);
-  }
-
-(* ------------------------------------------------------------------ *)
-(* 4. BDD operations vs brute-force truth tables                       *)
+(* 3. BDD operations vs brute-force truth tables                       *)
 (* ------------------------------------------------------------------ *)
 
 (* Random cone predicates: the labeler builds conjunction/disjunction/
@@ -311,7 +286,7 @@ let bdd_oracle =
   }
 
 (* ------------------------------------------------------------------ *)
-(* 5. coverage monotonicity + merge order-insensitivity                *)
+(* 4. coverage monotonicity + merge order-insensitivity                *)
 (* ------------------------------------------------------------------ *)
 
 let strong_set (r : Netcov.report) =
@@ -370,40 +345,7 @@ let monotone_oracle =
   }
 
 (* ------------------------------------------------------------------ *)
-(* 6. interned identities vs the string-key reference                  *)
-(* ------------------------------------------------------------------ *)
-
-(* The dense-id IFG core (lib/core/intern.ml) must be a pure
-   representation change: [Intern.By_key] keeps the historical
-   formatted-string fact identity as the reference, [Intern.Structural]
-   is the interned hot path. Any divergence is a bug in the structural
-   [Fact.equal]/[Fact.hash] projection. *)
-let intern_prop (sc : Netgen.scenario) =
-  let state = state_of sc.Netgen.net in
-  let testeds = testeds_of state sc in
-  let run identity =
-    List.map coverage_fp
-      (Netcov.analyze_suite ~pool:Pool.sequential ~identity state testeds)
-  in
-  match first_diff (run Intern.Structural) (run Intern.By_key) with
-  | Some i ->
-      fail "report %d differs between Structural and By_key fact identity" i
-  | None -> Ok ()
-
-let intern_oracle =
-  {
-    name = "intern-reference";
-    describe =
-      "interned (Structural) and string-keyed (By_key) fact identities \
-       produce identical reports";
-    run =
-      (fun ~seed ~iters ->
-        Check.run ~name:"intern-reference" ~seed ~iters
-          ~print:Netgen.print_scenario Netgen.scenario intern_prop);
-  }
-
-(* ------------------------------------------------------------------ *)
-(* 7. per-test fault isolation                                         *)
+(* 5. per-test fault isolation                                         *)
 (* ------------------------------------------------------------------ *)
 
 (* A tested fact referencing a nonexistent device makes its analysis
@@ -482,7 +424,7 @@ let isolation_oracle =
   }
 
 (* ------------------------------------------------------------------ *)
-(* 8. incremental engine vs from-scratch analysis                      *)
+(* 6. incremental engine vs from-scratch analysis                      *)
 (* ------------------------------------------------------------------ *)
 
 module Incr = Netcov_incr.Incr
@@ -625,7 +567,7 @@ let incr_oracle =
   }
 
 (* ------------------------------------------------------------------ *)
-(* 9. mutation falsifiability                                          *)
+(* 7. mutation falsifiability                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* Mutation coverage as ground truth (paper §3.1): mutating a strongly
@@ -695,10 +637,8 @@ let all =
   [
     roundtrip_oracle;
     parallel_oracle;
-    cache_oracle;
     bdd_oracle;
     monotone_oracle;
-    intern_oracle;
     isolation_oracle;
     incr_oracle;
     mutation_oracle;

@@ -1,7 +1,8 @@
 (** The differential-oracle suite: each oracle is a named property that
     hunts a divergence between two implementations that must agree —
-    emit vs parse, sequential vs parallel, cache on vs off, BDD vs
-    truth table, per-test merge vs union analysis.
+    emit vs parse, sequential vs parallel, BDD vs truth table, per-test
+    merge vs union analysis, incremental vs scratch, IFG coverage vs
+    mutation.
 
     All oracles run on {!Netgen} inputs under {!Check}, so a red oracle
     prints a shrunk counterexample and a reproduction seed. The CLI
@@ -14,10 +15,9 @@ type t = {
   run : seed:int -> iters:int -> Check.outcome;
 }
 
-(** The nine oracles, in documentation order: ["roundtrip"],
-    ["parallel-determinism"], ["cache-equivalence"],
-    ["bdd-truth-table"], ["monotonicity-merge"],
-    ["intern-reference"], ["fault-isolation"],
+(** The seven oracles, in documentation order: ["roundtrip"],
+    ["parallel-determinism"], ["bdd-truth-table"],
+    ["monotonicity-merge"], ["fault-isolation"],
     ["incremental-scratch"], ["mutation-falsifiability"]. *)
 val all : t list
 

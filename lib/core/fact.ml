@@ -76,7 +76,8 @@ let pp fmt f = Format.pp_print_string fmt (key f)
    fields [key] prints — fact identity is part of the coverage
    semantics (it decides which derivations share an IFG node), so
    [equal a b <=> String.equal (key a) (key b)] is an invariant pinned
-   by the intern-reference oracle. In particular:
+   by the fact-identity property test (test/test_intern.ml). In
+   particular:
    - a main-RIB fact ignores [me_metric];
    - an IGP-RIB fact ignores [ie_cost], [ie_dest_host], [ie_dest_if]. *)
 

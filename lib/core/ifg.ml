@@ -45,9 +45,9 @@ type t = {
   mutable edges : int;
 }
 
-let create ?mode () =
+let create () =
   {
-    interner = Intern.create ?mode ();
+    interner = Intern.create ();
     fact_of_node = Array.make 1024 (-1);
     expanded = Array.make 1024 false;
     parents_head = Array.make 1024 (-1);

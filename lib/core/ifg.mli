@@ -22,11 +22,8 @@ type node_kind =
 
 type t
 
-(** [create ()] is an empty graph with a fresh interner. [mode]
-    selects the fact-identity mode (default
-    {!Intern.Structural}); {!Intern.By_key} reproduces the historical
-    string-keyed identity for differential testing. *)
-val create : ?mode:Intern.mode -> unit -> t
+(** [create ()] is an empty graph with a fresh interner. *)
+val create : unit -> t
 
 (** The graph's fact interner (export/debug: reverse id lookup). *)
 val interner : t -> Intern.t

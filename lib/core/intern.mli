@@ -13,24 +13,12 @@
     started after it (as labeling's pool tasks are). See
     docs/PERFORMANCE.md. *)
 
-(** How facts are identified.
-
-    - [Structural]: hash/compare the variant itself
-      ({!Fact.hash}/{!Fact.equal}); the production mode, allocation-free
-      per lookup.
-    - [By_key]: identify by the {!Fact.key} string, reproducing the
-      historical string-keyed pipeline byte for byte. Reference side of
-      the [intern-reference] differential oracle and of the
-      [BENCH_intern.json] before/after benchmark; never use it on a hot
-      path. *)
-type mode = Structural | By_key
-
 type t
 
-(** [create ()] is an empty interner (default [Structural]). *)
-val create : ?mode:mode -> unit -> t
-
-val mode : t -> mode
+(** [create ()] is an empty interner. Facts are identified
+    structurally ({!Fact.hash}/{!Fact.equal}, allocation-free per
+    lookup), which agrees with {!Fact.key} equality. *)
+val create : unit -> t
 
 (** [intern t f] is the id of [f], assigning the next dense id on first
     sight: a given fact identity always maps to exactly one id. Not

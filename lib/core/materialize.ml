@@ -70,10 +70,10 @@ let expandable ctx fact =
       | Some h -> not (Netcov_sim.Stable_state.is_external (Rules.state ctx) h)
       | None -> true)
 
-let run ?mode ctx ~tested =
+let run ctx ~tested =
   T.with_span "materialize" ~args:[ ("tested", T.I (List.length tested)) ]
   @@ fun () ->
-  let g = Ifg.create ?mode () in
+  let g = Ifg.create () in
   let queue = Queue.create () in
   let enqueue_fact f =
     let id, is_new = Ifg.add_fact g f in

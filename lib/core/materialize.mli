@@ -17,18 +17,15 @@ type stats = {
   sim_seconds : float;
   sim_cache_hits : int;
       (** chain evaluations answered by the targeted-simulation memo
-          cache (0 when the ctx has no cache) *)
+          cache (0 when the ctx has no cache, as in every
+          [Netcov.analyze]; [Incr] sessions pass theirs) *)
   sim_cache_misses : int;
   iterations : int;  (** worklist passes *)
 }
 
 (** [run ctx ~tested] materializes the IFG reachable (backwards) from
-    the tested facts and returns the node ids of the tested facts.
-    [mode] selects the graph's fact-identity mode (default
-    {!Intern.Structural}; {!Intern.By_key} is the string-keyed
-    reference for differential testing). *)
+    the tested facts and returns the node ids of the tested facts. *)
 val run :
-  ?mode:Intern.mode ->
   Rules.ctx ->
   tested:Fact.t list ->
   Ifg.t * Ifg.node_id list * stats

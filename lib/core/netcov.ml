@@ -59,33 +59,12 @@ let m_seconds =
   M.histogram M.default ~help:"end-to-end wall time of one analysis"
     ~unit_:"seconds" ~buckets:M.seconds_buckets "analyze.seconds"
 
-let m_cache_distinct =
-  M.gauge M.default
-    ~help:"distinct keys in the targeted-simulation memo cache after an analysis"
-    ~unit_:"keys" "sim.cache.distinct_keys"
-
 let m_errors =
   M.counter M.default
     ~help:"per-test analysis failures isolated and excluded during suite runs"
     ~unit_:"failures" "analyze.errors"
 
-(* Key-precision accounting for the sim cache: record how fragmented
-   the key space was and, at debug level, which key component
-   fragments it (docs/OBSERVABILITY.md). *)
-let record_cache_breakdown cache =
-  Option.iter
-    (fun c ->
-      let b = Rules.sim_cache_breakdown c in
-      M.set m_cache_distinct (float_of_int b.Rules.kb_keys);
-      Log.debug (fun m ->
-          m
-            "sim cache key breakdown: %d keys = %d hosts x %d chains x %d \
-             defaults x %d protocols x %d routes"
-            b.Rules.kb_keys b.Rules.kb_hosts b.Rules.kb_chains
-            b.Rules.kb_defaults b.Rules.kb_protocols b.Rules.kb_routes))
-    cache
-
-let analyze ?pool ?(sim_cache = true) ?identity ?diags state tested =
+let analyze ?pool ?diags state tested =
   T.with_span "analyze"
     ~args:
       [
@@ -96,12 +75,8 @@ let analyze ?pool ?(sim_cache = true) ?identity ?diags state tested =
   let pool = Option.value pool ~default:Pool.sequential in
   let t0 = Timing.now () in
   let reg = Stable_state.registry state in
-  let cache = if sim_cache then Some (Rules.create_sim_cache ()) else None in
-  let ctx = Rules.make_ctx ?cache ?diags state in
-  let g, tested_ids, mstats =
-    Materialize.run ?mode:identity ctx ~tested:tested.dp_facts
-  in
-  record_cache_breakdown cache;
+  let ctx = Rules.make_ctx ?diags state in
+  let g, tested_ids, mstats = Materialize.run ctx ~tested:tested.dp_facts in
   let label = Label.run ~pool g ~tested:tested_ids in
   let coverage =
     T.with_span "aggregate" @@ fun () ->
@@ -213,17 +188,14 @@ let merge_reports ?wall_s ?registry = function
       | None -> merged
       | Some w -> { merged with timing = { merged.timing with total_s = w } }
 
-let analyze_suite ?pool ?(sim_cache = true) ?identity state testeds =
+let analyze_suite ?pool state testeds =
   let run pool =
     (* The pool is also handed to each per-test labeling pass: nested
        fan-out is safe (a mapping caller executes from its own deque and
        steals from the others, it never blocks on its batch), and
        cone-granularity tasks keep every domain busy even when the
        suite has fewer tests than the pool has domains. *)
-    Pool.map pool
-      (fun tested ->
-        analyze ~pool ~sim_cache ?identity state tested)
-      testeds
+    Pool.map pool (fun tested -> analyze ~pool state tested) testeds
   in
   match pool with Some p -> run p | None -> Pool.with_pool run
 
@@ -236,8 +208,7 @@ type test_failure = {
 
 type suite_outcome = { ok : report list; failures : test_failure list }
 
-let analyze_suite_isolated ?pool ?(sim_cache = true) ?identity ?diags ?labels
-    state testeds =
+let analyze_suite_isolated ?pool ?diags ?labels state testeds =
   let label_of i =
     match labels with
     | Some ls -> ( match List.nth_opt ls i with Some l -> l | None -> Printf.sprintf "test-%d" i)
@@ -246,7 +217,7 @@ let analyze_suite_isolated ?pool ?(sim_cache = true) ?identity ?diags ?labels
   let run pool =
     Pool.map pool
       (fun (i, tested) ->
-        match analyze ~pool ~sim_cache ?identity ?diags state tested with
+        match analyze ~pool ?diags state tested with
         | r -> Ok r
         | exception ((Stack_overflow | Out_of_memory) as e) -> raise e
         | exception e ->

@@ -44,8 +44,10 @@ type timing = {
   sim_count : int;
   sim_cache_hits : int;
       (** policy-chain evaluations answered by the targeted-simulation
-          memo cache *)
-  sim_cache_misses : int;
+          memo cache. Always 0 on a scratch report ({!analyze} runs
+          without a cache); on an [Incr] report it counts lookups in the
+          session cache. *)
+  sim_cache_misses : int;  (** as [sim_cache_hits], for misses *)
   ifg_nodes : int;
   ifg_edges : int;
   bdd_vars : int;
@@ -64,13 +66,10 @@ type report = {
     labeling, and direct marking of control-plane-tested elements.
 
     [pool] parallelizes the labeling pass across its domains (default:
-    sequential). [sim_cache] (default true) memoizes targeted policy
-    simulations within this analysis (see {!Rules.create_sim_cache});
-    the uncached run is the reference of the [cache-equivalence]
-    oracle. [identity] selects the IFG's fact-identity mode (default
-    {!Intern.Structural}; {!Intern.By_key} is the string-keyed
-    reference for differential testing). None of these options changes
-    the report, only the wall time.
+    sequential); it never changes the report, only the wall time.
+    Targeted policy simulations are not memoized: each one is a single
+    in-process chain evaluation (the memo cache, {!Rules.sim_cache},
+    serves the incremental engine's sessions).
 
     [diags] installs a diagnostic sink on the rule context: with one, a
     crashing inference rule (unknown device, policy-eval failure, …)
@@ -79,8 +78,6 @@ type report = {
     Without it, behaviour — including raising — is unchanged. *)
 val analyze :
   ?pool:Netcov_parallel.Pool.t ->
-  ?sim_cache:bool ->
-  ?identity:Intern.mode ->
   ?diags:(Diag.t -> unit) ->
   Netcov_sim.Stable_state.t ->
   tested ->
@@ -96,8 +93,6 @@ val analyze :
     analyses share only the immutable stable state. *)
 val analyze_suite :
   ?pool:Netcov_parallel.Pool.t ->
-  ?sim_cache:bool ->
-  ?identity:Intern.mode ->
   Netcov_sim.Stable_state.t ->
   tested list ->
   report list
@@ -123,8 +118,6 @@ type suite_outcome = { ok : report list; failures : test_failure list }
     the tests for failure records, matched by position. *)
 val analyze_suite_isolated :
   ?pool:Netcov_parallel.Pool.t ->
-  ?sim_cache:bool ->
-  ?identity:Intern.mode ->
   ?diags:(Diag.t -> unit) ->
   ?labels:string list ->
   Netcov_sim.Stable_state.t ->

@@ -7,11 +7,11 @@ open Netcov_policy
    chain evaluation — the pure core of every targeted simulation
    (§4.2): key = (device, chain, defaults, canonicalized input route),
    value = the full Eval.result (verdict, transformed route, exercised
-   clause ids). Internet2-style designs re-evaluate the same shared
-   export/import chains with the same route once per iBGP session, so
-   hit rates are substantial even within a single analysis. Caches are
-   created per analysis context (hence domain-local under the parallel
-   pipeline) and need no locking. *)
+   clause ids). The cache is the incremental engine's session cache
+   (lib/incr): its replay against a changed device is the fast-path
+   witness. Scratch analyses run without one, because an in-process
+   Eval.run_chain costs no more than a lookup. A cache is used from one
+   domain at a time and needs no locking. *)
 (* Key canonicalization: a policy chain only reads the route attributes
    its match conditions name, and only rewrites the ones its actions
    set. Every other attribute passes through the evaluation untouched —
@@ -127,7 +127,7 @@ let patch_result mask (input : Route.bgp) (r : Eval.result) =
    attribute mask: the previous scheme rebuilt a canonicalized route
    record ([canonical_route]) on EVERY lookup, hit or miss, and that
    per-probe allocation made the canonical cache a measured net
-   slowdown (BENCH_parallel.json sim_cache.speedup 0.877). Mask-aware
+   slowdown (0.877x on the internet2 suite). Mask-aware
    equality/hashing give the same hit/miss behavior — kept attributes
    equal iff the canonical routes are equal — with zero allocation on
    the probe path, and [k_hash] is precomputed at key construction so
@@ -272,56 +272,24 @@ let sim_cache_revalidate_hosts c state pred =
       end)
     c.tbl;
   List.iter (fun k -> Sim_tbl.remove c.tbl k) !doomed;
-  (* Memoized masks of the affected hosts are recomputed lazily on the
-     next evaluation; a stale mask would canonicalize keys for the new
-     device incorrectly. *)
-  let stale = ref [] in
-  Hashtbl.iter
-    (fun ((h, _) as mk) _ -> if pred h then stale := mk :: !stale)
+  (* The memoized masks of the selected hosts must describe their new
+     devices: a stale mask would canonicalize keys for the new device
+     incorrectly. Store the new mask rather than dropping it — every
+     kept entry was validated under an unchanged mask, and on the fast
+     path no analysis runs to memoize it again, so a dropped mask would
+     fail the next replay of this host. Hosts absent from [state] lose
+     their masks. *)
+  Hashtbl.filter_map_inplace
+    (fun ((h, _) as mk) ((_, base) as mb) ->
+      if not (pred h) then Some mb
+      else
+        match Stable_state.find_device state h with
+        | exception _ -> None
+        | d -> Some (new_mask d mk, base))
     c.masks;
-  List.iter (fun mk -> Hashtbl.remove c.masks mk) !stale;
   (!checked, List.length !doomed)
 
 let sim_cache_length c = Sim_tbl.length c.tbl
-
-(* Key-precision accounting (docs/OBSERVABILITY.md): the cache's hit
-   rate is bounded by how many distinct keys the workload produces, and
-   the per-field distinct counts show which component fragments the key
-   space. [kb_routes] counts the stored raw representatives (one per
-   entry's first probe), so equal-under-mask routes of *different*
-   (host, chain) pairs may count separately. Debug-path only — walks
-   the whole table. *)
-type key_breakdown = {
-  kb_keys : int;
-  kb_hosts : int;
-  kb_chains : int;
-  kb_defaults : int;
-  kb_protocols : int;
-  kb_routes : int;
-}
-
-let sim_cache_breakdown c =
-  let hosts = Hashtbl.create 64 in
-  let chains = Hashtbl.create 64 in
-  let defaults = Hashtbl.create 4 in
-  let protocols = Hashtbl.create 4 in
-  let routes = Hashtbl.create 1024 in
-  Sim_tbl.iter
-    (fun k _ ->
-      Hashtbl.replace hosts k.Sim_key.k_host ();
-      Hashtbl.replace chains k.Sim_key.k_chain ();
-      Hashtbl.replace defaults k.Sim_key.k_default ();
-      Hashtbl.replace protocols k.Sim_key.k_protocol ();
-      Hashtbl.replace routes k.Sim_key.k_route ())
-    c.tbl;
-  {
-    kb_keys = Sim_tbl.length c.tbl;
-    kb_hosts = Hashtbl.length hosts;
-    kb_chains = Hashtbl.length chains;
-    kb_defaults = Hashtbl.length defaults;
-    kb_protocols = Hashtbl.length protocols;
-    kb_routes = Hashtbl.length routes;
-  }
 
 type ctx = {
   state : Stable_state.t;

@@ -5,16 +5,20 @@
 open Netcov_config
 open Netcov_sim
 
-(** Shared context: the stable state plus memo caches and counters for
-    the targeted simulations (reported by Figure 10(a)'s breakdown). *)
+(** Shared context: the stable state plus an optional memo cache and
+    counters for the targeted simulations (reported by Figure 10(a)'s
+    breakdown). *)
 type ctx
 
 (** Memo cache for targeted policy simulations. Key: (device, policy
     chain, evaluation defaults, canonicalized input route); value: the
-    verdict, the transformed route and the exercised clause ids. Safe
-    to reuse across analyses {e of the same stable state} within one
-    domain; never share one across domains — create one per analysis
-    instead (the cache never changes results, only skips re-runs). *)
+    verdict, the transformed route and the exercised clause ids. It is
+    the incremental engine's session cache: replaying it against a
+    changed device ({!sim_cache_revalidate_hosts}) is that engine's
+    fast-path witness. Scratch analyses ([Netcov.analyze]) run without
+    one. Reusable across analyses {e of the same stable state} within
+    one domain; never share one across domains (the cache never changes
+    results, only skips re-runs). *)
 type sim_cache
 
 (** A fresh, empty cache. Route attributes the policy chain neither
@@ -34,6 +38,9 @@ val create_sim_cache : unit -> sim_cache
     Entries whose chain now behaves differently — or whose chain's
     read/write attribute mask changed, shifting the canonical key
     space — are dropped, as are entries of hosts absent from [state].
+    The selected hosts' memoized attribute masks are replaced by their
+    new devices' masks, so a later replay of the same host validates
+    the kept entries again without an analysis in between.
     Returns [(checked, dropped)]; [dropped = 0] certifies that every
     cached evaluation of the selected hosts is unaffected by the
     configuration change (the incremental engine's fast-path witness,
@@ -44,26 +51,11 @@ val sim_cache_revalidate_hosts :
 (** Live entries in the cache. *)
 val sim_cache_length : sim_cache -> int
 
-(** Distinct-count breakdown of the cache's key space: total distinct
-    keys plus distinct values per key component. Identifies over-precise
-    key components when the hit rate is low (fed into the
-    [sim.cache.distinct_keys] gauge and the debug log —
-    docs/OBSERVABILITY.md). Walks the whole table; debug path only. *)
-type key_breakdown = {
-  kb_keys : int;
-  kb_hosts : int;
-  kb_chains : int;
-  kb_defaults : int;
-  kb_protocols : int;
-  kb_routes : int;
-}
-
-val sim_cache_breakdown : sim_cache -> key_breakdown
-
 (** [make_ctx ?cache state]: when [cache] is omitted every simulation
-    is recomputed (seed behaviour). [diags] installs a diagnostic sink:
-    with one, a crashing rule application degrades to a [Sim_failure]
-    diagnostic (see {!apply_rule}) instead of aborting the analysis. *)
+    is recomputed, as in every scratch analysis. [diags] installs a
+    diagnostic sink: with one, a crashing rule application degrades to
+    a [Sim_failure] diagnostic (see {!apply_rule}) instead of aborting
+    the analysis. *)
 val make_ctx :
   ?cache:sim_cache ->
   ?diags:(Netcov_diag.Diag.t -> unit) ->

@@ -98,51 +98,79 @@ let test_diff_changed () =
 
 (* ---------------- sim-cache replay revalidation -------------------- *)
 
-(* Find a generated scenario whose analysis actually exercises the
-   targeted-simulation cache (a policied uplink on a probed path). *)
+(* A generated scenario with a policied router, and tested facts that
+   force that router's uplink import chain: its BGP-learned main-RIB
+   entries. *)
 let policied_state () =
   let rec hunt seed =
     if seed > 80 then Alcotest.fail "no policied scenario in 80 seeds"
     else
       let sc = Gen.generate ~seed Netgen.scenario in
-      if sc.Netgen.net.Netgen.policied = [] then hunt (seed + 1)
-      else
-        let state =
-          Stable_state.compute (Registry.build (Netgen.devices_of sc.Netgen.net))
-        in
-        let facts =
-          List.concat_map
-            (fun spec -> (Netgen.tested_of state spec).Netcov.dp_facts)
-            sc.Netgen.tests
-        in
-        let cache = Rules.create_sim_cache () in
-        let ctx = Rules.make_ctx ~cache state in
-        ignore (Materialize.run ctx ~tested:facts);
-        if Rules.sim_cache_length cache > 0 then (sc, state, facts)
-        else hunt (seed + 1)
+      match sc.Netgen.net.Netgen.policied with
+      | [] -> hunt (seed + 1)
+      | i :: _ ->
+          let state =
+            Stable_state.compute
+              (Registry.build (Netgen.devices_of sc.Netgen.net))
+          in
+          let host = Netgen.host i in
+          let learned (entry : Rib.main_entry) =
+            if entry.Rib.me_protocol = Netcov_types.Route.Bgp then
+              Some (Fact.F_main_rib { host; entry })
+            else None
+          in
+          let facts =
+            List.concat_map
+              (fun j ->
+                List.filter_map learned
+                  (Stable_state.main_lookup state host (Netgen.lan j)))
+              (List.init sc.Netgen.net.Netgen.n_routers Fun.id)
+          in
+          if facts = [] then hunt (seed + 1) else (sc, state, host, facts)
   in
   hunt 1
 
 let test_revalidate_hosts () =
-  let sc, state, facts = policied_state () in
+  let sc, state, host, facts = policied_state () in
   let cache = Rules.create_sim_cache () in
-  let ctx = Rules.make_ctx ~cache state in
-  ignore (Materialize.run ctx ~tested:facts);
+  let g, _, _ = Materialize.run (Rules.make_ctx ~cache state) ~tested:facts in
   let l0 = Rules.sim_cache_length cache in
   check_bool "cache populated" true (l0 > 0);
-  (* replaying every entry against an identical state validates all of
-     them: canonical-representative replay reproduces stored results *)
+  (* The policied router's import clauses are in the graph: the cache,
+     which answered every evaluation of this materialization, holds an
+     evaluation of its import chain. *)
+  let reg = Stable_state.registry state in
+  check_bool "import chain evaluated" true
+    (List.exists
+       (fun (_, eid) ->
+         let e = Registry.element reg eid in
+         e.Element.device = host
+         && Element.etype_of e = Element.Route_policy_clause)
+       (Ifg.config_nodes g));
+  (* Replaying every entry against an identical state validates all of
+     them (canonical-representative replay reproduces stored results),
+     and a second replay validates them again: the first one stored
+     each host's mask, with no analysis in between. *)
   let same =
     Stable_state.compute (Registry.build (Netgen.devices_of sc.Netgen.net))
   in
-  let checked, dropped =
-    Rules.sim_cache_revalidate_hosts cache same (fun _ -> true)
-  in
-  check_int "every entry replayed" l0 checked;
-  check_int "identical state drops nothing" 0 dropped;
+  List.iter
+    (fun round ->
+      let checked, dropped =
+        Rules.sim_cache_revalidate_hosts cache same (fun _ -> true)
+      in
+      check_int (round ^ ": every entry replayed") l0 checked;
+      check_int (round ^ ": identical state drops nothing") 0 dropped)
+    [ "first replay"; "second replay" ];
   check_int "cache intact" l0 (Rules.sim_cache_length cache);
-  (* a semantics-flipping edit (every policy term now rejects
-     everything) invalidates at least the accepted evaluations *)
+  (* A semantics-flipping edit that keeps every chain's attribute mask:
+     each accepting term now rejects, its matches and modifiers
+     untouched. The import chain's accepted evaluations now reject, so
+     their entries are dropped because their verdicts changed; the
+     evaluations of unchanged chains are kept. *)
+  let flip (a : Policy_ast.action) =
+    match a with Policy_ast.Accept -> Policy_ast.Reject | a -> a
+  in
   let broken =
     List.map
       (fun (d : Netcov_config.Device.t) ->
@@ -160,8 +188,8 @@ let test_revalidate_hosts () =
                         (fun (t : Policy_ast.term) ->
                           {
                             t with
-                            Policy_ast.matches = [];
-                            Policy_ast.actions = [ Policy_ast.Reject ];
+                            Policy_ast.actions =
+                              List.map flip t.Policy_ast.actions;
                           })
                         p.Policy_ast.terms;
                   })
@@ -174,8 +202,16 @@ let test_revalidate_hosts () =
     Rules.sim_cache_revalidate_hosts cache broken_state (fun _ -> true)
   in
   check_bool "invalid entries reported" true (dropped >= 1);
+  check_bool "unchanged evaluations kept" true (dropped < l0);
   check_int "invalid entries removed" (l0 - dropped)
-    (Rules.sim_cache_length cache)
+    (Rules.sim_cache_length cache);
+  (* The replay stored the new devices' masks, so replaying the same
+     edit again validates every surviving entry. *)
+  let checked, dropped' =
+    Rules.sim_cache_revalidate_hosts cache broken_state (fun _ -> true)
+  in
+  check_int "survivors replayed again" (l0 - dropped) checked;
+  check_int "second replay drops nothing" 0 dropped'
 
 (* ---------------- per-device coverage deltas ----------------------- *)
 
@@ -294,11 +330,14 @@ let check_scratch what session state testeds =
 (* Both update paths on a session whose tests each have many tested
    roots (the fat-tree k=4 datacenter suite). A description edit
    changes no behavior but is outside the fast path's element classes,
-   so every test is re-analyzed; widening the [upto] bound of a
-   spine's IMPORT-WAN prefix match is behavior-free (the WAN stubs
-   announce only the default route) and policy-class, so it takes the
-   fast path. After creation and after each edit the session's
-   coverage must equal a scratch analysis byte for byte. *)
+   so every test is re-analyzed. Then three edits in a row set the
+   [upto] bound of one spine's IMPORT-WAN prefix match: behavior-free
+   (the WAN stubs announce only the default route) and policy-class,
+   so each takes the fast path. The later two hold only because a
+   replay keeps the spine's attribute masks: the fast path runs no
+   analysis that would memoize them again. After creation and after
+   each edit the session's coverage must equal a scratch analysis byte
+   for byte. *)
 let test_fattree_paths () =
   let module Fattree = Netcov_workloads.Fattree in
   let ft = Fattree.generate ~k:4 () in
@@ -328,7 +367,7 @@ let test_fattree_paths () =
   check_int "description: every root relabeled" cold.Incr.s_relabeled
     st.Incr.s_relabeled;
   check_scratch "description" session state testeds;
-  let widen (d : Device.t) =
+  let widen n (d : Device.t) =
     let widen_term (t : Policy_ast.term) =
       {
         t with
@@ -336,7 +375,7 @@ let test_fattree_paths () =
           List.map
             (function
               | Policy_ast.Match_prefix (p, _) ->
-                  Policy_ast.Match_prefix (p, Policy_ast.Upto 24)
+                  Policy_ast.Match_prefix (p, Policy_ast.Upto n)
               | m -> m)
             t.Policy_ast.matches;
       }
@@ -351,12 +390,18 @@ let test_fattree_paths () =
           d.Device.policies;
     }
   in
-  let state, testeds = analyze (map_device widen spine described) in
-  let st = Incr.update session state testeds in
-  check_int "policy: one changed element" 1 st.Incr.s_changed;
-  check_int "policy: nothing relabeled" 0 st.Incr.s_relabeled;
-  check_bool "policy: full reuse ratio" true (st.Incr.s_reuse_ratio = 1.0);
-  check_scratch "policy" session state testeds
+  List.iter
+    (fun n ->
+      let what = Printf.sprintf "upto %d" n in
+      let state, testeds = analyze (map_device (widen n) spine described) in
+      let st = Incr.update session state testeds in
+      check_int (what ^ ": one changed element") 1 st.Incr.s_changed;
+      check_int (what ^ ": nothing relabeled") 0 st.Incr.s_relabeled;
+      check_bool (what ^ ": full reuse ratio") true
+        (st.Incr.s_reuse_ratio = 1.0);
+      check_int (what ^ ": no sim entries evicted") 0 st.Incr.s_evicted_sim;
+      check_scratch what session state testeds)
+    [ 24; 20; 28 ]
 
 (* The fat-tree k=4 datacenter suite, then a second suite of rib
    tests (each leaf subnet on each leaf), over one stable state. *)

@@ -1,9 +1,11 @@
-(* The fact interner (lib/core/intern.ml): dense stable ids, the
-   structural-identity projection (equal to Fact.key equality) and the
-   By_key reference mode. *)
+(* The fact interner (lib/core/intern.ml): dense stable ids, and the
+   structural identity it hashes with, which must agree with Fact.key
+   equality on every fact an analysis materializes. *)
 open Netcov_types
+open Netcov_config
 open Netcov_sim
 open Netcov_core
+open Netcov_check
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -85,19 +87,86 @@ let test_iter_snapshot () =
         (List.mem (i, Fact.key f) !seen))
     facts
 
-(* ---------------- modes agree ---------------- *)
+(* ---------------- identity agrees with Fact.key ---------------- *)
 
-let test_modes_assign_same_ids () =
-  let s = Intern.create ~mode:Intern.Structural () in
-  let k = Intern.create ~mode:Intern.By_key () in
-  let facts =
-    distinct_facts 4
-    @ [ main_rib ~metric:0 "r1"; main_rib ~metric:5 "r1"; igp_rib "r2" ]
+(* Facts that differ from [f] only in fields the identity ignores: a
+   main-RIB entry's metric, an IGP entry's cost and destination
+   endpoint. *)
+let ignored_field_variants = function
+  | Fact.F_main_rib { host; entry } ->
+      [
+        Fact.F_main_rib
+          { host; entry = { entry with Rib.me_metric = entry.Rib.me_metric + 1 } };
+      ]
+  | Fact.F_igp_rib { host; entry } ->
+      List.map
+        (fun entry -> Fact.F_igp_rib { host; entry })
+        [
+          { entry with Rib.ie_cost = entry.Rib.ie_cost + 1 };
+          { entry with Rib.ie_dest_host = entry.Rib.ie_dest_host ^ "'" };
+          { entry with Rib.ie_dest_if = entry.Rib.ie_dest_if ^ "'" };
+        ]
+  | _ -> []
+
+(* Every fact of the IFG materialized from [tested] over [state], each
+   followed by its ignored-field variants. *)
+let ifg_facts (state, tested) =
+  let g, _, _ = Materialize.run (Rules.make_ctx state) ~tested in
+  let facts = ref [] in
+  Intern.iter (Ifg.interner g) (fun _ f -> facts := f :: !facts);
+  List.concat_map (fun f -> f :: ignored_field_variants f) !facts
+
+(* The suites of a few generated scenarios, and a main-RIB lookup on
+   the IGP diamond, whose iBGP next hops resolve through IGP-RIB facts
+   (generated networks have none). *)
+let identity_inputs () =
+  let scenario seed =
+    let sc = Gen.generate ~seed Netgen.scenario in
+    let state =
+      Stable_state.compute (Registry.build (Netgen.devices_of sc.Netgen.net))
+    in
+    let u =
+      Netcov.union_tested (List.map (Netgen.tested_of state) sc.Netgen.tests)
+    in
+    (state, u.Netcov.dp_facts)
   in
-  List.iter
-    (fun f -> check_int (Fact.key f) (Intern.intern k f) (Intern.intern s f))
-    facts;
-  check_int "same distinct count" (Intern.length k) (Intern.length s)
+  let diamond =
+    let state = Testnet.state_of (Testnet.diamond ()) in
+    ( state,
+      List.map
+        (fun entry -> Fact.F_main_rib { host = "d"; entry })
+        (Stable_state.main_lookup state "d" (p "10.50.0.0/24")) )
+  in
+  diamond :: List.init 6 (fun i -> scenario (i + 1))
+
+(* For every pair of facts of one graph: [Fact.equal a b] iff their
+   keys are equal, and equal facts hash alike. *)
+let test_equal_iff_same_key () =
+  let main = ref 0 and igp = ref 0 in
+  let check_graph input graph_facts =
+    let facts = Array.of_list graph_facts in
+    let keys = Array.map Fact.key facts in
+    let hashes = Array.map Fact.hash facts in
+    Array.iteri
+      (fun i a ->
+        (match a with
+        | Fact.F_main_rib _ -> incr main
+        | Fact.F_igp_rib _ -> incr igp
+        | _ -> ());
+        for j = i + 1 to Array.length facts - 1 do
+          let equal = Fact.equal a facts.(j) in
+          if equal <> String.equal keys.(i) keys.(j) then
+            Alcotest.failf "input %d: Fact.equal is %b for keys %S and %S"
+              input equal keys.(i) keys.(j);
+          if equal && hashes.(i) <> hashes.(j) then
+            Alcotest.failf "input %d: equal facts %S hash differently" input
+              keys.(i)
+        done)
+      facts
+  in
+  List.iteri check_graph (List.map ifg_facts (identity_inputs ()));
+  check_bool "main-RIB facts checked" true (!main > 0);
+  check_bool "IGP-RIB facts checked" true (!igp > 0)
 
 let () =
   Alcotest.run "intern"
@@ -109,7 +178,7 @@ let () =
             test_projected_fields_share_id;
           Alcotest.test_case "find/fact roundtrip" `Quick test_find_roundtrip;
           Alcotest.test_case "iter snapshot" `Quick test_iter_snapshot;
-          Alcotest.test_case "modes assign same ids" `Quick
-            test_modes_assign_same_ids;
+          Alcotest.test_case "equal iff same key" `Quick
+            test_equal_iff_same_key;
         ] );
     ]

@@ -1,7 +1,8 @@
-(* Tests for the domain work pool and the parallel/memoized coverage
-   pipeline: pool semantics (ordering, exceptions, nesting) and the
-   determinism guarantee — reports are byte-identical at any domain
-   count and with the simulation memo cache on or off. *)
+(* Tests for the domain work pool and the parallel coverage pipeline:
+   pool semantics (ordering, exceptions, nesting) and the determinism
+   guarantee — reports are byte-identical at any domain count, and an
+   incremental session's cached analysis equals the uncached scratch
+   one. *)
 open Netcov_config
 open Netcov_core
 open Netcov_sim
@@ -264,19 +265,25 @@ let test_i2_domain_determinism () =
     (report_fingerprint (at 1))
     (report_fingerprint (at 4))
 
+(* Only incremental sessions memoize policy evaluations: the internet2
+   suite's [Incr.create] report answers lookups from the session cache
+   and must equal the merged scratch reports, which run uncached. *)
 let test_sim_cache_transparent () =
   let state, testeds = Lazy.force i2_state_and_testeds in
-  let run sim_cache =
-    Netcov.merge_reports
-      (Netcov.analyze_suite ~pool:Pool.sequential ~sim_cache state testeds)
+  let scratch =
+    Netcov.merge_reports (Netcov.analyze_suite ~pool:Pool.sequential state testeds)
   in
-  let on = run true and off = run false in
-  check_str "cache on = cache off" (report_fingerprint off) (report_fingerprint on);
-  let tm = on.Netcov.timing in
-  check_bool "cache sees hits" true (tm.Netcov.sim_cache_hits > 0);
-  check_int "cache off has no traffic" 0
-    (off.Netcov.timing.Netcov.sim_cache_hits
-    + off.Netcov.timing.Netcov.sim_cache_misses)
+  let session, (_ : Netcov_incr.Incr.stats) =
+    Netcov_incr.Incr.create state testeds
+  in
+  let cached = Netcov_incr.Incr.report session in
+  check_str "session cache = scratch" (report_fingerprint scratch)
+    (report_fingerprint cached);
+  check_bool "session cache sees hits" true
+    (cached.Netcov.timing.Netcov.sim_cache_hits > 0);
+  check_int "scratch has no cache traffic" 0
+    (scratch.Netcov.timing.Netcov.sim_cache_hits
+    + scratch.Netcov.timing.Netcov.sim_cache_misses)
 
 (* ------------------------------------------------------------------ *)
 (* Merged timing semantics and registry validation                     *)

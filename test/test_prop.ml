@@ -105,17 +105,15 @@ let oracle_case name iters =
       | Some o -> Check.assert_ok (o.Oracles.run ~seed:42 ~iters))
 
 let test_all_oracles_listed () =
-  check_int "nine oracles" 9 (List.length Oracles.all);
+  check_int "seven oracles" 7 (List.length Oracles.all);
   List.iter
     (fun n ->
       check_bool (n ^ " registered") true (Oracles.find n <> None))
     [
       "roundtrip";
       "parallel-determinism";
-      "cache-equivalence";
       "bdd-truth-table";
       "monotonicity-merge";
-      "intern-reference";
       "fault-isolation";
       "incremental-scratch";
       "mutation-falsifiability";
@@ -135,13 +133,11 @@ let () =
         ] );
       ( "oracles",
         [
-          test_all_oracles_listed |> Alcotest.test_case "all nine registered" `Quick;
+          test_all_oracles_listed |> Alcotest.test_case "all seven registered" `Quick;
           oracle_case "roundtrip" 60;
           oracle_case "parallel-determinism" 20;
-          oracle_case "cache-equivalence" 20;
           oracle_case "bdd-truth-table" 50;
           oracle_case "monotonicity-merge" 20;
-          oracle_case "intern-reference" 20;
           oracle_case "fault-isolation" 10;
           oracle_case "incremental-scratch" 10;
           oracle_case "mutation-falsifiability" 5;
