@@ -930,9 +930,10 @@ let serve_cmd =
       & opt (some int) None
       & info [ "handlers" ] ~docv:"N"
           ~doc:
-            "Connection-handler domains (default: the pool default, \
-             $(b,NETCOV_DOMAINS) or the core count capped at 8). With 1 the \
-             daemon is single-threaded and connections queue.")
+            "Connections served at once, each on its own handler domain \
+             (default: the pool default, $(b,NETCOV_DOMAINS) or the core \
+             count). With 1 the daemon is single-threaded: the accept loop \
+             serves each connection itself and the next one waits.")
   in
   let run verbose host port max_networks handlers metrics =
     (* serve is long-running and operator-facing: request logs (Info)

@@ -102,8 +102,8 @@ let m_arena_trims =
 
 (* One persistent hash-consed node store per worker domain, reused
    across cones, labeling passes and suites, instead of a throwaway
-   manager per cone. Domain-local (Domain.DLS, same pattern as the
-   pool's slot key), so there is no locking on the BDD hot path.
+   manager per cone. Domain-local (Domain.DLS), so there is no locking
+   on the BDD hot path.
 
    [a_gamma] is the cross-cone gamma memo: IFG node id -> the BDD of
    the node's derivability predicate as first translated by some cone
@@ -410,10 +410,10 @@ let run ?(disjfree_heuristic = true) ?(pool = Netcov_parallel.Pool.sequential)
        Cones are mutually independent given the shared per-domain
        arena — the graph, [is_config], [candidate] and [tainted] are
        only read from here on — so they fan out over the pool, one
-       task per cone (work-stealing keeps every domain busy until the
-       last cone finishes). The per-cone merge below is a set union /
-       max fold, order independent, so the merged result is identical
-       at any domain count. *)
+       task per cone (an idle domain pops the next cone, so every
+       domain stays busy until the last one finishes). The per-cone
+       merge below is a set union / max fold, order independent, so the
+       merged result is identical at any domain count. *)
     let label_one t =
       T.with_span "label.cone" @@ fun () ->
       M.inc m_cones 1;

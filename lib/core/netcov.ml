@@ -188,16 +188,13 @@ let merge_reports ?wall_s ?registry = function
       | None -> merged
       | Some w -> { merged with timing = { merged.timing with total_s = w } }
 
-let analyze_suite ?pool state testeds =
-  let run pool =
-    (* The pool is also handed to each per-test labeling pass: nested
-       fan-out is safe (a mapping caller executes from its own deque and
-       steals from the others, it never blocks on its batch), and
-       cone-granularity tasks keep every domain busy even when the
-       suite has fewer tests than the pool has domains. *)
-    Pool.map pool (fun tested -> analyze ~pool state tested) testeds
-  in
-  match pool with Some p -> run p | None -> Pool.with_pool run
+let analyze_suite ?(pool = Pool.sequential) state testeds =
+  (* The pool is also handed to each per-test labeling pass: nested
+     fan-out is safe (a mapping caller runs queued items itself, it
+     never blocks on its batch), and cone-granularity tasks keep every
+     domain busy even when the suite has fewer tests than the pool has
+     domains. *)
+  Pool.map pool (fun tested -> analyze ~pool state tested) testeds
 
 type test_failure = {
   tf_index : int;
@@ -208,13 +205,14 @@ type test_failure = {
 
 type suite_outcome = { ok : report list; failures : test_failure list }
 
-let analyze_suite_isolated ?pool ?diags ?labels state testeds =
+let analyze_suite_isolated ?(pool = Pool.sequential) ?diags ?labels state
+    testeds =
   let label_of i =
     match labels with
     | Some ls -> ( match List.nth_opt ls i with Some l -> l | None -> Printf.sprintf "test-%d" i)
     | None -> Printf.sprintf "test-%d" i
   in
-  let run pool =
+  let results =
     Pool.map pool
       (fun (i, tested) ->
         match analyze ~pool ?diags state tested with
@@ -231,7 +229,6 @@ let analyze_suite_isolated ?pool ?diags ?labels state testeds =
               })
       (List.mapi (fun i t -> (i, t)) testeds)
   in
-  let results = match pool with Some p -> run p | None -> Pool.with_pool run in
   let ok = List.filter_map (function Ok r -> Some r | Error _ -> None) results in
   let failures =
     List.filter_map (function Error f -> Some f | Ok _ -> None) results

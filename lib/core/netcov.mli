@@ -86,8 +86,7 @@ val analyze :
 (** [analyze_suite state testeds] analyzes every test of a suite —
     fanning the per-test materialize/label pipelines out across the
     pool's domains — and returns the per-test reports in input order.
-    When [pool] is omitted a pool of [Pool.default_domains ()] domains
-    is created for the call ([NETCOV_DOMAINS=1] forces sequential).
+    [pool] defaults to sequential, as for {!analyze}.
 
     The per-test reports are identical at any domain count: per-test
     analyses share only the immutable stable state. *)
@@ -115,7 +114,8 @@ type suite_outcome = { ok : report list; failures : test_failure list }
     [Test_failure] diagnostic when [diags] is given — and excluded. The
     surviving tests' reports are byte-identical to running them alone
     ([Stack_overflow]/[Out_of_memory] still propagate). [labels] names
-    the tests for failure records, matched by position. *)
+    the tests for failure records, matched by position. [pool]
+    defaults to sequential. *)
 val analyze_suite_isolated :
   ?pool:Netcov_parallel.Pool.t ->
   ?diags:(Diag.t -> unit) ->

@@ -15,11 +15,6 @@ let m_queued =
   M.counter M.default ~help:"tasks pushed to the pool (map items + submits)"
     ~unit_:"tasks" "pool.tasks.queued"
 
-let m_stolen =
-  M.counter M.default
-    ~help:"tasks taken from another domain's deque (work stealing)"
-    ~unit_:"tasks" "pool.tasks.stolen"
-
 let m_sleeps =
   M.counter M.default
     ~help:"times a domain found no runnable task and blocked"
@@ -43,153 +38,28 @@ let exec_worker_counter i =
     ~labels:[ ("executor", "worker-" ^ string_of_int i) ]
     "pool.tasks.executed"
 
-type task = unit -> unit
-
-let no_task : task = fun () -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Per-domain deques.
-
-   Each participating domain owns one deque slot: workers get slots
-   [0 .. n-2] and every non-worker caller shares the last slot. The
-   owner pushes and pops at the tail (LIFO: the freshest task is the
-   one whose data is hottest, and nested [map]s drain their own items
-   first); thieves steal from the head (FIFO: the oldest task is the
-   best candidate to be a large unstarted subtree). A plain mutex per
-   deque keeps the memory-model reasoning trivial; the point of the
-   design is not lock-freedom but that [n] pushers contend on [n]
-   deques instead of one shared queue. *)
-type deque = {
-  dq_mutex : Mutex.t;
-  mutable buf : task array;  (* power-of-two capacity ring *)
-  mutable head : int;  (* next steal index (free-running) *)
-  mutable tail : int;  (* next push index (free-running) *)
-}
-
-let deque_create () =
-  { dq_mutex = Mutex.create (); buf = Array.make 64 no_task; head = 0; tail = 0 }
-
-let dq_grow d =
-  let cap = Array.length d.buf in
-  if d.tail - d.head >= cap then begin
-    let bigger = Array.make (cap * 2) no_task in
-    for i = d.head to d.tail - 1 do
-      bigger.(i land ((cap * 2) - 1)) <- d.buf.(i land (cap - 1))
-    done;
-    d.buf <- bigger
-  end
-
-let dq_push d task =
-  Mutex.lock d.dq_mutex;
-  dq_grow d;
-  d.buf.(d.tail land (Array.length d.buf - 1)) <- task;
-  d.tail <- d.tail + 1;
-  Mutex.unlock d.dq_mutex
-
-let dq_pop_back d =
-  Mutex.lock d.dq_mutex;
-  let r =
-    if d.tail = d.head then None
-    else begin
-      d.tail <- d.tail - 1;
-      let i = d.tail land (Array.length d.buf - 1) in
-      let t = d.buf.(i) in
-      d.buf.(i) <- no_task;
-      Some t
-    end
-  in
-  Mutex.unlock d.dq_mutex;
-  r
-
-let dq_steal_front d =
-  Mutex.lock d.dq_mutex;
-  let r =
-    if d.tail = d.head then None
-    else begin
-      let i = d.head land (Array.length d.buf - 1) in
-      let t = d.buf.(i) in
-      d.buf.(i) <- no_task;
-      d.head <- d.head + 1;
-      Some t
-    end
-  in
-  Mutex.unlock d.dq_mutex;
-  r
-
-(* ------------------------------------------------------------------ *)
-(* Shared pool state.
-
-   [dq_work] counts tasks resident in deques (not submits, which live
-   on [submit_q] under [mutex]); [waiters] counts domains blocked (or
-   about to block) on [activity]. Together they implement the classic
-   Dekker-style sleep protocol over OCaml's SC atomics: a producer
-   increments [dq_work] {e then} reads [waiters]; a sleeper increments
-   [waiters] {e then} re-reads [dq_work] before waiting. Whichever
-   order the two interleave in, either the producer sees the waiter
-   (and broadcasts under the mutex) or the sleeper sees the work (and
-   skips the wait) — no lost wakeups, and the uncontended fast path
-   touches no mutex at all. *)
+(* Shared pool state: one mutex guards both task lists and [closing],
+   and one condition variable carries every wake-up (new tasks, a map's
+   last item finishing, teardown). [batches] holds one claim function
+   per running map, newest first, so a nested map's items run before the
+   older outer items that spawned it; a call hands out the map's next
+   unclaimed item, or [None]. [submit_q] holds fire-and-forget submits
+   (serve's connections) in FIFO order; only workers pop it, and only
+   when no map item is left. *)
 type shared = {
-  id : int;  (* distinguishes pools in domain-local slot lookup *)
-  deques : deque array;  (* length n_domains; last slot = callers *)
-  submit_q : task Queue.t;  (* fire-and-forget tasks, serve's path *)
-  mutex : Mutex.t;  (* guards submit_q, closing, and [activity] *)
+  mutex : Mutex.t;
   activity : Condition.t;
+  mutable batches : (unit -> (unit -> unit) option) list;
+  submit_q : (unit -> unit) Queue.t;
   mutable closing : bool;
-  dq_work : int Atomic.t;
-  waiters : int Atomic.t;
 }
 
 type t = {
   n_domains : int;
   shared : shared option;  (* [None]: sequential pool *)
-  mutable workers : unit Domain.t list;
-  mutable torn_down : bool;
+  workers : unit Domain.t list;
   on_failure : (Diag.t -> unit) option Atomic.t;
 }
-
-let pool_ids = Atomic.make 0
-
-(* Which deque slot the current domain owns, per pool. Workers record
-   their slot at spawn; any other domain (the pool's creator, a test
-   runner thread) maps and steals through the shared caller slot. *)
-let slot_key : (int * int) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let caller_slot shared = Array.length shared.deques - 1
-
-let slot_of shared =
-  match Domain.DLS.get slot_key with
-  | Some (id, s) when id = shared.id -> s
-  | _ -> caller_slot shared
-
-(* Producer side of the sleep protocol: account for [n] new deque
-   tasks, then wake sleepers iff there are any. *)
-let announce_work shared n =
-  ignore (Atomic.fetch_and_add shared.dq_work n);
-  if Atomic.get shared.waiters > 0 then begin
-    Mutex.lock shared.mutex;
-    Condition.broadcast shared.activity;
-    Mutex.unlock shared.mutex
-  end
-
-(* Take one deque task: own slot LIFO first, then round-robin steals.
-   Decrements [dq_work] exactly when a task is taken, so [dq_work] > 0
-   always means some deque holds a runnable task. *)
-let find_task shared slot =
-  let n = Array.length shared.deques in
-  let found = ref (dq_pop_back shared.deques.(slot)) in
-  let i = ref 1 in
-  while !found = None && !i < n do
-    (match dq_steal_front shared.deques.((slot + !i) mod n) with
-    | Some _ as r ->
-        M.inc m_stolen 1;
-        found := r
-    | None -> ());
-    incr i
-  done;
-  (match !found with Some _ -> Atomic.decr shared.dq_work | None -> ());
-  !found
 
 (* An invalid NETCOV_DOMAINS would otherwise be indistinguishable from
    an unset one — the user asked for a domain count and silently got
@@ -224,13 +94,7 @@ let default_domains () =
 let domains t = t.n_domains
 
 let sequential =
-  {
-    n_domains = 1;
-    shared = None;
-    workers = [];
-    torn_down = false;
-    on_failure = Atomic.make None;
-  }
+  { n_domains = 1; shared = None; workers = []; on_failure = Atomic.make None }
 
 let set_failure_handler t handler =
   Atomic.set t.on_failure (Some handler)
@@ -252,83 +116,61 @@ let report_submit_failure t exn bt =
       Printf.eprintf "netcov: %s\n%s%!" message
         (Printexc.raw_backtrace_to_string bt)
 
+(* Run [task] outside the lock; called and returns with [mutex] held. *)
+let run_unlocked shared counter task =
+  Mutex.unlock shared.mutex;
+  task ();
+  M.inc counter 1;
+  Mutex.lock shared.mutex
+
+(* Claim an item of the first batch that has one, with [mutex] held;
+   exhausted batches stay until their own map's caller removes them. *)
+let rec pop = function
+  | [] -> None
+  | claim :: rest -> ( match claim () with None -> pop rest | task -> task)
+
 let worker_loop ~index shared =
-  Domain.DLS.set slot_key (Some (shared.id, index));
   let executed = exec_worker_counter index in
   let rec loop () =
-    match find_task shared index with
+    match pop shared.batches with
     | Some task ->
-        task ();
-        M.inc executed 1;
+        run_unlocked shared executed task;
         loop ()
-    | None ->
-        Mutex.lock shared.mutex;
-        if not (Queue.is_empty shared.submit_q) then begin
-          let task = Queue.pop shared.submit_q in
-          Mutex.unlock shared.mutex;
-          task ();
-          M.inc executed 1;
-          loop ()
-        end
-        else if shared.closing && Atomic.get shared.dq_work = 0 then
-          (* nothing left to drain anywhere: exit *)
-          Mutex.unlock shared.mutex
-        else begin
-          Atomic.incr shared.waiters;
-          (* Re-check after registering as a waiter (Dekker, see
-             [shared]); spurious wakeups are fine — the outer loop
-             re-examines everything. *)
-          if
-            Atomic.get shared.dq_work = 0
-            && Queue.is_empty shared.submit_q
-            && not shared.closing
-          then begin
-            M.inc m_sleeps 1;
-            Condition.wait shared.activity shared.mutex
-          end;
-          Atomic.decr shared.waiters;
-          Mutex.unlock shared.mutex;
-          loop ()
-        end
+    | None when not (Queue.is_empty shared.submit_q) ->
+        run_unlocked shared executed (Queue.pop shared.submit_q);
+        loop ()
+    | None when not shared.closing ->
+        (* spurious wake-ups are fine: the loop re-examines everything *)
+        M.inc m_sleeps 1;
+        Condition.wait shared.activity shared.mutex;
+        loop ()
+    | None -> ()
   in
-  loop ()
+  Mutex.lock shared.mutex;
+  loop ();
+  Mutex.unlock shared.mutex
 
 let create ?domains () =
   let n =
     max 1 (match domains with Some n -> n | None -> default_domains ())
   in
-  if n <= 1 then
-    {
-      n_domains = 1;
-      shared = None;
-      workers = [];
-      torn_down = false;
-      on_failure = Atomic.make None;
-    }
+  if n <= 1 then { sequential with on_failure = Atomic.make None }
   else begin
     let shared =
       {
-        id = Atomic.fetch_and_add pool_ids 1;
-        deques = Array.init n (fun _ -> deque_create ());
-        submit_q = Queue.create ();
         mutex = Mutex.create ();
         activity = Condition.create ();
+        batches = [];
+        submit_q = Queue.create ();
         closing = false;
-        dq_work = Atomic.make 0;
-        waiters = Atomic.make 0;
       }
     in
     let workers =
       List.init (n - 1) (fun i ->
           Domain.spawn (fun () -> worker_loop ~index:i shared))
     in
-    {
-      n_domains = n;
-      shared = Some shared;
-      workers;
-      torn_down = false;
-      on_failure = Atomic.make None;
-    }
+    let on_failure = Atomic.make None in
+    { n_domains = n; shared = Some shared; workers; on_failure }
   end
 
 let map t f xs =
@@ -342,7 +184,6 @@ let map t f xs =
       else
         T.with_span "pool.map" ~args:[ ("items", T.I n) ]
         @@ fun () ->
-        begin
         M.inc m_maps 1;
         M.inc m_queued n;
         let results = Array.make n None in
@@ -359,67 +200,50 @@ let map t f xs =
              | exception e ->
                  let bt = Printexc.get_raw_backtrace () in
                  ignore (Atomic.compare_and_set failure None (Some (e, bt))));
-          (* the release fence publishing results.(i) to the caller;
-             also the producer side of the caller's sleep predicate
-             ([remaining = 0] ends the drain), hence the waiter check *)
-          Atomic.decr remaining;
-          if Atomic.get shared.waiters > 0 then begin
+          (* The decrement publishes results.(i) to the caller, which
+             reads results only after it sees 0. The last item wakes the
+             caller under the mutex, under which the caller tests
+             [remaining] before it waits: the wake-up is never lost. *)
+          if Atomic.fetch_and_add remaining (-1) = 1 then begin
             Mutex.lock shared.mutex;
             Condition.broadcast shared.activity;
             Mutex.unlock shared.mutex
           end
         in
-        (* Every item goes to the calling domain's own deque: nested
-           maps running on different workers push to different deques,
-           which is exactly the contention the per-domain design
-           removes. Thieves pull from the head, so under stealing the
-           oldest items fan out first while the owner works LIFO. *)
-        let slot = slot_of shared in
-        let dq = shared.deques.(slot) in
-        for i = 0 to n - 1 do
-          dq_push dq (fun () -> run_item i)
-        done;
-        announce_work shared n;
-        (* Help until every item of THIS map has finished. Tasks from
-           other (nested) maps may be executed along the way — that is
-           what makes nested [map] deadlock-free. Submitted tasks are
-           never picked up here: they may block indefinitely (serve's
-           connection handlers) and belong to the workers. *)
-        let rec drain () =
-          if Atomic.get remaining > 0 then begin
-            (match find_task shared slot with
-            | Some task ->
-                task ();
-                M.inc m_exec_caller 1
-            | None ->
-                Mutex.lock shared.mutex;
-                Atomic.incr shared.waiters;
-                if Atomic.get shared.dq_work = 0 && Atomic.get remaining > 0
-                then begin
-                  M.inc m_sleeps 1;
-                  Condition.wait shared.activity shared.mutex
-                end;
-                Atomic.decr shared.waiters;
-                Mutex.unlock shared.mutex);
-            drain ()
-          end
+        (* Help until every item of THIS map has finished: its own
+           items first, so a task that fans out gets back to its outer
+           work (say, a suite's next test) before newer maps' items,
+           then items of any map, which makes nested [map] deadlock-free.
+           Submitted tasks are never run here: they may block for good
+           (serve's connection handlers) and belong to the workers. *)
+        let next = Atomic.make 0 in
+        let batch () =
+          let i = Atomic.fetch_and_add next 1 in
+          if i < n then Some (fun () -> run_item i) else None
         in
+        let rec drain () =
+          if Atomic.get remaining > 0 then
+            match pop (batch :: shared.batches) with
+            | Some task ->
+                run_unlocked shared m_exec_caller task;
+                drain ()
+            | None ->
+                M.inc m_sleeps 1;
+                Condition.wait shared.activity shared.mutex;
+                drain ()
+        in
+        Mutex.lock shared.mutex;
+        shared.batches <- batch :: shared.batches;
+        Condition.broadcast shared.activity;
         drain ();
+        shared.batches <- List.filter (fun b -> b != batch) shared.batches;
+        Mutex.unlock shared.mutex;
         (match Atomic.get failure with
         | Some (e, bt) -> Printexc.raise_with_backtrace e bt
         | None -> ());
-        Array.to_list
-          (Array.map
-             (function
-               | Some r -> r
-               | None ->
-                   (* Unreachable: [remaining] hit zero with no recorded
-                      failure, so every slot was filled. *)
-                   failwith
-                     "Pool.map: result slot empty after all tasks \
-                      completed without failure (pool invariant broken)")
-             results)
-      end
+        (* [remaining] hit zero with no recorded failure, so every slot
+           was filled *)
+        Array.to_list (Array.map Option.get results)
 
 let submit t task =
   let guarded () =
@@ -444,15 +268,12 @@ let teardown t =
   match t.shared with
   | None -> ()
   | Some shared ->
-      if not t.torn_down then begin
-        t.torn_down <- true;
-        Mutex.lock shared.mutex;
-        shared.closing <- true;
-        Condition.broadcast shared.activity;
-        Mutex.unlock shared.mutex;
-        List.iter Domain.join t.workers;
-        t.workers <- []
-      end
+      Mutex.lock shared.mutex;
+      let first = not shared.closing in
+      shared.closing <- true;
+      Condition.broadcast shared.activity;
+      Mutex.unlock shared.mutex;
+      if first then List.iter Domain.join t.workers
 
 let with_pool ?domains f =
   let pool = create ?domains () in

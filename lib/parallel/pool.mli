@@ -1,10 +1,9 @@
 (** A fixed-size domain work pool (OCaml 5 [Domain]s) scheduling at
-    task granularity: each participating domain owns a deque, owners
-    push and pop LIFO, and idle domains steal FIFO from the others
-    (help-first work stealing). Built for the coverage pipeline's
-    nested fan-out — per-test analyses that each fan out per-cone
-    labeling — where a long cone must not serialize a domain and
-    concurrent producers must not contend on one shared queue.
+    task granularity. One mutex and one condition variable guard two
+    task lists: the running [map] calls, newest first, each handing out
+    its items in input order through an atomic index, and a FIFO queue
+    of [submit]ted tasks. There is no per-domain task state: every
+    domain takes work from the same two lists.
 
     Properties:
 
@@ -15,11 +14,12 @@
       map has drained. Later failures never mask the first, and once a
       failure is recorded the map's remaining queued items are cancelled
       — drained without running the task function.
-    - {b Help-first scheduling}: the caller of [map] executes queued
-      tasks itself while waiting, so a task may itself call [map] on the
-      same pool (nested fan-out) without deadlock or extra domains. A
-      nested map pushes to the executing domain's own deque and drains
-      it LIFO, so the deepest fan-out stays local and cache-warm.
+    - {b Help-first scheduling}: the caller of [map] runs map items
+      itself until its own items are done — its own first, then any
+      map's — so a task may itself call [map] on the same pool (nested
+      fan-out) without deadlock or extra domains. Newer maps come
+      first, so a nested map's items run before the older outer items.
+      The caller never runs submitted tasks.
     - {b Sequential fallback}: a pool with [domains <= 1] spawns no
       domains and [map] degenerates to [List.map]. Setting the
       [NETCOV_DOMAINS] environment variable overrides the default
@@ -28,9 +28,8 @@
 
     Parallel [map] calls are wrapped in a [pool.map] trace span and
     counted in the [pool.*] metrics: per-executor task counts under
-    [pool.tasks.executed{executor=...}], cross-deque steals under
-    [pool.tasks.stolen], blocking under [pool.sleeps], and submit
-    failures under [pool.tasks.failed] — the data behind the
+    [pool.tasks.executed{executor=...}], blocking under [pool.sleeps],
+    and submit failures under [pool.tasks.failed] — the data behind the
     scheduling analysis in [docs/OBSERVABILITY.md]. A sequential pool
     records only submit failures. *)
 
@@ -46,7 +45,7 @@ type t
 val default_domains : unit -> int
 
 (** [create ~domains ()] spawns [domains - 1] worker domains (the
-    caller participates as the last deque owner during [map]).
+    caller of [map] is the last participant).
     [domains] is clamped to at least 1; when omitted it is
     [default_domains ()]. *)
 val create : ?domains:int -> unit -> t
@@ -74,13 +73,13 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
 
     This is what [netcov serve] uses to fan connection handling out
     over the pool: each accepted connection becomes one long-lived
-    task, so at most [domains t - 1] connections are served
-    concurrently and the rest queue. Submitted tasks live on a
+    task, so at most [domains t - 1] connections (one per worker) are
+    served concurrently and the rest queue. Submitted tasks live on a
     separate queue from [map] items: a concurrent [map]'s help-first
     drain never picks one up (so a mapping caller cannot block behind
-    a long-lived connection), and workers prefer deque work, so map
-    items jump ahead of queued submits. [teardown] drains
-    already-queued submitted tasks before returning. *)
+    a long-lived connection), and workers prefer map items, so they
+    jump ahead of queued submits. [teardown] drains already-queued
+    submitted tasks before returning. *)
 val submit : t -> (unit -> unit) -> unit
 
 (** [set_failure_handler pool h] routes subsequent {!submit} task
@@ -91,8 +90,8 @@ val submit : t -> (unit -> unit) -> unit
     diagnostics channel. *)
 val set_failure_handler : t -> (Netcov_diag.Diag.t -> unit) -> unit
 
-(** Signals workers to exit after all deques and the submit queue
-    drain, then joins them. Idempotent; [map] must not be called
+(** Signals workers to exit once the map stack and the submit queue
+    are empty, then joins them. Idempotent; [map] must not be called
     afterwards. *)
 val teardown : t -> unit
 

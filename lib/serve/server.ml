@@ -18,6 +18,7 @@ type t = {
   listen_fd : Unix.file_descr;
   bound_port : int;
   api : Api.t;
+  handlers : int;
   pool : Pool.t;
   idle_timeout_s : float;
   stop : bool Atomic.t;
@@ -52,12 +53,20 @@ let create ?(host = "127.0.0.1") ?(port = 8080) ?(max_networks = 64) ?handlers
   in
   let pipe_r, pipe_w = Unix.pipe () in
   let table = Session_table.create ~max_networks () in
+  let handlers =
+    max 1 (match handlers with Some n -> n | None -> Pool.default_domains ())
+  in
   let t =
     {
       listen_fd = fd;
       bound_port;
       api = Api.create ~table ();
-      pool = Pool.create ?domains:handlers ();
+      handlers;
+      (* Submitted connections run only on spawned workers, so N
+         handlers need N workers: a pool of N + 1 domains. One handler
+         is the sequential pool, whose submit runs each connection
+         inline on the accept loop. *)
+      pool = Pool.create ~domains:(if handlers = 1 then 1 else handlers + 1) ();
       idle_timeout_s;
       stop = Atomic.make false;
       pipe_r;
@@ -173,7 +182,7 @@ let shutdown t =
 let serve t =
   log_info t (fun m ->
       m "listening port=%d handlers=%d max_networks=%d" t.bound_port
-        (Pool.domains t.pool)
+        t.handlers
         (Session_table.max_networks (Api.table t.api)));
   let rec loop () =
     if not (Atomic.get t.stop) then begin

@@ -5,7 +5,8 @@
     [docs/SERVE.md]): {!create} binds and listens; {!serve} runs the
     accept loop on the calling domain and {!Netcov_parallel.Pool.submit}s
     each accepted connection to a handler pool, so up to [handlers]
-    connections are served concurrently — each on its own domain, with
+    connections are served concurrently — each on its own worker domain
+    (with [handlers = 1], one at a time on the accept loop's), with
     keep-alive, a per-read idle timeout, and parse-size limits from
     {!Http.default_limits}. All handlers share one mutex-guarded
     {!Session_table.t}; requests against different networks run in
@@ -26,10 +27,12 @@ type t
 (** [create ()] binds [host]:[port] (default [127.0.0.1]:8080) and
     listens. [port = 0] picks an ephemeral port — read it back with
     {!port} (how the loopback tests run). [max_networks] caps the
-    session table (default 64); [handlers] sizes the connection pool
-    (default {!Netcov_parallel.Pool.default_domains}); [idle_timeout_s]
-    is the per-read socket timeout after which an idle keep-alive
-    connection is dropped (default 30). Raises [Unix.Unix_error] when
+    session table (default 64); [handlers] is how many connections are
+    served at once (default {!Netcov_parallel.Pool.default_domains}):
+    for [handlers >= 2] the pool spawns that many worker domains, and
+    [handlers = 1] runs each connection inline on the accept loop.
+    [idle_timeout_s] is the per-read socket timeout after which an idle
+    keep-alive connection is dropped (default 30). Raises [Unix.Unix_error] when
     the address is unavailable ([EADDRINUSE], …). *)
 val create :
   ?host:string ->

@@ -82,10 +82,10 @@ let test_nested_map () =
       check_int "nested maps on one pool" (((64 * 63) / 2) + 64)
         (List.fold_left ( + ) 0 summed))
 
-(* Deque scheduler stress: every outer task nests its own inner map
-   while all domains are saturated, so inner items land on busy
-   domains' own deques and finish via owner pops and steals in some
-   interleaving. Results must still come back complete and in order. *)
+(* Scheduler stress: every outer task nests its own inner map while
+   all domains are saturated, so inner items are pushed by busy domains
+   and run on whichever domain pops them first. Results must still come
+   back complete and in order. *)
 let test_nested_map_under_contention () =
   Pool.with_pool ~domains:4 (fun pool ->
       for _round = 1 to 5 do
@@ -112,10 +112,10 @@ let test_nested_map_under_contention () =
           (List.rev !expected) got
       done)
 
-(* The steal path must never change results: the same map on 1, 2 and
-   4 domains, repeated, is byte-identical (work stealing only reorders
+(* The domain count must never change results: the same map on 1, 2
+   and 4 domains, repeated, is byte-identical (scheduling only reorders
    execution, never placement of results). *)
-let test_steal_determinism () =
+let test_domain_count_determinism () =
   let xs = List.init 500 (fun i -> i * 13 mod 271) in
   let f x = (x * x * 7) mod 1009 in
   let reference = List.map f xs in
@@ -196,6 +196,74 @@ let test_teardown_drains_in_flight_submits () =
     (Atomic.get ran);
   (* teardown is idempotent *)
   Pool.teardown pool
+
+(* Serve's guarantee: a map caller pops map items only. A submit that
+   blocks until released sits queued while a 50-item map runs; the
+   map's help-first drain must not pick it up, so the map returns while
+   the submit still waits. A first submit holds the only worker until
+   the map starts, so the blocking one is still queued then; items that
+   reach the worker are slow, so the caller runs out of items while its
+   map is in flight. The blocking submit gives up after 10 s, so a
+   regression fails rather than hangs. *)
+let test_map_never_runs_submits () =
+  let caller = (Domain.self () :> int) in
+  let map_started = Atomic.make false and gate_taken = Atomic.make false in
+  let release = Atomic.make false and submit_domain = Atomic.make None in
+  Pool.with_pool ~domains:2 (fun pool ->
+      Pool.submit pool (fun () ->
+          Atomic.set gate_taken true;
+          ignore (await ~timeout_s:10. (fun () -> Atomic.get map_started)));
+      check_bool "worker holds the gate" true
+        (await (fun () -> Atomic.get gate_taken));
+      Pool.submit pool (fun () ->
+          Atomic.set submit_domain (Some (Domain.self () :> int));
+          ignore (await ~timeout_s:10. (fun () -> Atomic.get release)));
+      let xs = List.init 50 Fun.id in
+      let t0 = Unix.gettimeofday () in
+      let got =
+        Pool.map pool
+          (fun x ->
+            Atomic.set map_started true;
+            Unix.sleepf
+              (if (Domain.self () :> int) = caller then 0.001 else 0.02);
+            2 * x)
+          xs
+      in
+      let elapsed = Unix.gettimeofday () -. t0 in
+      Atomic.set release true;
+      check_ints "map results" (List.map (fun x -> 2 * x) xs) got;
+      check_bool
+        (Printf.sprintf "map returned before the release (%.2fs)" elapsed)
+        true (elapsed < 5.);
+      check_bool "submit not run by the map caller" true
+        (Atomic.get submit_domain <> Some caller))
+
+(* The wake-up path: the caller runs the fast item, finds the stack
+   empty while a worker still runs the slow one, and must be woken when
+   that last item finishes. The maps run on a spawned domain so that a
+   lost wake-up fails the test instead of hanging it. *)
+let test_caller_woken_by_last_item () =
+  let finished = Atomic.make false in
+  let ok = Atomic.make true in
+  let runner =
+    Domain.spawn (fun () ->
+        Pool.with_pool ~domains:2 (fun pool ->
+            for _round = 1 to 20 do
+              let got =
+                Pool.map pool
+                  (fun slow ->
+                    if slow then Unix.sleepf 0.05;
+                    slow)
+                  [ false; true ]
+              in
+              if got <> [ false; true ] then Atomic.set ok false
+            done);
+        Atomic.set finished true)
+  in
+  check_bool "20 [fast; slow] maps returned" true
+    (await ~timeout_s:20. (fun () -> Atomic.get finished));
+  Domain.join runner;
+  check_bool "results in input order" true (Atomic.get ok)
 
 (* ------------------------------------------------------------------ *)
 (* Determinism of the coverage pipeline                                *)
@@ -374,8 +442,8 @@ let () =
           Alcotest.test_case "nested map" `Quick test_nested_map;
           Alcotest.test_case "nested map under contention" `Quick
             test_nested_map_under_contention;
-          Alcotest.test_case "steal-path determinism" `Quick
-            test_steal_determinism;
+          Alcotest.test_case "determinism across domain counts" `Quick
+            test_domain_count_determinism;
         ] );
       ( "submit",
         [
@@ -383,6 +451,10 @@ let () =
             test_submit_failure_routing;
           Alcotest.test_case "teardown drains in-flight submits" `Quick
             test_teardown_drains_in_flight_submits;
+          Alcotest.test_case "map never runs submitted tasks" `Quick
+            test_map_never_runs_submits;
+          Alcotest.test_case "caller woken by the last item" `Quick
+            test_caller_woken_by_last_item;
         ] );
       ( "determinism",
         [

@@ -508,6 +508,38 @@ let test_keep_alive_connection () =
      done;
      !found)
 
+(* [~handlers:2] means two connections served at once: an idle
+   keep-alive connection holds one handler until its idle timeout, and
+   a request on a second connection must still be answered promptly,
+   well inside that timeout. *)
+let test_handlers_serve_concurrently () =
+  let srv =
+    Server.create ~port:0 ~max_networks:1 ~handlers:2 ~idle_timeout_s:5. ()
+  in
+  let port = Server.port srv in
+  let d = Domain.spawn (fun () -> Server.serve srv) in
+  Fun.protect ~finally:(fun () ->
+      Server.shutdown srv;
+      Domain.join d)
+  @@ fun () ->
+  let idle = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () ->
+      try Unix.close idle with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  Unix.connect idle (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  (* one keep-alive exchange, so a handler is known to own [idle] *)
+  send_all idle "GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n";
+  let first = Bytes.create 4096 in
+  check_bool "idle connection answered" true
+    (Unix.read idle first 0 (Bytes.length first) > 0);
+  let t0 = Unix.gettimeofday () in
+  let status, _ = request ~port "/healthz" in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  check_int "second connection answered" 200 status;
+  check_bool
+    (Printf.sprintf "second connection served in %.2fs (< 2s)" elapsed)
+    true (elapsed < 2.)
+
 let () =
   Alcotest.run "serve"
     [
@@ -531,5 +563,7 @@ let () =
             test_lifecycle;
           Alcotest.test_case "keep-alive connection" `Quick
             test_keep_alive_connection;
+          Alcotest.test_case "two handlers serve two connections" `Quick
+            test_handlers_serve_concurrently;
         ] );
     ]
