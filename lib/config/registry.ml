@@ -5,11 +5,25 @@ type dev_info = {
   element_ids : Element.id list;
 }
 
+(* (device, element key) -> element id, compared field by field: every
+   inference rule resolves its config parents here. *)
+module Key_tbl = Hashtbl.Make (struct
+  type t = string * Element.key
+
+  let equal (d1, (k1 : Element.key)) (d2, (k2 : Element.key)) =
+    Element.compare_etype k1.etype k2.etype = 0
+    && String.equal k1.name k2.name
+    && String.equal d1 d2
+
+  let hash (d, (k : Element.key)) =
+    (((Hashtbl.hash d * 31) + Hashtbl.hash k.name) * 31) + Hashtbl.hash k.etype
+end)
+
 type t = {
   infos : (string, dev_info) Hashtbl.t;
   order : string list;
   elements : Element.t array;
-  by_key : (string * Element.key, Element.id) Hashtbl.t;
+  by_key : Element.id Key_tbl.t;
 }
 
 let emit_for (d : Device.t) =
@@ -19,7 +33,7 @@ let emit_for (d : Device.t) =
 
 let build devices =
   let infos = Hashtbl.create 64 in
-  let by_key = Hashtbl.create 4096 in
+  let by_key = Key_tbl.create 4096 in
   let elements_rev = ref [] in
   let next_id = ref 0 in
   let register (d : Device.t) (key_lines : (Element.key * int list) list) =
@@ -29,7 +43,7 @@ let build devices =
         incr next_id;
         let e = { Element.id; device = d.hostname; ekey; lines = List.rev lines } in
         elements_rev := e :: !elements_rev;
-        Hashtbl.replace by_key (d.hostname, ekey) id;
+        Key_tbl.replace by_key (d.hostname, ekey) id;
         id)
       (List.rev key_lines)
     |> List.rev
@@ -72,7 +86,7 @@ let build devices =
             (fun i ko ->
               match ko with
               | None -> ()
-              | Some k -> owners.(i) <- Hashtbl.find_opt by_key (d.hostname, k))
+              | Some k -> owners.(i) <- Key_tbl.find_opt by_key (d.hostname, k))
             key_owners;
           ids
         end
@@ -128,7 +142,7 @@ let n_elements t = Array.length t.elements
 let element t id = t.elements.(id)
 let iter_elements t f = Array.iter f t.elements
 let fold_elements t f acc = Array.fold_left f acc t.elements
-let find t ~device key = Hashtbl.find_opt t.by_key (device, key)
+let find t ~device key = Key_tbl.find_opt t.by_key (device, key)
 
 let find_exn t ~device key =
   match find t ~device key with

@@ -1,7 +1,8 @@
 (* Dense-id IFG core. Node identity goes through the fact interner
    (one structural hash per add, no key strings); node attributes live
-   in growable parallel arrays (bdd.ml style) and adjacency in a shared
-   pool of int list-cells, so building the graph allocates no per-node
+   in growable parallel arrays (bdd.ml style), adjacency in a shared
+   pool of int list-cells, and edge identity in one open-addressed int
+   array, so building the graph allocates no per-node or per-edge
    records, hashtables or cons cells on the hot path.
 
    List orders are part of the coverage semantics (BDD variables are
@@ -39,8 +40,11 @@ type t = {
   mutable cells : int;
   (* fact id -> node id (dense direct index), or -1 *)
   mutable node_of_fact : int array;
-  (* packed (parent, child) pairs, for idempotent add_edge *)
-  edge_set : (int, unit) Hashtbl.t;
+  (* edge set for idempotent add_edge: [pack parent child + 1] per
+     edge, 0 for an empty slot; linear probing from a multiplicatively
+     mixed slot, length a power of two, load at most 1/2 *)
+  mutable edge_slots : int array;
+  mutable edge_bits : int;  (* log2 (length edge_slots) *)
   disj_tbl : node_id Disj_tbl.t;
   mutable edges : int;
 }
@@ -57,7 +61,8 @@ let create () =
     cell_next = Array.make 4096 (-1);
     cells = 0;
     node_of_fact = Array.make 1024 (-1);
-    edge_set = Hashtbl.create 4096;
+    edge_slots = Array.make 8192 0;
+    edge_bits = 13;
     disj_tbl = Disj_tbl.create 256;
     edges = 0;
   }
@@ -131,13 +136,39 @@ let push_cell g head_arr owner v =
   g.cell_next.(c) <- head_arr.(owner);
   head_arr.(owner) <- c
 
+(* Fibonacci hashing: the top [bits] bits of [key * 2^63/phi] pick the
+   home slot, and they depend on every bit of the key. *)
+let edge_home key bits = (key * 0x4F1BBCDCBFA53E0B) lsr (Sys.int_size - bits)
+
+(* The slot holding [key], or the empty slot where it goes. *)
+let rec edge_slot slots key mask i =
+  let s = slots.(i) in
+  if s = 0 || s = key then i else edge_slot slots key mask ((i + 1) land mask)
+
+let grow_edges g =
+  let bits = g.edge_bits + 1 in
+  let slots = Array.make (1 lsl bits) 0 in
+  let mask = Array.length slots - 1 in
+  Array.iter
+    (fun key ->
+      if key <> 0 then
+        slots.(edge_slot slots key mask (edge_home key bits)) <- key)
+    g.edge_slots;
+  g.edge_slots <- slots;
+  g.edge_bits <- bits
+
 let add_edge g ~parent ~child =
-  let key = pack ~parent ~child in
-  if not (Hashtbl.mem g.edge_set key) then begin
-    Hashtbl.add g.edge_set key ();
+  let key = pack ~parent ~child + 1 in
+  let slots = g.edge_slots in
+  let i =
+    edge_slot slots key (Array.length slots - 1) (edge_home key g.edge_bits)
+  in
+  if slots.(i) = 0 then begin
+    slots.(i) <- key;
     push_cell g g.parents_head child parent;
     push_cell g g.children_head parent child;
-    g.edges <- g.edges + 1
+    g.edges <- g.edges + 1;
+    if 2 * g.edges > Array.length slots then grow_edges g
   end
 
 let add_disj g ~target parents =

@@ -4,9 +4,9 @@
 
     Fact identity is interned ({!Intern}) to dense ids on entry: adding
     a fact costs one structural hash, never a key-string construction.
-    Node attributes and adjacency live in flat int arrays; traversals
-    should prefer the [iter_*]/[fold_*] forms, which walk adjacency
-    without allocating lists.
+    Node attributes, adjacency and the edge set live in flat int arrays;
+    traversals should prefer the [iter_*]/[fold_*] forms, which walk
+    adjacency without allocating lists.
 
     Single writer: {!add_fact}, {!add_disj}, {!add_edge} and
     {!mark_expanded} must not run concurrently with any other operation

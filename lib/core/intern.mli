@@ -5,9 +5,14 @@
     reverse direction ({!fact}) serves labeling and the export/debug
     boundary.
 
-    Single writer: one forward hash table plus a growable reverse
-    array, with no locks. {!intern} must only be called by one domain
-    at a time — in the pipeline, {!Materialize.run}'s sequential
+    The forward index is an open-addressed, linearly probed array of
+    ids, beside a growable reverse array of facts and one of their
+    finalized hashes: a lookup hashes the fact once, compares it
+    ({!Fact.equal}) only against ids whose stored hash matches, and
+    growth re-slots ids from their stored hashes.
+
+    Single writer, with no locks. {!intern} must only be called by one
+    domain at a time — in the pipeline, {!Materialize.run}'s sequential
     worklist. Reads ({!find}, {!fact}, {!iter}, {!length}) from other
     domains are safe once the writer is done and the readers were
     started after it (as labeling's pool tasks are). See

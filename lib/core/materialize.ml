@@ -53,14 +53,16 @@ let m_cache_misses =
    behind a [lazy]: two domains starting their first analyses at once
    would force it concurrently, which raises CamlinternalLazy.Undefined
    on OCaml 5. *)
-let rule_counters =
-  List.map
-    (fun (name, _) ->
-      M.counter M.default ~help:"inferences emitted per rule"
-        ~unit_:"inferences"
-        ~labels:[ ("rule", name) ]
-        "materialize.inferences")
-    Rules.all_rules
+let rules =
+  Array.of_list
+    (List.map
+       (fun ((name, _) as named_rule) ->
+         ( named_rule,
+           M.counter M.default ~help:"inferences emitted per rule"
+             ~unit_:"inferences"
+             ~labels:[ ("rule", name) ]
+             "materialize.inferences" ))
+       Rules.all_rules)
 
 let expandable ctx fact =
   match fact with
@@ -103,6 +105,19 @@ let run ctx ~tested =
             ignore (Ifg.add_disj g ~target:target_id fs))
       inf.parents
   in
+  (* Only the rules whose pattern names the fact's constructor; the
+     inference closure is built only for a rule that fired. *)
+  let rec fire id f = function
+    | [] -> ()
+    | i :: rest ->
+        let named_rule, counter = rules.(i) in
+        (match Rules.apply_rule ctx named_rule f with
+        | [] -> ()
+        | infs ->
+            M.inc counter (List.length infs);
+            List.iter (apply_inference ~id ~fact:f) infs);
+        fire id f rest
+  in
   let (), rule_seconds =
     Timing.time (fun () ->
         while not (Queue.is_empty queue) do
@@ -113,13 +128,7 @@ let run ctx ~tested =
             match Ifg.kind g id with
             | Ifg.N_disj -> ()
             | Ifg.N_fact f ->
-                if expandable ctx f then
-                  List.iter2
-                    (fun named_rule counter ->
-                      let infs = Rules.apply_rule ctx named_rule f in
-                      if infs <> [] then M.inc counter (List.length infs);
-                      List.iter (apply_inference ~id ~fact:f) infs)
-                    Rules.all_rules rule_counters
+                if expandable ctx f then fire id f (Rules.rules_for f)
           end
         done)
   in

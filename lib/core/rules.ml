@@ -825,20 +825,58 @@ let apply_rule ctx (name, (rule : rule)) fact =
                (Printf.sprintf "rule %s failed: %s" name (Printexc.to_string e)));
           [])
 
-let all_rules : (string * rule) list =
+(* The fact constructor a rule's pattern names: every rule returns []
+   on facts of any other constructor. *)
+type trigger =
+  | Main_rib
+  | Connected_rib
+  | Igp_rib
+  | Bgp_rib
+  | Redist_edge
+  | Edge
+  | Path
+  | Acl
+
+let rules : (string * trigger * rule) list =
   [
-    ("main-rib-bgp", rule_main_rib_bgp);
-    ("main-rib-connected", rule_main_rib_connected);
-    ("main-rib-static", rule_main_rib_static);
-    ("main-rib-igp", rule_main_rib_igp);
-    ("connected-rib", rule_connected_rib);
-    ("igp-rib", rule_igp_rib);
-    ("bgp-rib-learned", rule_bgp_rib_learned);
-    ("bgp-rib-network", rule_bgp_rib_network);
-    ("bgp-rib-redistribute", rule_bgp_rib_redistribute);
-    ("redist-edge", rule_redist_edge);
-    ("bgp-rib-aggregate", rule_bgp_rib_aggregate);
-    ("edge", rule_edge);
-    ("path", rule_path);
-    ("acl", rule_acl);
+    ("main-rib-bgp", Main_rib, rule_main_rib_bgp);
+    ("main-rib-connected", Main_rib, rule_main_rib_connected);
+    ("main-rib-static", Main_rib, rule_main_rib_static);
+    ("main-rib-igp", Main_rib, rule_main_rib_igp);
+    ("connected-rib", Connected_rib, rule_connected_rib);
+    ("igp-rib", Igp_rib, rule_igp_rib);
+    ("bgp-rib-learned", Bgp_rib, rule_bgp_rib_learned);
+    ("bgp-rib-network", Bgp_rib, rule_bgp_rib_network);
+    ("bgp-rib-redistribute", Bgp_rib, rule_bgp_rib_redistribute);
+    ("redist-edge", Redist_edge, rule_redist_edge);
+    ("bgp-rib-aggregate", Bgp_rib, rule_bgp_rib_aggregate);
+    ("edge", Edge, rule_edge);
+    ("path", Path, rule_path);
+    ("acl", Acl, rule_acl);
   ]
+
+let all_rules = List.map (fun (name, _, rule) -> (name, rule)) rules
+
+let rules_for =
+  let on trigger =
+    List.concat
+      (List.mapi (fun i (_, t, _) -> if t = trigger then [ i ] else []) rules)
+  in
+  let main_rib = on Main_rib
+  and connected_rib = on Connected_rib
+  and igp_rib = on Igp_rib
+  and bgp_rib = on Bgp_rib
+  and redist_edge = on Redist_edge
+  and edge = on Edge
+  and path = on Path
+  and acl = on Acl in
+  function
+  | Fact.F_main_rib _ -> main_rib
+  | Fact.F_connected_rib _ -> connected_rib
+  | Fact.F_igp_rib _ -> igp_rib
+  | Fact.F_bgp_rib _ -> bgp_rib
+  | Fact.F_redist_edge _ -> redist_edge
+  | Fact.F_edge _ -> edge
+  | Fact.F_path _ -> path
+  | Fact.F_acl _ -> acl
+  | Fact.F_config _ | Fact.F_msg _ -> []

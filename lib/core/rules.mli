@@ -89,9 +89,16 @@ type rule = ctx -> Fact.t -> inference list
 
 (** The rule set, each paired with a stable name (used as the [rule]
     label of the [materialize.inferences] metric — see
-    [docs/OBSERVABILITY.md]); applied exhaustively to each dirty node
-    by {!Materialize}. *)
+    [docs/OBSERVABILITY.md]). {!Materialize} applies to each dirty node
+    the rules {!rules_for} selects. *)
 val all_rules : (string * rule) list
+
+(** [rules_for f] is the positions in {!all_rules}, ascending, of the
+    rules whose pattern names [f]'s constructor. Every other rule
+    returns [[]] on [f], so applying these in order yields exactly the
+    inferences of applying all of {!all_rules}. The position lists are
+    built once. *)
+val rules_for : Fact.t -> int list
 
 (** [apply_rule ctx (name, rule) fact] applies one named rule. Without
     a diag sink on [ctx] this is exactly [rule ctx fact]. With one, any

@@ -87,17 +87,25 @@ let apply_actions d r actions =
   in
   go r [] actions
 
-(* Deduplicate keys preserving first occurrence. *)
-let dedup keys =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun k ->
-      if Hashtbl.mem seen k then false
-      else begin
-        Hashtbl.add seen k ();
-        true
-      end)
-    keys
+module Key_set = Set.Make (struct
+  type t = Element.key
+
+  let compare = Element.compare_key
+end)
+
+(* Deduplicate keys preserving first occurrence. Runs once per chain
+   evaluation, so it allocates no table; a set keeps long fall-through
+   chains O(n log n). *)
+let dedup = function
+  | ([] | [ _ ]) as keys -> keys
+  | keys ->
+      let _, rev =
+        List.fold_left
+          (fun ((seen, acc) as kept) k ->
+            if Key_set.mem k seen then kept else (Key_set.add k seen, k :: acc))
+          (Key_set.empty, []) keys
+      in
+      List.rev rev
 
 type chain_eval =
   Device.t ->

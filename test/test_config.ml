@@ -230,6 +230,55 @@ let test_duplicate_hostname () =
     (Invalid_argument "Registry.build: duplicate hostname r1") (fun () ->
       ignore (Registry.build [ r1; r1 ]))
 
+(* The (device, key) index on two workload networks: every element is
+   found under its own device and key. The same name under the next
+   device, or under the next element type, resolves exactly as a scan
+   of the registry's elements says it should. *)
+let test_key_index () =
+  let check_network name devices =
+    let reg = Registry.build devices in
+    let hosts =
+      Array.of_list (List.map (fun (d : Device.t) -> d.hostname) devices)
+    in
+    let next_host = Hashtbl.create 64 in
+    Array.iteri
+      (fun i h ->
+        Hashtbl.replace next_host h hosts.((i + 1) mod Array.length hosts))
+      hosts;
+    let scan = Hashtbl.create 4096 in
+    Registry.iter_elements reg (fun e ->
+        Hashtbl.replace scan (e.Element.device, e.Element.ekey) e.Element.id);
+    let etypes = Array.of_list Element.all_etypes in
+    let next_etype t =
+      let i = ref 0 in
+      while Element.compare_etype etypes.(!i) t <> 0 do
+        incr i
+      done;
+      etypes.((!i + 1) mod Array.length etypes)
+    in
+    let misses = ref 0 in
+    let expect device key =
+      let want = Hashtbl.find_opt scan (device, key) in
+      if want = None then incr misses;
+      if Registry.find reg ~device key <> want then
+        Alcotest.failf "%s: find %s %s disagrees with the element scan" name device
+          (Format.asprintf "%a" Element.pp_key key)
+    in
+    Registry.iter_elements reg (fun e ->
+        let device = e.Element.device and key = e.Element.ekey in
+        if Registry.find reg ~device key <> Some e.Element.id then
+          Alcotest.failf "%s: element %d not found under its own key" name
+            e.Element.id;
+        expect (Hashtbl.find next_host device) key;
+        expect device { key with Element.etype = next_etype key.Element.etype });
+    check_bool (name ^ ": some probes resolve to nothing") true (!misses > 0)
+  in
+  check_network "internet2"
+    (Netcov_workloads.Internet2.generate Netcov_workloads.Internet2.default_params)
+      .Netcov_workloads.Internet2.devices;
+  check_network "fat-tree k=4"
+    (Netcov_workloads.Fattree.generate ~k:4 ()).Netcov_workloads.Fattree.devices
+
 let () =
   Alcotest.run "config"
     [
@@ -246,6 +295,7 @@ let () =
           Alcotest.test_case "line ownership" `Quick test_line_ownership_consistency;
           Alcotest.test_case "emitters" `Quick test_emitters_nonempty_ownership;
           Alcotest.test_case "duplicate hostname" `Quick test_duplicate_hostname;
+          Alcotest.test_case "key index on workloads" `Quick test_key_index;
         ] );
       ( "analysis",
         [

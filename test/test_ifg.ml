@@ -30,6 +30,54 @@ let test_edges_idempotent () =
   Alcotest.(check (list int)) "parents" [ a ] (Ifg.parents g b);
   Alcotest.(check (list int)) "children" [ b ] (Ifg.children g a)
 
+(* 25,000 distinct edges among 350 nodes (250 parents x 100 children),
+   added in three orders: the edge set doubles several times during
+   the first pass, and the later passes add nothing. *)
+let test_many_edges () =
+  let g = Ifg.create () in
+  let node i = fst (Ifg.add_fact g (f (Printf.sprintf "n%d" i))) in
+  let parents = Array.init 250 node in
+  let children = Array.init 100 (fun i -> node (250 + i)) in
+  let n = 25_000 in
+  let edge k = (parents.(k mod 250), children.(k / 250)) in
+  let add k =
+    let parent, child = edge k in
+    Ifg.add_edge g ~parent ~child
+  in
+  for k = 0 to n - 1 do
+    add k
+  done;
+  check_int "every distinct edge counted once" n (Ifg.n_edges g);
+  for k = n - 1 downto 0 do
+    add k
+  done;
+  let rng = Random.State.make [| 7 |] in
+  let order = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- x
+  done;
+  Array.iter add order;
+  check_int "re-adding in other orders adds nothing" n (Ifg.n_edges g);
+  (* Lists enumerate in reverse order of first insertion. *)
+  let want_parents = Array.make 100 [] and want_children = Array.make 250 [] in
+  for k = 0 to n - 1 do
+    let p = k mod 250 and c = k / 250 in
+    want_parents.(c) <- parents.(p) :: want_parents.(c);
+    want_children.(p) <- children.(c) :: want_children.(p)
+  done;
+  Array.iteri
+    (fun c child ->
+      Alcotest.(check (list int)) "parents" want_parents.(c) (Ifg.parents g child))
+    children;
+  Array.iteri
+    (fun p parent ->
+      Alcotest.(check (list int)) "children" want_children.(p)
+        (Ifg.children g parent))
+    parents
+
 let test_disj_nodes () =
   let g = Ifg.create () in
   let t, _ = Ifg.add_fact g (f "t") in
@@ -153,6 +201,7 @@ let () =
         [
           Alcotest.test_case "fact dedup" `Quick test_add_dedup;
           Alcotest.test_case "edge idempotence" `Quick test_edges_idempotent;
+          Alcotest.test_case "edge set growth" `Quick test_many_edges;
           Alcotest.test_case "disjunctive nodes" `Quick test_disj_nodes;
           Alcotest.test_case "config nodes" `Quick test_config_nodes;
         ] );

@@ -87,6 +87,68 @@ let test_iter_snapshot () =
         (List.mem (i, Fact.key f) !seen))
     facts
 
+(* ---------------- growth under colliding hashes ---------------- *)
+
+(* Main-RIB facts for 5,000 /24 prefixes on one host. A /24's address is
+   a multiple of 256, so their Fact.hash values share their low byte,
+   the bits that pick a slot unless the interner finalizes the hash;
+   5,000 ids take the slot array through several doublings. *)
+let slash24_facts n =
+  Array.init n (fun i ->
+      Fact.F_main_rib
+        {
+          host = "r1";
+          entry =
+            {
+              Rib.me_prefix =
+                Prefix.make (Ipv4.of_int ((10 lsl 24) + (i lsl 8))) 24;
+              me_nexthop = Rib.Nh_ip (Ipv4.of_octets 192 168 0 1);
+              me_protocol = Route.Bgp;
+              me_metric = 0;
+            };
+        })
+
+let test_growth_colliding () =
+  let facts = slash24_facts 5000 in
+  let low_bytes =
+    List.sort_uniq Int.compare
+      (Array.to_list (Array.map (fun f -> Fact.hash f land 255) facts))
+  in
+  check_int "the facts' hashes share their low byte" 1 (List.length low_bytes);
+  let t = Intern.create () in
+  let check_all n =
+    check_int "length" n (Intern.length t);
+    for i = 0 to n - 1 do
+      if Intern.find t facts.(i) <> Some i then Alcotest.failf "find lost id %d" i;
+      if not (Fact.equal (Intern.fact t i) facts.(i)) then
+        Alcotest.failf "fact %d is not the fact interned as %d" i i
+    done;
+    let visited = ref 0 in
+    Intern.iter t (fun id f ->
+        if not (Fact.equal f facts.(id)) then
+          Alcotest.failf "iter pairs id %d wrongly" id;
+        incr visited);
+    check_int "iter visits every id" n !visited;
+    if n < Array.length facts then
+      check_bool "find misses a fact not yet interned" true
+        (Intern.find t facts.(n) = None)
+  in
+  (* Intern in stages, re-interning everything seen so far (newest
+     first) after each stage: ids stay dense, first-intern ordered and
+     stable across every growth. *)
+  List.iter
+    (fun n ->
+      for i = 0 to n - 1 do
+        let id = Intern.intern t facts.(i) in
+        if id <> i then Alcotest.failf "fact %d got id %d" i id
+      done;
+      for i = n - 1 downto 0 do
+        if Intern.intern t facts.(i) <> i then
+          Alcotest.failf "re-intern moved id %d" i
+      done;
+      check_all n)
+    [ 100; 300; 1000; 2500; 5000 ]
+
 (* ---------------- identity agrees with Fact.key ---------------- *)
 
 (* Facts that differ from [f] only in fields the identity ignores: a
@@ -178,6 +240,8 @@ let () =
             test_projected_fields_share_id;
           Alcotest.test_case "find/fact roundtrip" `Quick test_find_roundtrip;
           Alcotest.test_case "iter snapshot" `Quick test_iter_snapshot;
+          Alcotest.test_case "growth with colliding hashes" `Quick
+            test_growth_colliding;
           Alcotest.test_case "equal iff same key" `Quick
             test_equal_iff_same_key;
         ] );

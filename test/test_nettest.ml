@@ -148,6 +148,40 @@ let test_pingmesh_checks_count () =
   (* 8 leaves x 7 other subnets *)
   check_int "pair count" 56 r.outcome.Nettest.checks
 
+(* Node, edge and worklist-iteration counts of the materialized IFG
+   for each datacenter test and for the suite's union of tested facts.
+   Fact identity and rule order decide these counts, so a faster
+   interner, edge set or rule dispatch must leave them as they are. *)
+let test_dc_ifg_sizes () =
+  let state = Lazy.force ft_state in
+  let sizes (tested : Netcov.tested) =
+    let _, _, (s : Materialize.stats) =
+      Materialize.run (Rules.make_ctx state) ~tested:tested.Netcov.dp_facts
+    in
+    (s.nodes, s.edges, s.iterations)
+  in
+  let results = Lazy.force ft_results in
+  let got =
+    List.map
+      (fun ((t : Nettest.t), (r : Nettest.result)) -> (t.name, sizes r.tested))
+      results
+    @ [
+        ( "union",
+          sizes
+            (Netcov.union_tested
+               (List.map (fun (_, (r : Nettest.result)) -> r.tested) results)) );
+      ]
+  in
+  Alcotest.(check (list (pair string (triple int int int))))
+    "nodes, edges, iterations"
+    [
+      ("DefaultRouteCheck", (352, 420, 352));
+      ("ToRPingmesh", (1508, 2968, 1508));
+      ("ExportAggregate", (384, 504, 380));
+      ("union", (1684, 3236, 1680));
+    ]
+    got
+
 let () =
   Alcotest.run "nettest"
     [
@@ -170,5 +204,6 @@ let () =
           Alcotest.test_case "similar high coverage" `Slow test_dc_similar_high_coverage;
           Alcotest.test_case "aggregate weak" `Slow test_export_aggregate_weak;
           Alcotest.test_case "pingmesh pair count" `Slow test_pingmesh_checks_count;
+          Alcotest.test_case "IFG sizes pinned" `Slow test_dc_ifg_sizes;
         ] );
     ]

@@ -241,6 +241,50 @@ let test_acl_rule () =
   let keys = parent_keys (infer fact) fact in
   check_bool "unknown acl yields nothing" true (keys = [])
 
+(* Materialization applies only the rules [Rules.rules_for] selects.
+   On every fact of two materialized graphs — the fat-tree k=4
+   datacenter suite and a main-RIB lookup on the IGP diamond, whose
+   iBGP next hops resolve through IGP-RIB facts — each rule left out
+   must return no inference, and the selection must be ascending. *)
+let test_dispatch_skips_silent_rules () =
+  let rules = Array.of_list Rules.all_rules in
+  let fired = Array.make (Array.length rules) false in
+  let check_graph state tested =
+    let ctx = Rules.make_ctx state in
+    let g, _, _ = Materialize.run ctx ~tested in
+    Intern.iter (Ifg.interner g) (fun _ f ->
+        let selected = Rules.rules_for f in
+        check_bool "selection ascending" true
+          (List.sort_uniq Int.compare selected = selected);
+        Array.iteri
+          (fun i (name, rule) ->
+            let infs = rule ctx f in
+            if infs <> [] then fired.(i) <- true;
+            if infs <> [] && not (List.mem i selected) then
+              Alcotest.failf "rule %s fires on %s, which dispatch skips" name
+                (Fact.key f))
+          rules)
+  in
+  let ft = Netcov_workloads.Fattree.generate ~k:4 () in
+  let ft_state =
+    Stable_state.compute (Registry.build ft.Netcov_workloads.Fattree.devices)
+  in
+  let ft_tested =
+    Netcov.union_tested
+      (List.map
+         (fun (_, (r : Netcov_nettest.Nettest.result)) -> r.tested)
+         (Netcov_nettest.Nettest.run_suite ft_state
+            (Netcov_nettest.Datacenter.suite ft)))
+  in
+  check_graph ft_state ft_tested.Netcov.dp_facts;
+  let diamond = Testnet.state_of (Testnet.diamond ()) in
+  check_graph diamond
+    (List.map
+       (fun entry -> Fact.F_main_rib { host = "d"; entry })
+       (Stable_state.main_lookup diamond "d" (p "10.50.0.0/24")));
+  check_bool "most rules fired on some fact" true
+    (Array.fold_left (fun n b -> if b then n + 1 else n) 0 fired >= 8)
+
 let () =
   Alcotest.run "rules"
     [
@@ -260,5 +304,7 @@ let () =
             test_static_recursive_resolution;
           Alcotest.test_case "config leaves" `Quick test_config_facts_have_no_rules;
           Alcotest.test_case "acl fallback" `Quick test_acl_rule;
+          Alcotest.test_case "dispatch skips only silent rules" `Quick
+            test_dispatch_skips_silent_rules;
         ] );
     ]
