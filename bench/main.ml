@@ -20,7 +20,7 @@ module Pool = Netcov_parallel.Pool
 module Registry_diff = Netcov_incr.Registry_diff
 
 let section title = Printf.printf "\n=== %s ===\n%!" title
-let timed = Timing.time
+let timed = Netcov_obs.Timing.time
 let pct = Printf.sprintf "%.1f%%"
 let smoke = ref false
 let oversubscribe = ref false
@@ -341,9 +341,11 @@ let ablation () =
     with_h.Label.vars;
   Printf.printf "labeling without heuristic: %.3fs, %d BDD vars\n" t_without
     without_h.Label.vars;
-  Printf.printf "identical results: %b\n"
-    (Element.Id_set.equal with_h.Label.strong without_h.Label.strong
-    && Element.Id_set.equal with_h.Label.weak without_h.Label.weak);
+  let identical =
+    Element.Id_set.equal with_h.Label.strong without_h.Label.strong
+    && Element.Id_set.equal with_h.Label.weak without_h.Label.weak
+  in
+  Printf.printf "identical results: %b\n" identical;
   let ctx_all = Rules.make_ctx env.ft_state in
   let all = Netcov_dpcov.Dpcov.all_data_plane_tested env.ft_state in
   let _, _, eager_stats = Materialize.run ctx_all ~tested:all.Netcov.dp_facts in
@@ -351,7 +353,12 @@ let ablation () =
     "lazy IFG for ExportAggregate: %d nodes (%.3fs); eager over the full \
      data plane: %d nodes (%.3fs)\n"
     mstats.Materialize.nodes mstats.Materialize.rule_seconds
-    eager_stats.Materialize.nodes eager_stats.Materialize.rule_seconds
+    eager_stats.Materialize.nodes eager_stats.Materialize.rule_seconds;
+  if not identical then begin
+    prerr_endline
+      "ablation failure: labels differ without the disjunction-free heuristic";
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Mutation coverage comparison (paper section 3.1)                    *)

@@ -7,15 +7,13 @@
    (lib/core/label.ml) instead of creating a throwaway manager per
    cone. Three features support that lifecycle:
 
-   - The apply cache is two-way set-associative and resizes with the
-     node store: a colliding insert evicts only the older of its set's
+   - The apply cache is two-way set-associative and sized once, at
+     [create]: a colliding insert evicts only the older of its set's
      two entries (direct mapping thrashed once distinct live pairs
-     outnumbered slots), and the set count doubles as the arena grows
-     so long-lived arenas keep a cache proportional to their working
-     set instead of the cone-sized default.
-   - [trim] is a mark-compact GC over caller-supplied roots, so an
-     arena can be cut back to its live nodes (or fully reset) between
-     suites rather than growing monotonically.
+     outnumbered slots).
+   - [reset] drops every node and empties the cache in place, so an
+     arena can be cut back between tasks rather than growing
+     monotonically.
    - [essential_vars] computes every necessary variable of a node in
      one bottom-up pass, replacing the per-variable [is_necessary]
      restrict loop (kept as the differential reference).
@@ -33,13 +31,11 @@ type manager = {
   unique : (int * int * int, int) Hashtbl.t;
   (* Two ways per set: a set s owns entries 2s and 2s+1, way 0 the
      most recently used. -1 = empty. *)
-  mutable cache_key : int array;
-  mutable cache_val : int array;
-  mutable cache_mask : int;  (* set-index mask *)
+  cache_key : int array;
+  cache_val : int array;
+  cache_mask : int;  (* set-index mask *)
   mutable cache_hits : int;
   mutable cache_misses : int;
-  cache_floor : int;  (* entries a trim shrinks back to, from [create] *)
-  mutable trims : int;
 }
 
 let terminal_var = max_int
@@ -49,45 +45,33 @@ let terminal_var = max_int
    arrays); variable indices are validated in [var]. *)
 let max_operand = (1 lsl 29) - 1
 
+(* Node-array capacity of a fresh manager and of one after [reset].
+   [var_] starts filled with [terminal_var], which marks the two
+   terminals; [mk] writes every later slot before it is read. *)
+let initial_nodes = 1024
+
 let round_pow2 n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 256
 
-(* The apply cache stops doubling at 2^21 entries (two 16 MiB arrays):
-   beyond that, extra capacity buys little over the lossy eviction. *)
-let max_cache_entries = 1 lsl 21
-
-let mk_cache entries =
-  let e = round_pow2 (max 256 (min max_cache_entries entries)) in
-  (Array.make e (-1), Array.make e 0, (e / 2) - 1)
-
-(* Default slot count keeps manager creation cheap: 2^12 entries = two
-   32 KiB arrays — it grows with the arena anyway. A persistent arena
-   should pass a larger [cache_size]: the apply working set of many
-   cones sharing hash-consed nodes is far bigger than the node count,
-   and [cache_size] is also the floor a [trim] shrinks back to. *)
+(* The default cache (2^12 entries = two 32 KiB arrays) keeps manager
+   creation cheap. A persistent arena should pass a larger
+   [cache_size]: the apply working set of many cones sharing
+   hash-consed nodes is far bigger than the node count. *)
 let create ?(cache_size = 1 lsl 12) () =
-  let n = 1024 in
-  let ck, cv, cm = mk_cache cache_size in
-  let m =
-    {
-      var_ = Array.make n 0;
-      lo = Array.make n 0;
-      hi = Array.make n 0;
-      next = 2;
-      unique = Hashtbl.create 4096;
-      cache_key = ck;
-      cache_val = cv;
-      cache_mask = cm;
-      cache_hits = 0;
-      cache_misses = 0;
-      cache_floor = round_pow2 (max 256 (min max_cache_entries cache_size));
-      trims = 0;
-    }
-  in
-  m.var_.(0) <- terminal_var;
-  m.var_.(1) <- terminal_var;
-  m
+  let entries = round_pow2 cache_size in
+  {
+    var_ = Array.make initial_nodes terminal_var;
+    lo = Array.make initial_nodes 0;
+    hi = Array.make initial_nodes 0;
+    next = 2;
+    unique = Hashtbl.create 4096;
+    cache_key = Array.make entries (-1);
+    cache_val = Array.make entries 0;
+    cache_mask = (entries / 2) - 1;
+    cache_hits = 0;
+    cache_misses = 0;
+  }
 
 type cache_stats = { hits : int; misses : int; slots : int }
 
@@ -108,9 +92,8 @@ let slot m key =
   let h = (key * 0x9E3779B1) land max_int in
   (h lxor (h lsr 17)) land m.cache_mask
 
-(* Insert without touching the hit/miss counters (also used when
-   rehashing into a resized cache). Way 0 gets the new entry; the
-   previous way-0 occupant is demoted, evicting way 1. *)
+(* Insert without touching the hit/miss counters. Way 0 gets the new
+   entry; the previous way-0 occupant is demoted, evicting way 1. *)
 let cache_add m key v =
   let i = slot m key * 2 in
   if m.cache_key.(i) <> key then begin
@@ -142,16 +125,6 @@ let cache_find m key =
     None
   end
 
-let resize_cache m entries =
-  let old_key = m.cache_key and old_val = m.cache_val in
-  let ck, cv, cm = mk_cache entries in
-  m.cache_key <- ck;
-  m.cache_val <- cv;
-  m.cache_mask <- cm;
-  Array.iteri
-    (fun i key -> if key >= 0 then ignore (cache_add m key old_val.(i)))
-    old_key
-
 let grow m =
   let cap = Array.length m.var_ in
   if m.next >= cap then begin
@@ -160,13 +133,7 @@ let grow m =
     m.var_ <- copy m.var_;
     m.lo <- copy m.lo;
     m.hi <- copy m.hi
-  end;
-  (* Keep at least one cache entry per node (up to the cap): a
-     persistent arena's working set scales with its node count, and a
-     cone-sized cache under a million-node arena would thrash. *)
-  let entries = Array.length m.cache_key in
-  if m.next >= entries && entries < max_cache_entries then
-    resize_cache m (entries * 2)
+  end
 
 let mk m v lo hi =
   if lo = hi then lo
@@ -373,63 +340,16 @@ let eval m n assignment =
   go n
 
 let node_count m = m.next
-let trims m = m.trims
 
-(* Mark-compact GC. Every node reachable from [roots] survives under a
-   fresh dense id (ascending old-id order, so children keep smaller ids
-   than parents); everything else is freed by shrinking the node
-   arrays. The unique table is rebuilt and the apply cache flushed —
-   both held stale ids. Handles not in [roots] are invalidated. *)
-let trim m roots =
-  let mark = Array.make m.next false in
-  mark.(0) <- true;
-  mark.(1) <- true;
-  let rec go n =
-    if not mark.(n) then begin
-      mark.(n) <- true;
-      go m.lo.(n);
-      go m.hi.(n)
-    end
-  in
-  List.iter
-    (fun r ->
-      if r < 0 || r >= m.next then invalid_arg "Bdd.trim: foreign node";
-      go r)
-    roots;
-  let remap = Array.make m.next (-1) in
-  remap.(0) <- 0;
-  remap.(1) <- 1;
-  let nxt = ref 2 in
-  for n = 2 to m.next - 1 do
-    if mark.(n) then begin
-      let id = !nxt in
-      incr nxt;
-      (* in-place: id <= n and lo/hi < n are already remapped *)
-      m.var_.(id) <- m.var_.(n);
-      m.lo.(id) <- remap.(m.lo.(n));
-      m.hi.(id) <- remap.(m.hi.(n));
-      remap.(n) <- id
-    end
-  done;
-  m.next <- !nxt;
-  let cap = max 1024 (round_pow2 m.next) in
-  if cap < Array.length m.var_ then begin
-    m.var_ <- Array.sub m.var_ 0 cap;
-    m.lo <- Array.sub m.lo 0 cap;
-    m.hi <- Array.sub m.hi 0 cap
-  end;
+(* Node ids recycle after a reset, so every cache entry goes with the
+   nodes; the cache keeps its size and its counters. *)
+let reset m =
+  m.var_ <- Array.make initial_nodes terminal_var;
+  m.lo <- Array.make initial_nodes 0;
+  m.hi <- Array.make initial_nodes 0;
+  m.next <- 2;
   Hashtbl.reset m.unique;
-  for id = 2 to m.next - 1 do
-    Hashtbl.add m.unique (m.var_.(id), m.lo.(id), m.hi.(id)) id
-  done;
-  let ck, cv, cm = mk_cache (max m.cache_floor (2 * m.next)) in
-  m.cache_key <- ck;
-  m.cache_val <- cv;
-  m.cache_mask <- cm;
-  m.trims <- m.trims + 1;
-  List.map (fun r -> remap.(r)) roots
-
-let reset m = ignore (trim m [])
+  Array.fill m.cache_key 0 (Array.length m.cache_key) (-1)
 
 let any_sat m n =
   let rec go n acc =

@@ -5,27 +5,24 @@
 
     Managers are built to live long: the labeling engine keeps one
     arena per worker domain across cones and suites (see
-    [lib/core/label.ml]), relying on {!trim}/{!reset} to cut it back
-    and on the apply cache resizing with the node store. *)
+    [lib/core/label.ml]), sized once at {!create} and cut back with
+    {!reset}. *)
 
 type manager
 
 (** A node handle, valid only with the manager that created it, and
-    only until the next {!trim}/{!reset} of that manager that does not
-    list it as a root. *)
+    only until the next {!reset} of that manager. *)
 type node
 
-(** [create ()] makes a fresh manager. [cache_size] tunes the initial
-    apply-cache entry count (default 1 shl 12; rounded up to a power of
-    two). The cache is two-way set-associative with single-int packed
-    keys — a colliding insert evicts only the older entry of its set —
-    and doubles alongside the node store (up to two 16 MiB arrays) so
-    persistent arenas keep a cache proportional to their working set. *)
+(** [create ()] makes a fresh manager. [cache_size] is the apply-cache
+    entry count (default 1 shl 12; rounded up to a power of two, at
+    least 256), fixed for the manager's lifetime. The cache is two-way
+    set-associative with single-int packed keys: a colliding insert
+    evicts only the older entry of its set. *)
 val create : ?cache_size:int -> unit -> manager
 
 (** Apply-cache effectiveness counters, cumulative for the manager's
-    lifetime (they survive {!trim}). [slots] is the current entry
-    count. *)
+    lifetime (they survive {!reset}). [slots] is the entry count. *)
 type cache_stats = { hits : int; misses : int; slots : int }
 
 val cache_stats : manager -> cache_stats
@@ -74,24 +71,15 @@ val essential_vars : manager -> node -> int list
 (** [eval m n assignment] evaluates under a total assignment function. *)
 val eval : manager -> node -> (int -> bool) -> bool
 
-(** Number of unique nodes allocated so far (diagnostics, perf
-    reporting). Decreases only at {!trim}/{!reset}. *)
+(** Number of unique nodes allocated so far, terminals included
+    (diagnostics, perf reporting). Decreases only at {!reset}. *)
 val node_count : manager -> int
 
-(** [trim m roots] garbage-collects the manager: every node reachable
-    from [roots] is kept (compacted in place, unique table rebuilt,
-    apply cache flushed, node arrays shrunk) and the surviving handles
-    are returned in input order. All other handles — including any
-    cached outside — are invalidated. Raises [Invalid_argument] on a
-    handle outside the manager. *)
-val trim : manager -> node list -> node list
-
-(** [reset m] is [trim m []]: drop every node and shrink back to the
-    creation footprint. *)
+(** [reset m] drops every node, shrinking the node store back to its
+    creation size, and empties the apply cache in place (node ids
+    recycle, so cached results would name the wrong nodes). Every
+    handle is invalidated; the cache size and counters stay. *)
 val reset : manager -> unit
-
-(** Number of {!trim}/{!reset} calls so far. *)
-val trims : manager -> int
 
 (** [any_sat m n] is a satisfying partial assignment as
     [(var, value)] pairs, or [None] when unsatisfiable. *)

@@ -14,14 +14,13 @@
     (the paper's variable-reduction heuristic).
 
     The BDD work runs in a {e persistent per-domain arena}: one
-    hash-consed node store per worker domain (Domain-local, no locks)
-    reused across cones, passes and suites, with a cross-cone gamma
-    memo so the shared ancestry of overlapping cones is translated to
-    BDD once per domain, and a single bottom-up essential-variables
-    pass ([Bdd.essential_vars]) instead of one restrict traversal per
-    support variable. Arenas are trimmed automatically at a node-count
-    watermark (and explicitly via {!trim_arena}), so warm sessions
-    ([lib/incr], [netcov serve]) keep a bounded footprint.
+    hash-consed node store and apply cache per worker domain
+    (Domain-local, no locks) reused across cones, passes and suites,
+    and a single bottom-up essential-variables pass
+    ([Bdd.essential_vars]) instead of one restrict traversal per
+    support variable. An arena resets itself at a node-count watermark,
+    so warm sessions ([lib/incr], [netcov serve]) keep a bounded
+    footprint.
 
     A cone with more than 8192 config nodes keeps variables only for
     the candidates among its first 8192 config nodes in discovery order
@@ -32,8 +31,8 @@
 
     Each pass is wrapped in a [label] trace span with one [label.cone]
     child span per labeled cone; volumes land in the [label.*] and
-    [bdd.*] metrics — including [bdd.gamma.hits]/[bdd.gamma.misses] and
-    [bdd.arena.nodes]/[bdd.arena.trims] ([docs/OBSERVABILITY.md]). *)
+    [bdd.*] metrics, including [bdd.arena.nodes]/[bdd.arena.trims]
+    ([docs/OBSERVABILITY.md]). *)
 
 open Netcov_config
 
@@ -51,7 +50,8 @@ type result = {
 
 (** [disjfree_heuristic] (default true) controls the paper's
     variable-reduction heuristic; disabling it is exposed for the
-    ablation benchmark only — results are identical.
+    ablation benchmark — results are identical, which the benchmark
+    and [test_nettest] check.
 
     [pool] fans the per-tested-fact cone predicates out across domains
     (each domain owns a private arena); results are identical at any
@@ -64,15 +64,7 @@ val run :
   tested:Ifg.node_id list ->
   result
 
-(** Trim the calling domain's BDD arena now: drop all nodes, the gamma
-    memo and the apply cache, shrinking back to the creation footprint.
-    Safe whenever no labeling call is active on this domain. Arenas
-    also self-trim at the watermark on entry to any labeling task. *)
-val trim_arena : unit -> unit
-
-(** Node count of the calling domain's arena (tests, diagnostics). *)
-val arena_node_count : unit -> int
-
-(** Override the per-domain auto-trim watermark (nodes; default
-    [1 lsl 20]). Raises [Invalid_argument] on values < 2. *)
+(** Override the per-domain watermark (nodes; default [1 lsl 20]): a
+    labeling task that finds its domain's arena above it resets the
+    arena first. Raises [Invalid_argument] on values < 2. *)
 val set_arena_watermark : int -> unit

@@ -119,7 +119,7 @@ let run ctx ~tested =
         fire id f rest
   in
   let (), rule_seconds =
-    Timing.time (fun () ->
+    Netcov_obs.Timing.time (fun () ->
         while not (Queue.is_empty queue) do
           incr iterations;
           let id = Queue.pop queue in

@@ -73,7 +73,7 @@ let analyze ?pool ?diags state tested =
       ]
   @@ fun () ->
   let pool = Option.value pool ~default:Pool.sequential in
-  let t0 = Timing.now () in
+  let t0 = Netcov_obs.Timing.now () in
   let reg = Stable_state.registry state in
   let ctx = Rules.make_ctx ?diags state in
   let g, tested_ids, mstats = Materialize.run ctx ~tested:tested.dp_facts in
@@ -84,7 +84,7 @@ let analyze ?pool ?diags state tested =
     |> fun cov -> Coverage.with_strong cov tested.cp_elements
   in
   let dead = T.with_span "deadcode" @@ fun () -> Deadcode.analyze reg in
-  let total_s = Timing.now () -. t0 in
+  let total_s = Netcov_obs.Timing.now () -. t0 in
   M.inc m_runs 1;
   M.observe m_seconds total_s;
   {

@@ -294,7 +294,7 @@ let sim_cache_length c = Sim_tbl.length c.tbl
 type ctx = {
   state : Stable_state.t;
   cache : sim_cache option;
-  sim_section : Timing.section;
+  sim_section : Netcov_obs.Timing.section;
   diags : (Netcov_diag.Diag.t -> unit) option;
   mutable cache_hits : int;  (* cache hits observed by this ctx *)
   mutable cache_misses : int;
@@ -304,15 +304,15 @@ let make_ctx ?cache ?diags state =
   {
     state;
     cache;
-    sim_section = Timing.make "targeted-sim";
+    sim_section = Netcov_obs.Timing.make "targeted-sim";
     diags;
     cache_hits = 0;
     cache_misses = 0;
   }
 
 let state ctx = ctx.state
-let sim_count ctx = Timing.count ctx.sim_section
-let sim_seconds ctx = Timing.total ctx.sim_section
+let sim_count ctx = Netcov_obs.Timing.count ctx.sim_section
+let sim_seconds ctx = Netcov_obs.Timing.total ctx.sim_section
 let cache_hits ctx = ctx.cache_hits
 let cache_misses ctx = ctx.cache_misses
 
@@ -371,7 +371,7 @@ let config_parents ctx ~host keys =
     keys
 
 (* Wrap a targeted simulation with accounting. *)
-let timed_sim ctx f = Timing.record ctx.sim_section f
+let timed_sim ctx f = Netcov_obs.Timing.record ctx.sim_section f
 
 let find_device_fn ctx host = Stable_state.find_device ctx.state host
 

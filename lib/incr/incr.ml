@@ -77,7 +77,7 @@ let analyze cache state (u : Netcov.tested) =
 (* The pass's wall time beside the volumes of the union analysis it
    ran; zero volumes when it ran none (fast path, unchanged tests). *)
 let pass_timing ~t0 analyzed =
-  let total_s = Timing.now () -. t0 in
+  let total_s = Netcov_obs.Timing.now () -. t0 in
   let of_ms z f = Option.fold ~none:z ~some:(fun (_, ms, _) -> f ms) analyzed in
   let of_l z f = Option.fold ~none:z ~some:(fun (l, _, _) -> f l) analyzed in
   {
@@ -102,7 +102,7 @@ let stats_of ~t0 ~d ~evicted_sim ~reused ~relabeled (timing : Netcov.timing) =
     else float_of_int reused /. float_of_int (reused + relabeled)
   in
   let count f = match d with None -> 0 | Some d -> List.length (f d) in
-  let s_seconds = Timing.now () -. t0 in
+  let s_seconds = Netcov_obs.Timing.now () -. t0 in
   M.inc m_updates 1;
   M.inc m_reused reused;
   M.inc m_evicted_sim evicted_sim;
@@ -161,7 +161,7 @@ let pass cache ~t0 ~d ~evicted_sim state testeds kept =
     stats_of ~t0 ~d ~evicted_sim ~reused ~relabeled timing )
 
 let create state testeds =
-  let t0 = Timing.now () in
+  let t0 = Netcov_obs.Timing.now () in
   let cache = Rules.create_sim_cache () in
   let cur, stats = pass cache ~t0 ~d:None ~evicted_sim:0 state testeds None in
   ({ cache; cur }, stats)
@@ -223,7 +223,7 @@ let rec appended old testeds =
   | _ -> None
 
 let update s state testeds =
-  let t0 = Timing.now () in
+  let t0 = Netcov_obs.Timing.now () in
   let old = s.cur in
   let reg = Stable_state.registry state in
   let d = Registry_diff.diff ~old:old.reg reg in

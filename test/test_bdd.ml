@@ -1,6 +1,7 @@
 open Netcov_bdd
 
 let check_bool = Alcotest.(check bool)
+let check_int = Alcotest.(check int)
 
 let test_terminals () =
   let m = Bdd.create () in
@@ -245,33 +246,35 @@ let prop_essential_vs_restrict =
       Bdd.essential_vars m b = reference)
 
 (* ------------------------------------------------------------------ *)
-(* Arena lifecycle: trim / reset                                       *)
+(* Arena lifecycle: fixed-size cache, reset                            *)
 (* ------------------------------------------------------------------ *)
 
-let test_trim () =
-  let m = Bdd.create () in
-  let a = Bdd.var m 0 and b = Bdd.var m 1 and c = Bdd.var m 2 in
-  let keep = Bdd.bdd_and m a (Bdd.bdd_or m b c) in
-  (* garbage unreachable from [keep] *)
-  ignore (Bdd.bdd_xor m (Bdd.bdd_xor m a b) c);
-  ignore (Bdd.bdd_or m (Bdd.bdd_not m a) c);
-  let before = Bdd.node_count m in
-  let trims0 = Bdd.trims m in
-  match Bdd.trim m [ keep ] with
-  | [ keep' ] ->
-      check_bool "node count shrinks" true (Bdd.node_count m < before);
-      check_bool "trim counted" true (Bdd.trims m = trims0 + 1);
-      List.iter
-        (fun env ->
-          check_bool "truth table preserved across trim" true
-            (Bdd.eval m keep' env = (env 0 && (env 1 || env 2))))
-        all_envs;
-      (* the manager stays usable and rebuilding the same formula
-         re-interns to the remapped node *)
-      let a' = Bdd.var m 0 and b' = Bdd.var m 1 and c' = Bdd.var m 2 in
-      check_bool "rebuild re-interns to the kept node" true
-        (Bdd.equal keep' (Bdd.bdd_and m a' (Bdd.bdd_or m b' c')))
-  | _ -> Alcotest.fail "trim returned the wrong number of roots"
+(* The apply cache is sized once, at [create]: it keeps its slot count
+   while the node store outgrows it and across [reset], and its hit and
+   miss counters run for the manager's lifetime. *)
+let test_fixed_cache () =
+  let m = Bdd.create ~cache_size:1024 () in
+  let slots () = (Bdd.cache_stats m).Bdd.slots in
+  check_int "slots as created" 1024 (slots ());
+  ignore (List.init 2048 (Bdd.var m));
+  check_bool "node store outgrew the cache" true (Bdd.node_count m > 1024);
+  check_int "slots after growth" 1024 (slots ());
+  let build () = ignore (Bdd.conj m (List.init 16 (Bdd.var m))) in
+  build ();
+  let st0 = Bdd.cache_stats m in
+  check_bool "build records misses" true (st0.Bdd.misses > 0);
+  Bdd.reset m;
+  let st1 = Bdd.cache_stats m in
+  check_int "slots after reset" 1024 st1.Bdd.slots;
+  check_int "hits survive reset" st0.Bdd.hits st1.Bdd.hits;
+  check_int "misses survive reset" st0.Bdd.misses st1.Bdd.misses;
+  build ();
+  let st2 = Bdd.cache_stats m in
+  check_bool "reset emptied the cache: rebuild misses" true
+    (st2.Bdd.misses > st1.Bdd.misses);
+  build ();
+  let st3 = Bdd.cache_stats m in
+  check_bool "second rebuild hits" true (st3.Bdd.hits > st2.Bdd.hits)
 
 let test_reset () =
   let m = Bdd.create () in
@@ -300,7 +303,7 @@ let () =
           Alcotest.test_case "restrict uncached var" `Quick
             test_restrict_uncached_var;
           Alcotest.test_case "essential vars" `Quick test_essential_vars;
-          Alcotest.test_case "trim" `Quick test_trim;
+          Alcotest.test_case "fixed-size cache" `Quick test_fixed_cache;
           Alcotest.test_case "reset" `Quick test_reset;
         ] );
       ( "props",

@@ -176,9 +176,9 @@ let scenarios () =
           [ t1; t2 ]) );
   ]
 
-(* One pass on the calling domain (one arena, cross-cone gamma memo
-   fully engaged) and one over a 2-domain pool (cones split across
-   private per-domain arenas) must label identically. *)
+(* One pass on the calling domain (every cone in one arena) and one
+   over a 2-domain pool (cones split across private per-domain arenas)
+   must label identically. *)
 let test_domains_agree () =
   Pool.with_pool ~domains:2 (fun pool ->
       List.iter
@@ -269,31 +269,19 @@ let test_capped_cone_union () =
   check_int "strong" cap (Element.Id_set.cardinal ru.Label.strong);
   check_int "weak" (n - cap) (Element.Id_set.cardinal ru.Label.weak)
 
-(* Trimming the calling domain's arena between passes must shrink it
-   back to the creation footprint and leave labels unchanged. *)
-let test_arena_trim () =
-  Label.trim_arena ();
-  let g, f1 = figure5 () in
-  let r1 = Label.run g ~tested:[ f1 ] in
-  check_bool "arena grew during the pass" true (Label.arena_node_count () >= 2);
-  let grown = Label.arena_node_count () in
-  Label.trim_arena ();
-  check_bool "trim shrank the arena" true (Label.arena_node_count () <= grown);
-  check_int "trim leaves only terminals" 2 (Label.arena_node_count ());
-  let g2, f1' = figure5 () in
-  let r2 = Label.run g2 ~tested:[ f1' ] in
-  Alcotest.check eq_set "strong unchanged after trim" r1.Label.strong
-    r2.Label.strong;
-  Alcotest.check eq_set "weak unchanged after trim" r1.Label.weak
-    r2.Label.weak
-
-(* A tiny watermark forces a self-trim on entry to every labeling
-   task; results must not change. *)
+(* A tiny watermark resets the arena on entry to every labeling task,
+   so every cone of a multi-cone pass starts from an empty node store
+   and cache; results must not change. *)
 let test_arena_watermark () =
   check_bool "watermark below 2 rejected" true
     (match Label.set_arena_watermark 1 with
     | () -> false
     | exception Invalid_argument _ -> true);
+  let warm =
+    List.map
+      (fun (name, (g, tested)) -> (name, Label.run g ~tested))
+      (scenarios ())
+  in
   Label.set_arena_watermark 2;
   Fun.protect
     ~finally:(fun () -> Label.set_arena_watermark (1 lsl 20))
@@ -303,7 +291,15 @@ let test_arena_watermark () =
       Alcotest.check eq_set "strong under constant trimming"
         (set_of [ 6; 7 ]) r.Label.strong;
       Alcotest.check eq_set "weak under constant trimming" (set_of [ 5 ])
-        r.Label.weak)
+        r.Label.weak;
+      List.iter2
+        (fun (name, (g, tested)) (_, w) ->
+          let r = Label.run g ~tested in
+          Alcotest.check eq_set (name ^ ": strong under constant trimming")
+            w.Label.strong r.Label.strong;
+          Alcotest.check eq_set (name ^ ": weak under constant trimming")
+            w.Label.weak r.Label.weak)
+        (scenarios ()) warm)
 
 let () =
   Alcotest.run "label"
@@ -328,8 +324,6 @@ let () =
           Alcotest.test_case
             "capped cone labels the same alone and in a union graph" `Quick
             test_capped_cone_union;
-          Alcotest.test_case "trim shrinks, labels unchanged" `Quick
-            test_arena_trim;
           Alcotest.test_case "tiny watermark self-trims safely" `Quick
             test_arena_watermark;
         ] );

@@ -149,36 +149,49 @@ let test_pingmesh_checks_count () =
   check_int "pair count" 56 r.outcome.Nettest.checks
 
 (* Node, edge and worklist-iteration counts of the materialized IFG
-   for each datacenter test and for the suite's union of tested facts.
-   Fact identity and rule order decide these counts, so a faster
-   interner, edge set or rule dispatch must leave them as they are. *)
+   and strong/weak element counts of its labeling, for each datacenter
+   test and for the suite's union of tested facts. Fact identity and
+   rule order decide the graph, so a faster interner, edge set or rule
+   dispatch must leave these counts as they are; labeling must too.
+   Labels must also be the same without the disjunction-free
+   heuristic, which only saves BDD variables. *)
 let test_dc_ifg_sizes () =
   let state = Lazy.force ft_state in
-  let sizes (tested : Netcov.tested) =
-    let _, _, (s : Materialize.stats) =
+  let sizes name (tested : Netcov.tested) =
+    let g, ids, (s : Materialize.stats) =
       Materialize.run (Rules.make_ctx state) ~tested:tested.Netcov.dp_facts
     in
-    (s.nodes, s.edges, s.iterations)
+    let l = Label.run g ~tested:ids in
+    let l' = Label.run ~disjfree_heuristic:false g ~tested:ids in
+    let module S = Netcov_config.Element.Id_set in
+    check_bool (name ^ ": same strong without the heuristic") true
+      (S.equal l.Label.strong l'.Label.strong);
+    check_bool (name ^ ": same weak without the heuristic") true
+      (S.equal l.Label.weak l'.Label.weak);
+    ( (s.nodes, s.edges, s.iterations),
+      (S.cardinal l.Label.strong, S.cardinal l.Label.weak) )
   in
   let results = Lazy.force ft_results in
   let got =
     List.map
-      (fun ((t : Nettest.t), (r : Nettest.result)) -> (t.name, sizes r.tested))
+      (fun ((t : Nettest.t), (r : Nettest.result)) ->
+        (t.name, sizes t.name r.tested))
       results
     @ [
         ( "union",
-          sizes
+          sizes "union"
             (Netcov.union_tested
                (List.map (fun (_, (r : Nettest.result)) -> r.tested) results)) );
       ]
   in
-  Alcotest.(check (list (pair string (triple int int int))))
-    "nodes, edges, iterations"
+  Alcotest.(
+    check (list (pair string (pair (triple int int int) (pair int int)))))
+    "(nodes, edges, iterations), (strong, weak)"
     [
-      ("DefaultRouteCheck", (352, 420, 352));
-      ("ToRPingmesh", (1508, 2968, 1508));
-      ("ExportAggregate", (384, 504, 380));
-      ("union", (1684, 3236, 1680));
+      ("DefaultRouteCheck", ((352, 420, 352), (172, 0)));
+      ("ToRPingmesh", ((1508, 2968, 1508), (180, 0)));
+      ("ExportAggregate", ((384, 504, 380), (8, 168)));
+      ("union", ((1684, 3236, 1680), (200, 0)));
     ]
     got
 
