@@ -18,6 +18,7 @@ type kind =
   | Parse_recovered
   | Duplicate_host
   | Unknown_host
+  | No_convergence
   | Policy_eval
   | Sim_failure
   | Test_failure
@@ -29,6 +30,7 @@ let kind_to_string = function
   | Parse_recovered -> "parse.recovered"
   | Duplicate_host -> "registry.duplicate-host"
   | Unknown_host -> "sim.unknown-host"
+  | No_convergence -> "sim.no-convergence"
   | Policy_eval -> "sim.policy-eval"
   | Sim_failure -> "sim.failure"
   | Test_failure -> "analyze.test-failure"
@@ -41,6 +43,7 @@ let all_kinds =
     Parse_recovered;
     Duplicate_host;
     Unknown_host;
+    No_convergence;
     Policy_eval;
     Sim_failure;
     Test_failure;

@@ -25,14 +25,17 @@ val severity_of_string : string -> severity option
 (** What went wrong, as a stable machine-readable classification.
     String forms (used in JSON and metrics labels) are dotted:
     [parse.error], [parse.recovered], [registry.duplicate-host],
-    [sim.unknown-host], [sim.policy-eval], [analyze.test-failure],
-    [io.error], [internal]. *)
+    [sim.unknown-host], [sim.no-convergence], [sim.policy-eval],
+    [analyze.test-failure], [io.error], [internal]. *)
 type kind =
   | Parse_error  (** input rejected outright by a parser *)
   | Parse_recovered
       (** a malformed stanza was skipped; the rest of the file parsed *)
   | Duplicate_host  (** two devices share a hostname; the later one lost *)
   | Unknown_host  (** a hostname that resolves to no known device *)
+  | No_convergence
+      (** the BGP fixed point hit its round cap with hosts still
+          changing; the state is the last round's *)
   | Policy_eval  (** a policy-chain evaluation failed *)
   | Sim_failure  (** a targeted simulation or inference rule crashed *)
   | Test_failure  (** a per-test analysis raised and was excluded *)

@@ -106,6 +106,29 @@ let rec map f = function
   | Node { value; zero; one } ->
       Node { value = Option.map f value; zero = map f zero; one = map f one }
 
+(* One simultaneous walk; a pair of physically equal subtrees holds
+   equal bindings, so it is skipped without descending. *)
+let diff eq a b =
+  let parts = function
+    | Leaf -> (None, Leaf, Leaf)
+    | Node { value; zero; one } -> (value, zero, one)
+  in
+  let rec go base depth a b acc =
+    if a == b then acc
+    else
+      let va, za, oa = parts a and vb, zb, ob = parts b in
+      let acc =
+        match (va, vb) with
+        | None, None -> acc
+        | Some x, Some y when eq x y -> acc
+        | _, _ -> Prefix.make base depth :: acc
+      in
+      let acc = go base (depth + 1) za zb acc in
+      if depth = 32 then acc
+      else go (Ipv4.add base (1 lsl (32 - depth - 1))) (depth + 1) oa ob acc
+  in
+  List.rev (go Ipv4.zero 0 a b [])
+
 let equal eq a b =
   let la = to_list a and lb = to_list b in
   List.length la = List.length lb

@@ -40,4 +40,11 @@ val iter : (Prefix.t -> 'a -> unit) -> 'a t -> unit
 val to_list : 'a t -> (Prefix.t * 'a) list
 val of_list : (Prefix.t * 'a) list -> 'a t
 val map : ('a -> 'b) -> 'a t -> 'b t
+
+(** [diff eq a b] is every prefix bound in only one of [a] and [b], or
+    bound in both to values [eq] calls different, in {!to_list} order.
+    Physically shared subtrees are skipped, so comparing a table with
+    a few bindings replaced against its original walks only the
+    replaced paths. *)
+val diff : ('a -> 'a -> bool) -> 'a t -> 'a t -> Prefix.t list
 val equal : ('a -> 'a -> bool) -> 'a t -> 'a t -> bool

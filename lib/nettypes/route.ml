@@ -62,25 +62,36 @@ let add_community r c = { r with communities = Community.Set.add c r.communities
 let has_community r c = Community.Set.mem c r.communities
 
 let compare_bgp a b =
-  let cmp =
-    [
-      (fun () -> Prefix.compare a.prefix b.prefix);
-      (fun () -> Ipv4.compare a.next_hop b.next_hop);
-      (fun () -> As_path.compare a.as_path b.as_path);
-      (fun () -> Int.compare a.local_pref b.local_pref);
-      (fun () -> Int.compare a.med b.med);
-      (fun () -> Community.Set.compare a.communities b.communities);
-      (fun () -> compare_origin a.origin b.origin);
-      (fun () -> Int.compare a.cluster_len b.cluster_len);
-    ]
-  in
-  let rec go = function
-    | [] -> 0
-    | f :: rest -> ( match f () with 0 -> go rest | c -> c)
-  in
-  go cmp
+  let c = Prefix.compare a.prefix b.prefix in
+  if c <> 0 then c
+  else
+    let c = Ipv4.compare a.next_hop b.next_hop in
+    if c <> 0 then c
+    else
+      let c = As_path.compare a.as_path b.as_path in
+      if c <> 0 then c
+      else
+        let c = Int.compare a.local_pref b.local_pref in
+        if c <> 0 then c
+        else
+          let c = Int.compare a.med b.med in
+          if c <> 0 then c
+          else
+            let c = Community.Set.compare a.communities b.communities in
+            if c <> 0 then c
+            else
+              let c = compare_origin a.origin b.origin in
+              if c <> 0 then c else Int.compare a.cluster_len b.cluster_len
 
-let equal_bgp a b = compare_bgp a b = 0
+let equal_bgp a b =
+  a == b
+  || Prefix.equal a.prefix b.prefix
+     && Ipv4.equal a.next_hop b.next_hop
+     && As_path.equal a.as_path b.as_path
+     && a.local_pref = b.local_pref && a.med = b.med
+     && Community.Set.equal a.communities b.communities
+     && origin_rank a.origin = origin_rank b.origin
+     && a.cluster_len = b.cluster_len
 
 let hash_bgp r =
   (* Covers every field [compare_bgp] compares, so hash-equal whenever

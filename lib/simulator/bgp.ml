@@ -11,7 +11,66 @@ type find_device = string -> Device.t
 let self_next_hop = Ipv4.zero
 
 (* ------------------------------------------------------------------ *)
-(* Targeted simulations                                                *)
+(* Sessions                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The sender's side of a session: everything the sender half and the
+   wire rewrite read. *)
+type sender = {
+  s_dev : Device.t;
+  s_bgp : Device.bgp_config;
+  s_nb : Device.neighbor;  (* the sender's statement for the receiver *)
+  s_export : string list;
+  s_clients : Ipv4.t list;  (* the sender's route-reflector clients *)
+}
+
+(* The receiver's side: everything the import simulation reads. *)
+type receiver = {
+  r_dev : Device.t;
+  r_bgp : Device.bgp_config;
+  r_import : string list;
+  r_ebgp_lp : int;  (* the local-pref an eBGP route arrives with *)
+}
+
+let resolve_sender (find_device : find_device) (e : Session.edge) =
+  let sd = find_device e.send_host in
+  match (Session.send_neighbor sd e, sd.bgp) with
+  | Some nb, Some b ->
+      Some
+        {
+          s_dev = sd;
+          s_bgp = b;
+          s_nb = nb;
+          s_export = Device.neighbor_export sd nb;
+          s_clients =
+            List.filter_map
+              (fun (n : Device.neighbor) ->
+                if n.nb_rr_client then Some n.nb_ip else None)
+              b.neighbors;
+        }
+  | None, _ | _, None -> None
+
+let receiver (rd : Device.t) (b : Device.bgp_config) (nb : Device.neighbor) =
+  let lp =
+    match Device.neighbor_group rd nb with
+    | Some g -> Option.value g.pg_local_pref ~default:Route.default_local_pref
+    | None -> Route.default_local_pref
+  in
+  {
+    r_dev = rd;
+    r_bgp = b;
+    r_import = Device.neighbor_import rd nb;
+    r_ebgp_lp = lp;
+  }
+
+let resolve_receiver (find_device : find_device) (e : Session.edge) =
+  let rd = find_device e.recv_host in
+  match (Session.recv_neighbor rd e, rd.bgp) with
+  | Some nb, Some b -> Some (receiver rd b nb)
+  | None, _ | _, None -> None
+
+(* ------------------------------------------------------------------ *)
+(* The two halves of the per-route pipeline                            *)
 (* ------------------------------------------------------------------ *)
 
 let is_local_source (s : Rib.bgp_source) =
@@ -19,32 +78,24 @@ let is_local_source (s : Rib.bgp_source) =
   | Rib.Learned _ -> false
   | Rib.From_network | Rib.From_aggregate | Rib.From_redistribute _ -> true
 
-(* Was the entry learned from a neighbor the sender treats as a
-   route-reflector client? *)
-let learned_from_client (sd : Device.t) (entry : Rib.bgp_entry) =
-  match (entry.be_source, sd.bgp) with
-  | Rib.Learned ip, Some b ->
-      List.exists
-        (fun (n : Device.neighbor) -> Ipv4.equal n.nb_ip ip && n.nb_rr_client)
-        b.neighbors
-  | _, _ -> false
+let ibgp_learned (entry : Rib.bgp_entry) =
+  (not entry.be_from_ebgp)
+  && match entry.be_source with Rib.Learned _ -> true | _ -> false
 
-let exportable (sd : Device.t) (nb : Device.neighbor) (e : Session.edge)
-    (entry : Rib.bgp_entry) =
+let exportable s ~ebgp (entry : Rib.bgp_entry) =
   (* iBGP rule: routes learned from an iBGP peer are not re-advertised
      to iBGP peers (full mesh), unless the sender is a route reflector:
      anything may be reflected to a client, and client routes may be
      reflected to every iBGP peer. *)
-  let ibgp_learned =
-    (not entry.be_from_ebgp)
-    && match entry.be_source with Rib.Learned _ -> true | _ -> false
-  in
   let ibgp_rule =
-    e.ebgp || (not ibgp_learned) || nb.nb_rr_client
-    || learned_from_client sd entry
+    ebgp || (not (ibgp_learned entry)) || s.s_nb.nb_rr_client
+    ||
+    match entry.be_source with
+    | Rib.Learned ip -> List.mem ip s.s_clients
+    | _ -> false
   in
   let no_export_rule =
-    not (e.ebgp && Route.has_community entry.be_route Community.no_export)
+    not (ebgp && Route.has_community entry.be_route Community.no_export)
   in
   ibgp_rule && no_export_rule
 
@@ -65,79 +116,80 @@ let default_eval : Eval.chain_eval =
  fun d ~chain ~default ~protocol route ->
   Eval.run_chain d ~chain ~default ~protocol route
 
+let accepted { Eval.verdict; route; exercised } =
+  match (verdict, route) with
+  | Eval.Accepted, Some r -> (Some r, exercised)
+  | Eval.Rejected, _ | _, None -> (None, exercised)
+
+(* The sender half: exportability, summary suppression and the export
+   chain's result ([None] when the route is not exportable). It reads
+   the sender, the eBGP flag and the neighbor's client flag only, so
+   every session of an update group gets the same answer. *)
+let export_half ~eval s ~ebgp (entry : Rib.bgp_entry) =
+  if (not (exportable s ~ebgp entry)) || suppressed_by_summary s.s_bgp entry
+  then None
+  else
+    Some
+      (eval s.s_dev ~chain:s.s_export ~default:Eval.Accepted
+         ~protocol:Route.Bgp entry.be_route)
+
+(* The session's own rewrite of an exported route into the wire
+   message: eBGP prepending, next-hop rewriting and CLUSTER_LIST
+   growth when an iBGP-learned route is reflected. *)
+let to_wire s (e : Session.edge) (entry : Rib.bgp_entry) (r : Route.bgp) =
+  if e.ebgp then
+    {
+      r with
+      Route.as_path = As_path.prepend s.s_bgp.local_as r.as_path;
+      next_hop = e.send_ip;
+      cluster_len = 0;
+    }
+  else
+    let r =
+      if ibgp_learned entry then
+        { r with Route.cluster_len = r.Route.cluster_len + 1 }
+      else r
+    in
+    if s.s_nb.nb_next_hop_self || Ipv4.equal r.Route.next_hop self_next_hop
+    then { r with Route.next_hop = e.send_ip }
+    else r
+
+let looped (b : Device.bgp_config) ~ebgp (msg : Route.bgp) =
+  ebgp && As_path.mem b.local_as msg.Route.as_path
+
+(* The import simulation: AS-loop rejection, the eBGP local-pref reset
+   and the import chain. *)
+let import_half ~eval rc ~ebgp (msg : Route.bgp) =
+  if looped rc.r_bgp ~ebgp msg then (None, [])
+  else
+    let msg = if ebgp then { msg with Route.local_pref = rc.r_ebgp_lp } else msg in
+    accepted
+      (eval rc.r_dev ~chain:rc.r_import ~default:Eval.Accepted
+         ~protocol:Route.Bgp msg)
+
 let export_route ?(eval = default_eval) (find_device : find_device)
     (e : Session.edge) (entry : Rib.bgp_entry) =
-  let sd = find_device e.send_host in
-  match (Session.send_neighbor sd e, sd.bgp) with
-  | None, _ | _, None -> (None, [])
-  | Some nb, _ when not (exportable sd nb e entry) -> (None, [])
-  | Some _, Some b when suppressed_by_summary b entry -> (None, [])
-  | Some nb, Some b -> (
-        let chain = Device.neighbor_export sd nb in
-        let { Eval.verdict; route; exercised } =
-          eval sd ~chain ~default:Eval.Accepted ~protocol:Route.Bgp
-            entry.be_route
-        in
-        match (verdict, route) with
-        | Eval.Rejected, _ | _, None -> (None, exercised)
-        | Eval.Accepted, Some r ->
-            let r =
-              if e.ebgp then
-                {
-                  r with
-                  Route.as_path = As_path.prepend b.local_as r.as_path;
-                  next_hop = e.send_ip;
-                  cluster_len = 0;
-                }
-              else
-                (* reflecting an iBGP-learned route grows CLUSTER_LIST *)
-                let reflected =
-                  (not entry.be_from_ebgp)
-                  &&
-                  match entry.be_source with
-                  | Rib.Learned _ -> true
-                  | _ -> false
-                in
-                let r =
-                  if reflected then
-                    { r with Route.cluster_len = r.Route.cluster_len + 1 }
-                  else r
-                in
-                if nb.nb_next_hop_self || Ipv4.equal r.Route.next_hop self_next_hop
-                then { r with Route.next_hop = e.send_ip }
-                else r
-            in
-            (Some r, exercised))
+  match resolve_sender find_device e with
+  | None -> (None, [])
+  | Some s -> (
+      match export_half ~eval s ~ebgp:e.ebgp entry with
+      | None -> (None, [])
+      | Some { Eval.verdict = Eval.Accepted; route = Some r; exercised } ->
+          (Some (to_wire s e entry r), exercised)
+      | Some { exercised; _ } -> (None, exercised))
 
+(* Checks the AS loop before resolving the receiver's chains, which a
+   looped route never reads. *)
 let import_route ?(eval = default_eval) (find_device : find_device)
     (e : Session.edge) (msg : Route.bgp) =
   let rd = find_device e.recv_host in
   match (Session.recv_neighbor rd e, rd.bgp) with
-  | None, _ | _, None -> (None, [])
-  | Some nb, Some b -> (
-      if e.ebgp && As_path.mem b.local_as msg.Route.as_path then (None, [])
-      else
-        let msg =
-          if e.ebgp then
-            let lp =
-              match Device.neighbor_group rd nb with
-              | Some g -> Option.value g.pg_local_pref ~default:Route.default_local_pref
-              | None -> Route.default_local_pref
-            in
-            { msg with Route.local_pref = lp }
-          else msg
-        in
-        let chain = Device.neighbor_import rd nb in
-        let { Eval.verdict; route; exercised } =
-          eval rd ~chain ~default:Eval.Accepted ~protocol:Route.Bgp msg
-        in
-        match (verdict, route) with
-        | Eval.Rejected, _ | _, None -> (None, exercised)
-        | Eval.Accepted, Some r -> (Some r, exercised))
+  | Some nb, Some b when not (looped b ~ebgp:e.ebgp msg) ->
+      import_half ~eval (receiver rd b nb) ~ebgp:e.ebgp msg
+  | _, _ -> (None, [])
 
-let redistribute_route ?(eval = default_eval) (find_device : find_device) host
-    (rd : Device.redistribute) (me : Rib.main_entry) =
-  let d = find_device host in
+let redistribute ~eval (d : Device.t) (rd : Device.redistribute)
+    (me : Rib.main_entry) =
   let base =
     {
       (Route.originate me.Rib.me_prefix ~next_hop:self_next_hop) with
@@ -146,48 +198,175 @@ let redistribute_route ?(eval = default_eval) (find_device : find_device) host
   in
   match rd.rd_policy with
   | None -> (Some base, [])
-  | Some pol -> (
-      let { Eval.verdict; route; exercised } =
-        eval d ~chain:[ pol ] ~default:Eval.Rejected
-          ~protocol:me.Rib.me_protocol base
-      in
-      match (verdict, route) with
-      | Eval.Rejected, _ | _, None -> (None, exercised)
-      | Eval.Accepted, Some r -> (Some r, exercised))
+  | Some pol ->
+      accepted
+        (eval d ~chain:[ pol ] ~default:Eval.Rejected
+           ~protocol:me.Rib.me_protocol base)
+
+let redistribute_route ?(eval = default_eval) (find_device : find_device) host
+    (rd : Device.redistribute) (me : Rib.main_entry) =
+  redistribute ~eval (find_device host) rd me
+
+let igp_cost_to main_rib ip =
+  if Ipv4.equal ip self_next_hop then 0
+  else
+    match Rib.table_longest_match ip main_rib with
+    | Some (_, e :: _) -> e.Rib.me_metric
+    | Some (_, []) | None -> 0
+
+(* A resolved session: both sides of one edge, looked up once per
+   fixed point instead of once per route. *)
+type session = {
+  id : int;
+  edge : Session.edge;
+  send : sender;
+  recv : receiver;
+  group : int;
+      (* update group: sessions with the same sender, export chain,
+         eBGP flag and client flag share one sender half per route *)
+  igp_to_sender : int;  (* the receiver's IGP cost to [edge.send_ip] *)
+}
+
+(* Resolve every edge whose two sides configure BGP and name each
+   other; returns the sessions and the number of update groups. *)
+let resolve_sessions (find_device : find_device) ~pre_mains edges =
+  let groups = Hashtbl.create 64 and next_id = ref 0 in
+  let sessions =
+    List.filter_map
+      (fun (e : Session.edge) ->
+        match (resolve_sender find_device e, resolve_receiver find_device e) with
+        | Some send, Some recv ->
+            let key = (e.send_host, send.s_export, e.ebgp, send.s_nb.nb_rr_client) in
+            let group =
+              match Hashtbl.find_opt groups key with
+              | Some g -> g
+              | None ->
+                  let g = Hashtbl.length groups in
+                  Hashtbl.add groups key g;
+                  g
+            in
+            let pre_main =
+              Option.value (Hashtbl.find_opt pre_mains e.recv_host)
+                ~default:Prefix_trie.empty
+            in
+            let id = !next_id in
+            incr next_id;
+            Some
+              {
+                id;
+                edge = e;
+                send;
+                recv;
+                group;
+                igp_to_sender = igp_cost_to pre_main e.send_ip;
+              }
+        | _, _ -> None)
+      edges
+  in
+  (sessions, Hashtbl.length groups)
+
+let sender_half s (entry : Rib.bgp_entry) =
+  match export_half ~eval:default_eval s.send ~ebgp:s.edge.ebgp entry with
+  | Some { Eval.verdict = Eval.Accepted; route = Some r; _ } -> Some r
+  | Some _ | None -> None
+
+(* The receiver half: the wire rewrite, the import simulation and the
+   IGP cost, turning one exported route into a candidate entry. *)
+let receiver_half ~pre_main s (entry : Rib.bgp_entry) r =
+  let e = s.edge in
+  match
+    import_half ~eval:default_eval s.recv ~ebgp:e.ebgp (to_wire s.send e entry r)
+  with
+  | None, _ -> None
+  | Some r, _ ->
+      let nh = r.Route.next_hop in
+      Some
+        {
+          Rib.be_route = r;
+          be_source = Rib.Learned e.send_ip;
+          be_from_ebgp = e.ebgp;
+          be_igp_cost =
+            (if Ipv4.equal nh e.send_ip then s.igp_to_sender
+             else igp_cost_to pre_main nh);
+          be_peer_id = e.send_ip;
+          be_best = false;
+        }
+
+(* An update group's exports for one round, as two parallel arrays:
+   each best entry of the sender that passes the sender half, and its
+   post-chain route. *)
+let group_exports s best =
+  let n = Array.length best in
+  if n = 0 then ([||], [||])
+  else
+    let entries = Array.make n best.(0) in
+    let routes = Array.make n best.(0).Rib.be_route in
+    let k = ref 0 in
+    Array.iter
+      (fun se ->
+        match sender_half s se with
+        | Some r ->
+            entries.(!k) <- se;
+            routes.(!k) <- r;
+            incr k
+        | None -> ())
+      best;
+    if !k = n then (entries, routes)
+    else (Array.sub entries 0 !k, Array.sub routes 0 !k)
+
+(* Both halves for one session over one sender group: the candidates
+   the receiver learns. *)
+let session_candidates ~pre_main s sender_entries =
+  List.filter_map
+    (fun (se : Rib.bgp_entry) ->
+      if not se.be_best then None
+      else
+        match sender_half s se with
+        | None -> None
+        | Some r -> receiver_half ~pre_main s se r)
+    sender_entries
+
+let session_edge s = s.edge
+let update_group s = s.group
 
 (* ------------------------------------------------------------------ *)
 (* Best-path selection                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let preference_compare (a : Rib.bgp_entry) (b : Rib.bgp_entry) =
+  let ra = a.be_route and rb = b.be_route in
   let local e = if is_local_source e.Rib.be_source then 0 else 1 in
-  let cmps =
-    [
-      (fun () -> Int.compare (local a) (local b));
-      (fun () ->
-        Int.compare b.be_route.Route.local_pref a.be_route.Route.local_pref);
-      (fun () ->
+  let c = Int.compare (local a) (local b) in
+  if c <> 0 then c
+  else
+    let c = Int.compare rb.Route.local_pref ra.Route.local_pref in
+    if c <> 0 then c
+    else
+      let c =
         Int.compare
-          (As_path.length a.be_route.Route.as_path)
-          (As_path.length b.be_route.Route.as_path));
-      (fun () ->
-        Int.compare
-          (Route.origin_rank a.be_route.Route.origin)
-          (Route.origin_rank b.be_route.Route.origin));
-      (fun () -> Int.compare a.be_route.Route.med b.be_route.Route.med);
-      (fun () ->
-        Bool.compare (not a.be_from_ebgp) (not b.be_from_ebgp));
-      (fun () ->
-        Int.compare a.be_route.Route.cluster_len b.be_route.Route.cluster_len);
-      (fun () -> Int.compare a.be_igp_cost b.be_igp_cost);
-      (fun () -> Ipv4.compare a.be_peer_id b.be_peer_id);
-    ]
-  in
-  let rec go = function
-    | [] -> 0
-    | f :: rest -> ( match f () with 0 -> go rest | c -> c)
-  in
-  go cmps
+          (As_path.length ra.Route.as_path)
+          (As_path.length rb.Route.as_path)
+      in
+      if c <> 0 then c
+      else
+        let c =
+          Int.compare
+            (Route.origin_rank ra.Route.origin)
+            (Route.origin_rank rb.Route.origin)
+        in
+        if c <> 0 then c
+        else
+          let c = Int.compare ra.Route.med rb.Route.med in
+          if c <> 0 then c
+          else
+            let c = Bool.compare (not a.be_from_ebgp) (not b.be_from_ebgp) in
+            if c <> 0 then c
+            else
+              let c = Int.compare ra.Route.cluster_len rb.Route.cluster_len in
+              if c <> 0 then c
+              else
+                let c = Int.compare a.be_igp_cost b.be_igp_cost in
+                if c <> 0 then c else Ipv4.compare a.be_peer_id b.be_peer_id
 
 (* Multipath-eligible with the winner: equal through the IGP-cost step
    (everything except the final peer-id tie break). *)
@@ -229,27 +408,15 @@ let select_group (b : Device.bgp_config) entries =
   |> List.sort_uniq Rib.compare_bgp_entry
 
 let groups_equal xs ys =
-  List.length xs = List.length ys
-  && List.for_all2 (fun x y -> Rib.compare_bgp_entry x y = 0) xs ys
+  xs == ys
+  || List.length xs = List.length ys
+     && List.for_all2 (fun x y -> Rib.compare_bgp_entry x y = 0) xs ys
 
-(* A prefix set keyed by canonical text. *)
-type pset = (string, Prefix.t) Hashtbl.t
+(* A prefix set; [Prefix.t]'s fields are two ints, so the polymorphic
+   hash spreads it well ([Prefix.hash] collides on the low bits). *)
+type pset = (Prefix.t, unit) Hashtbl.t
 
-let pset_add (s : pset) p = Hashtbl.replace s (Prefix.to_string p) p
-
-(* Prefixes at which the two tables' groups differ. *)
-let bgp_tables_diff a b : pset =
-  let acc = Hashtbl.create 8 in
-  Prefix_trie.iter
-    (fun p xs ->
-      match Prefix_trie.find_opt p b with
-      | None -> pset_add acc p
-      | Some ys -> if not (groups_equal xs ys) then pset_add acc p)
-    a;
-  Prefix_trie.iter
-    (fun p _ -> if not (Prefix_trie.mem p a) then pset_add acc p)
-    b;
-  acc
+let pset_add_list (s : pset) ps = List.iter (fun p -> Hashtbl.replace s p ()) ps
 
 (* ------------------------------------------------------------------ *)
 (* Fixed point                                                         *)
@@ -323,116 +490,84 @@ let pre_bgp_main (d : Device.t) igp_table =
     Prefix_trie.empty all
   |> normalize_main
 
-let igp_cost_to main_rib ip =
-  if Ipv4.equal ip self_next_hop then 0
-  else
-    match Rib.table_longest_match ip main_rib with
-    | Some (_, e :: _) -> e.Rib.me_metric
-    | Some (_, []) | None -> 0
-
-(* The per-(edge, prefix-group) import pipeline: the sender's best
-   entries, filtered and transformed by the export then import
-   simulations, as receiver-side candidate entries. *)
-let import_candidates (find_device : find_device) (e : Session.edge) ~pre_main
-    sender_entries =
-  List.filter_map
-    (fun (se : Rib.bgp_entry) ->
-      if not se.be_best then None
-      else
-        match export_route find_device e se with
-        | None, _ -> None
-        | Some msg, _ -> (
-            match import_route find_device e msg with
-            | None, _ -> None
-            | Some r, _ ->
-                Some
-                  {
-                    Rib.be_route = r;
-                    be_source = Rib.Learned e.send_ip;
-                    be_from_ebgp = e.ebgp;
-                    be_igp_cost = igp_cost_to pre_main r.Route.next_hop;
-                    be_peer_id = e.send_ip;
-                    be_best = false;
-                  }))
-    sender_entries
-
-(* Memo of [import_candidates], two-level — edge key, then canonical
-   prefix text — carrying the sender group each entry was computed
-   from. A lookup is valid only when the current group is
-   {e physically} the stored one ([==]): that holds exactly for groups
-   untouched since the memo's state, because the warm iteration
-   splices recomputed prefixes and structurally shares the rest. The
-   caller additionally gates on the warm dirty seed so both endpoints'
-   configurations and the receiver's pre-BGP main RIB match prime
-   time. Two levels keep the hot path allocation-free: the edge key is
-   built once per edge, and the scope iteration already carries the
-   prefix text. *)
+(* Memo of [session_candidates], two-level — edge key, then prefix —
+   carrying the sender group each entry was computed from. A lookup is
+   valid only when the current group is {e physically} the stored one
+   ([==]): that holds exactly for groups untouched since the memo's
+   state, because the warm iteration splices recomputed prefixes and
+   structurally shares the rest. The caller additionally gates on the
+   warm dirty seed so both endpoints' configurations and the receiver's
+   pre-BGP main RIB match prime time. The edge key is looked up once
+   per session and fixed point. *)
 type import_memo =
   ( string,
-    (string, Rib.bgp_entry list * Rib.bgp_entry list) Hashtbl.t )
+    (Prefix.t, Rib.bgp_entry list * Rib.bgp_entry list) Hashtbl.t )
   Hashtbl.t
 
-(* Prime a memo from a converged state: one [import_candidates] per
-   (edge, sender prefix) — about one round's worth of policy work, paid
-   once and read by every warm replay seeded from this state. *)
+(* Prime a memo from a converged state: one [session_candidates] per
+   (session, sender prefix) — about one round's worth of policy work,
+   paid once and read by every warm replay seeded from this state. *)
 let build_import_memo (find_device : find_device) ~edges ~pre_mains ~bgp_ribs :
     import_memo =
   let memo : import_memo = Hashtbl.create 1024 in
+  let sessions, _ = resolve_sessions find_device ~pre_mains edges in
   List.iter
-    (fun (e : Session.edge) ->
+    (fun s ->
       let pre_main =
         Option.value
-          (Hashtbl.find_opt pre_mains e.Session.recv_host)
+          (Hashtbl.find_opt pre_mains s.edge.recv_host)
           ~default:Prefix_trie.empty
       in
-      match Hashtbl.find_opt bgp_ribs e.Session.send_host with
+      match Hashtbl.find_opt bgp_ribs s.edge.send_host with
       | None -> ()
       | Some sender_table ->
           let inner = Hashtbl.create 64 in
           Prefix_trie.iter
             (fun p group ->
-              Hashtbl.replace inner (Prefix.to_string p)
-                (group, import_candidates find_device e ~pre_main group))
+              Hashtbl.replace inner p
+                (group, session_candidates ~pre_main s group))
             sender_table;
-          Hashtbl.replace memo (Session.edge_key e) inner)
-    edges;
+          Hashtbl.replace memo (Session.edge_key s.edge) inner)
+    sessions;
   memo
 
-(* One synchronous round for one host: local origination + imports from
-   the previous round's sender states. *)
-let host_round (find_device : find_device) (d : Device.t) ~edges_in
-    ~(prev_bgp : string -> Rib.bgp_entry Rib.table) ~pre_main =
-  match d.bgp with
-  | None -> Prefix_trie.empty
-  | Some b ->
-      let entries = ref [] in
-      let push e = entries := e :: !entries in
-      (* network statements: pull exact main-RIB entries into BGP *)
-      List.iter
-        (fun p ->
-          match Rib.table_find p pre_main with
-          | [] -> ()
-          | me :: _ ->
-              if me.Rib.me_protocol <> Route.Bgp then
-                push
-                  {
-                    Rib.be_route = Route.originate p ~next_hop:self_next_hop;
-                    be_source = Rib.From_network;
-                    be_from_ebgp = false;
-                    be_igp_cost = 0;
-                    be_peer_id = b.router_id;
-                    be_best = false;
-                  })
-        b.networks;
-      (* redistribution *)
-      List.iter
-        (fun (rd : Device.redistribute) ->
+let push acc (e : Rib.bgp_entry) =
+  acc :=
+    Prefix_trie.update e.be_route.Route.prefix
+      (function None -> Some [ e ] | Some es -> Some (e :: es))
+      !acc
+
+(* Local origination at the prefixes [keep] admits: network statements
+   pull exact main-RIB entries into BGP, redistribution pulls matching
+   protocols through its policy. *)
+let originate (d : Device.t) (b : Device.bgp_config) ~pre_main ~keep acc =
+  List.iter
+    (fun p ->
+      if keep p then
+        match Rib.table_find p pre_main with
+        | [] -> ()
+        | me :: _ ->
+            if me.Rib.me_protocol <> Route.Bgp then
+              push acc
+                {
+                  Rib.be_route = Route.originate p ~next_hop:self_next_hop;
+                  be_source = Rib.From_network;
+                  be_from_ebgp = false;
+                  be_igp_cost = 0;
+                  be_peer_id = b.router_id;
+                  be_best = false;
+                })
+    b.networks;
+  List.iter
+    (fun (rd : Device.redistribute) ->
+      Prefix_trie.iter
+        (fun _ mes ->
           List.iter
-            (fun (_, (me : Rib.main_entry)) ->
-              if me.me_protocol = rd.rd_from then
-                match redistribute_route find_device d.hostname rd me with
+            (fun (me : Rib.main_entry) ->
+              if keep me.me_prefix && me.me_protocol = rd.rd_from then
+                match redistribute ~eval:default_eval d rd me with
                 | Some r, _ ->
-                    push
+                    push acc
                       {
                         Rib.be_route = r;
                         be_source = Rib.From_redistribute rd.rd_from;
@@ -442,33 +577,41 @@ let host_round (find_device : find_device) (d : Device.t) ~edges_in
                         be_best = false;
                       }
                 | None, _ -> ())
-            (Rib.table_entries pre_main))
-        b.redistributes;
-      (* imports over established edges (sender state from previous round) *)
+            mes)
+        pre_main)
+    b.redistributes
+
+(* One synchronous round for one host: local origination plus, from
+   each in-session, its update group's exports of the previous round
+   through the session's receiver half. *)
+let host_round (d : Device.t) ~in_sessions ~exports_of ~pre_main =
+  match d.bgp with
+  | None -> Prefix_trie.empty
+  | Some b ->
+      let acc = ref Prefix_trie.empty in
+      originate d b ~pre_main ~keep:(fun _ -> true) acc;
       List.iter
-        (fun (e : Session.edge) ->
-          (* All the sender's current best routes, filtered and
-             transformed by the export simulation. *)
-          Prefix_trie.iter
-            (fun _ sender_entries ->
-              List.iter push
-                (import_candidates find_device e ~pre_main sender_entries))
-            (prev_bgp e.send_host))
-        edges_in;
+        (fun s ->
+          let entries, routes = exports_of s in
+          Array.iteri
+            (fun i se ->
+              match receiver_half ~pre_main s se routes.(i) with
+              | Some c -> push acc c
+              | None -> ())
+            entries)
+        in_sessions;
       (* aggregates: active iff a strictly more specific BGP entry
          exists among what we have so far *)
-      let base = !entries in
+      let base = !acc in
       List.iter
         (fun (a : Device.aggregate) ->
           let has_contributor =
             List.exists
-              (fun (e : Rib.bgp_entry) ->
-                Prefix.subsumes a.ag_prefix e.be_route.Route.prefix
-                && Prefix.len e.be_route.Route.prefix > Prefix.len a.ag_prefix)
-              base
+              (fun (q, _) -> Prefix.len q > Prefix.len a.ag_prefix)
+              (Prefix_trie.subsumed a.ag_prefix base)
           in
           if has_contributor then
-            push
+            push acc
               {
                 Rib.be_route =
                   {
@@ -482,22 +625,7 @@ let host_round (find_device : find_device) (d : Device.t) ~edges_in
                 be_best = false;
               })
         b.aggregates;
-      (* group by prefix, select best *)
-      let by_prefix = Hashtbl.create 64 in
-      List.iter
-        (fun (e : Rib.bgp_entry) ->
-          let k = Prefix.to_string e.be_route.Route.prefix in
-          let cur = Option.value (Hashtbl.find_opt by_prefix k) ~default:[] in
-          Hashtbl.replace by_prefix k (e :: cur))
-        !entries;
-      Hashtbl.fold
-        (fun _ es table ->
-          match es with
-          | [] -> table
-          | first :: _ ->
-              Prefix_trie.add first.Rib.be_route.Route.prefix
-                (select_group b es) table)
-        by_prefix Prefix_trie.empty
+      Prefix_trie.map (select_group b) !acc
 
 (* Scoped variant of [host_round] for warm starts: recompute only the
    groups at the [scope] prefixes and splice them into [prev_self],
@@ -507,126 +635,76 @@ let host_round (find_device : find_device) (d : Device.t) ~edges_in
    transforms never rewrite a route's prefix), and best-path selection
    within the group. Aggregates are the one cross-prefix coupling
    (their activation scans contributors under the aggregate prefix),
-   so a host configured with any aggregate takes the full round. *)
-let host_round_scoped (find_device : find_device) (d : Device.t) ~edges_in
+   so a host configured with any aggregate takes the full round. Each
+   session runs both halves itself: update groups are not shared
+   here. *)
+let host_round_scoped (d : Device.t) ~in_sessions ~exports_of
     ~(prev_bgp : string -> Rib.bgp_entry Rib.table) ~pre_main ~(scope : pset)
-    ~prev_self ~base_self ~self_clean
-    ~(memo : (import_memo * (Session.edge -> bool)) option) =
+    ~prev_self ~base_self ~self_clean ~memo =
   match d.bgp with
   | None -> Prefix_trie.empty
   | Some b when b.aggregates <> [] ->
-      host_round find_device d ~edges_in ~prev_bgp ~pre_main
+      host_round d ~in_sessions ~exports_of ~pre_main
   | Some b ->
-      let in_scope p = Hashtbl.mem scope (Prefix.to_string p) in
-      let fresh : (string, Rib.bgp_entry list) Hashtbl.t = Hashtbl.create 16 in
-      let push (e : Rib.bgp_entry) =
-        let k = Prefix.to_string e.be_route.Route.prefix in
-        let cur = Option.value (Hashtbl.find_opt fresh k) ~default:[] in
-        Hashtbl.replace fresh k (e :: cur)
-      in
-      List.iter
-        (fun p ->
-          if in_scope p then
-            match Rib.table_find p pre_main with
-            | [] -> ()
-            | me :: _ ->
-                if me.Rib.me_protocol <> Route.Bgp then
-                  push
-                    {
-                      Rib.be_route = Route.originate p ~next_hop:self_next_hop;
-                      be_source = Rib.From_network;
-                      be_from_ebgp = false;
-                      be_igp_cost = 0;
-                      be_peer_id = b.router_id;
-                      be_best = false;
-                    })
-        b.networks;
-      List.iter
-        (fun (rd : Device.redistribute) ->
-          List.iter
-            (fun (_, (me : Rib.main_entry)) ->
-              if in_scope me.me_prefix && me.me_protocol = rd.rd_from then
-                match redistribute_route find_device d.hostname rd me with
-                | Some r, _ ->
-                    push
-                      {
-                        Rib.be_route = r;
-                        be_source = Rib.From_redistribute rd.rd_from;
-                        be_from_ebgp = false;
-                        be_igp_cost = 0;
-                        be_peer_id = b.router_id;
-                        be_best = false;
-                      }
-                | None, _ -> ())
-            (Rib.table_entries pre_main))
-        b.redistributes;
-      (* Per-edge context, resolved once per round: the sender's table,
-         the memo's inner (prefix → candidates) table, and whether the
-         memo admits the edge (both endpoints outside the dirty seed,
-         so configurations and the receiver's pre-BGP main RIB match
-         prime time). *)
-      let edge_ctxs =
+      let fresh = ref Prefix_trie.empty in
+      originate d b ~pre_main ~keep:(Hashtbl.mem scope) fresh;
+      (* Per-session context for this round: the sender's table, the
+         memo's inner (prefix → candidates) table, and whether the
+         memo admits the session (both endpoints outside the dirty
+         seed, so configurations and the receiver's pre-BGP main RIB
+         match prime time). *)
+      let ctxs =
         List.map
-          (fun (e : Session.edge) ->
-            let inner, admit =
-              match memo with
-              | Some (m, admits) ->
-                  (Hashtbl.find_opt m (Session.edge_key e), admits e)
-              | None -> (None, false)
-            in
-            (e, prev_bgp e.send_host, inner, admit))
-          edges_in
+          (fun s ->
+            let inner, admit = memo s in
+            (s, prev_bgp s.edge.send_host, inner, admit))
+          in_sessions
       in
       Hashtbl.fold
-        (fun k p table ->
+        (fun p () table ->
           (* [stable] tracks whether every input at this prefix provably
              equals the memo's baseline: the host's own previous group
-             is physically the baseline one, and each edge contributes
-             either a verbatim memo hit or candidates structurally equal
-             to the cached ones. Local origination cannot diverge when
-             [self_clean] — the host is outside the dirty seed, so its
-             configuration and pre-BGP main RIB are unchanged (a seeded
-             host reached here via later-round table dirt forfeits the
-             shortcut). When stable, the previous binding IS this
-             round's output: skip selection and keep the table untouched
-             (preserving physical identity for downstream memo hits). *)
+             is physically the baseline one, and each session
+             contributes either a verbatim memo hit or candidates
+             structurally equal to the cached ones. Local origination
+             cannot diverge when [self_clean] — the host is outside the
+             dirty seed, so its configuration and pre-BGP main RIB are
+             unchanged (a seeded host reached here via later-round
+             table dirt forfeits the shortcut). When stable, the
+             previous binding IS this round's output: skip selection
+             and keep the table untouched (preserving physical identity
+             for downstream memo hits). *)
           let stable =
             ref
               (self_clean
               && Rib.table_find p prev_self == Rib.table_find p base_self)
           in
-          let cands =
-            ref (Option.value (Hashtbl.find_opt fresh k) ~default:[])
-          in
+          let cands = ref (Rib.table_find p !fresh) in
           List.iter
-            (fun ((e : Session.edge), sender_table, inner, admit) ->
+            (fun (s, sender_table, inner, admit) ->
               let group = Rib.table_find p sender_table in
               let cs =
                 match inner with
                 | None ->
                     stable := false;
-                    import_candidates find_device e ~pre_main group
+                    session_candidates ~pre_main s group
                 | Some t -> (
-                    match Hashtbl.find_opt t k with
+                    match Hashtbl.find_opt t p with
                     | Some (g0, cached) when admit && g0 == group -> cached
                     | Some (_, cached) ->
-                        let cs =
-                          import_candidates find_device e ~pre_main group
-                        in
+                        let cs = session_candidates ~pre_main s group in
                         if !stable && not (groups_equal cs cached) then
                           stable := false;
                         cs
                     | None ->
-                        (* no baseline binding: the edge contributed
+                        (* no baseline binding: the session contributed
                            nothing at prime time *)
-                        let cs =
-                          import_candidates find_device e ~pre_main group
-                        in
+                        let cs = session_candidates ~pre_main s group in
                         if cs <> [] then stable := false;
                         cs)
               in
               if cs <> [] then cands := cs @ !cands)
-            edge_ctxs;
+            ctxs;
           if !stable then table
           else
             match !cands with
@@ -694,10 +772,10 @@ let build_main (d : Device.t) pre_main bgp_table =
    at most at the [changed] prefixes. Each main group is a per-prefix
    function of pre_main@p and the BGP group at p, so patching exactly
    those prefixes reproduces [build_main]'s output. *)
-let patch_main (d : Device.t) pre_main bgp_table ~changed ~old_main =
+let patch_main (d : Device.t) pre_main bgp_table ~(changed : pset) ~old_main =
   let multipath = match d.bgp with Some b -> b.multipath | None -> 1 in
   Hashtbl.fold
-    (fun _ p table ->
+    (fun p () table ->
       let pre = normalize_group (Rib.table_find p pre_main) in
       let has_better =
         List.exists (fun (e : Rib.main_entry) -> e.me_protocol <> Route.Bgp) pre
@@ -759,12 +837,17 @@ let fixed_point ?(max_rounds = 64) ?diags ?warm devices ~igp_ribs ~pre_mains
             Hashtbl.replace dev_tbl h stub;
             stub)
   in
-  let edges_in_of = Hashtbl.create 64 in
+  let sessions, n_groups = resolve_sessions find_device ~pre_mains edges in
+  let in_sessions_of = Hashtbl.create 64 in
   List.iter
-    (fun (e : Session.edge) ->
-      let cur = Option.value (Hashtbl.find_opt edges_in_of e.recv_host) ~default:[] in
-      Hashtbl.replace edges_in_of e.recv_host (cur @ [ e ]))
-    edges;
+    (fun s ->
+      let h = s.edge.recv_host in
+      let cur = Option.value (Hashtbl.find_opt in_sessions_of h) ~default:[] in
+      Hashtbl.replace in_sessions_of h (s :: cur))
+    (List.rev sessions);
+  let in_sessions_of_host h =
+    Option.value (Hashtbl.find_opt in_sessions_of h) ~default:[]
+  in
   let bgp_state = Hashtbl.create 64 in
   List.iter
     (fun (d : Device.t) ->
@@ -780,7 +863,7 @@ let fixed_point ?(max_rounds = 64) ?diags ?warm devices ~igp_ribs ~pre_mains
     devices;
   let rounds = ref 0 in
   (* Dirty-host convergence: a host's round output is a pure function
-     of its pre-BGP main RIB and its in-edge senders' previous-round
+     of its pre-BGP main RIB and its in-session senders' previous-round
      tables, so only hosts with a sender in last round's changed set
      can produce a different table this round. [dirty] holds last
      round's changed hosts (initially every host, standing in for the
@@ -805,16 +888,13 @@ let fixed_point ?(max_rounds = 64) ?diags ?warm devices ~igp_ribs ~pre_mains
      the [mutation-falsifiability] oracle). *)
   (* [None] = the host's round function changed (recompute it in full);
      [Some ps] = only its table changed, at exactly the [ps] prefixes. *)
-  let dirty : (string, pset option) Hashtbl.t = Hashtbl.create 64 in
+  let dirty : (string, Prefix.t list option) Hashtbl.t = Hashtbl.create 64 in
   (match warm with
   | None ->
       List.iter
         (fun (d : Device.t) -> Hashtbl.replace dirty d.hostname None)
         devices
   | Some w -> Hashtbl.iter (fun h () -> Hashtbl.replace dirty h None) w.w_dirty);
-  (* Hosts whose table may differ from the warm-start tables, with the
-     union of their changed prefixes across rounds ([None] = unbounded:
-     the seeded dirty hosts), for main-RIB patching below. *)
   (* Memo admission: the cached import is replayable only when neither
      endpoint is in the dirty seed — seeded hosts may differ from the
      memo's state in configuration, pre-BGP main RIB, or edge
@@ -822,22 +902,32 @@ let fixed_point ?(max_rounds = 64) ?diags ?warm devices ~igp_ribs ~pre_mains
      valid across rounds. *)
   let memo =
     match warm with
-    | None -> None
-    | Some { w_memo = None; _ } -> None
     | Some ({ w_memo = Some m; _ } as w) ->
-        let admits (e : Session.edge) =
-          (not (Hashtbl.mem w.w_dirty e.Session.send_host))
-          && not (Hashtbl.mem w.w_dirty e.Session.recv_host)
+        let ctx =
+          Array.of_list
+            (List.map
+               (fun s ->
+                 ( Hashtbl.find_opt m (Session.edge_key s.edge),
+                   (not (Hashtbl.mem w.w_dirty s.edge.send_host))
+                   && not (Hashtbl.mem w.w_dirty s.edge.recv_host) ))
+               sessions)
         in
-        Some (m, admits)
+        fun s -> ctx.(s.id)
+    | Some { w_memo = None; _ } | None -> fun _ -> (None, false)
   in
+  (* Hosts whose table may differ from the warm-start tables, with the
+     union of their changed prefixes across rounds ([None] = unbounded:
+     the seeded dirty hosts), for main-RIB patching below. *)
   let touched : (string, pset option) Hashtbl.t = Hashtbl.create 64 in
   Hashtbl.iter (fun h _ -> Hashtbl.replace touched h None) dirty;
-  let touch h (ps : pset) =
+  let touch h ps =
     match Hashtbl.find_opt touched h with
     | Some None -> ()
-    | Some (Some acc) -> Hashtbl.iter (fun k p -> Hashtbl.replace acc k p) ps
-    | None -> Hashtbl.replace touched h (Some (Hashtbl.copy ps))
+    | Some (Some acc) -> pset_add_list acc ps
+    | None ->
+        let acc = Hashtbl.create 16 in
+        pset_add_list acc ps;
+        Hashtbl.replace touched h (Some acc)
   in
   let first = ref true in
   while Hashtbl.length dirty > 0 && !rounds < max_rounds do
@@ -852,13 +942,40 @@ let fixed_point ?(max_rounds = 64) ?diags ?warm devices ~igp_ribs ~pre_mains
     let prev_bgp h =
       Option.value (Hashtbl.find_opt bgp_state h) ~default:Prefix_trie.empty
     in
-    let edges_in_of_host h =
-      Option.value (Hashtbl.find_opt edges_in_of h) ~default:[]
+    (* This round's sender halves: each sender's best entries are
+       collected once, and each update group's exports computed once,
+       on first use; both are dropped when the round ends. *)
+    let best_of = Hashtbl.create 64 in
+    let best h =
+      match Hashtbl.find_opt best_of h with
+      | Some es -> es
+      | None ->
+          let es =
+            Array.of_list
+              (Prefix_trie.fold
+                 (fun _ group acc ->
+                   List.fold_left
+                     (fun acc (e : Rib.bgp_entry) ->
+                       if e.be_best then e :: acc else acc)
+                     acc group)
+                 (prev_bgp h) [])
+          in
+          Hashtbl.replace best_of h es;
+          es
+    in
+    let exports = Array.make n_groups None in
+    let exports_of s =
+      match exports.(s.group) with
+      | Some xs -> xs
+      | None ->
+          let xs = group_exports s (best s.edge.send_host) in
+          exports.(s.group) <- Some xs;
+          xs
     in
     let has_dirty_sender (d : Device.t) =
       List.exists
-        (fun (e : Session.edge) -> Hashtbl.mem dirty e.send_host)
-        (edges_in_of_host d.hostname)
+        (fun s -> Hashtbl.mem dirty s.edge.send_host)
+        (in_sessions_of_host d.hostname)
     in
     let targets =
       if !first then
@@ -890,28 +1007,26 @@ let fixed_point ?(max_rounds = 64) ?diags ?warm devices ~igp_ribs ~pre_mains
           else begin
             let acc : pset = Hashtbl.create 32 in
             List.iter
-              (fun (e : Session.edge) ->
-                match Hashtbl.find_opt dirty e.send_host with
+              (fun s ->
+                match Hashtbl.find_opt dirty s.edge.send_host with
                 | None -> ()
-                | Some (Some ps) ->
-                    Hashtbl.iter (fun k p -> Hashtbl.replace acc k p) ps
+                | Some (Some ps) -> pset_add_list acc ps
                 | Some None ->
                     Prefix_trie.iter
-                      (fun p _ -> pset_add acc p)
-                      (prev_bgp e.send_host))
-              (edges_in_of_host d.hostname);
+                      (fun p _ -> Hashtbl.replace acc p ())
+                      (prev_bgp s.edge.send_host))
+              (in_sessions_of_host d.hostname);
             Some acc
           end
     in
     let next =
       List.map
         (fun (d : Device.t) ->
-          let edges_in = edges_in_of_host d.hostname in
+          let in_sessions = in_sessions_of_host d.hostname in
           let pre_main = Hashtbl.find pre_mains d.hostname in
-          let scope = scope_of d in
           let table =
-            match scope with
-            | None -> host_round find_device d ~edges_in ~prev_bgp ~pre_main
+            match scope_of d with
+            | None -> host_round d ~in_sessions ~exports_of ~pre_main
             | Some scope ->
                 let base_self, self_clean =
                   match warm with
@@ -922,41 +1037,38 @@ let fixed_point ?(max_rounds = 64) ?diags ?warm devices ~igp_ribs ~pre_mains
                         not (Hashtbl.mem w.w_dirty d.hostname) )
                   | None -> (Prefix_trie.empty, false)
                 in
-                host_round_scoped find_device d ~edges_in ~prev_bgp ~pre_main
-                  ~scope ~prev_self:(prev_bgp d.hostname) ~base_self
+                host_round_scoped d ~in_sessions ~exports_of ~prev_bgp
+                  ~pre_main ~scope ~prev_self:(prev_bgp d.hostname) ~base_self
                   ~self_clean ~memo
           in
-          (d.hostname, scope, table))
+          (d.hostname, table))
         targets
     in
     Hashtbl.reset dirty;
     List.iter
-      (fun (h, scope, table) ->
-        let changed =
-          match scope with
-          | None -> bgp_tables_diff table (prev_bgp h)
-          | Some scope ->
-              (* only the scoped groups can have moved *)
-              let acc = Hashtbl.create 8 in
-              Hashtbl.iter
-                (fun k p ->
-                  if
-                    not
-                      (groups_equal (Rib.table_find p table)
-                         (Rib.table_find p (prev_bgp h)))
-                  then Hashtbl.replace acc k p)
-                scope;
-              acc
-        in
-        if Hashtbl.length changed > 0 then begin
-          Hashtbl.replace dirty h (Some changed);
-          touch h changed
-        end)
+      (fun (h, table) ->
+        (* A scoped round splices into the previous table, so the walk
+           visits only the spliced paths. *)
+        match Prefix_trie.diff groups_equal table (prev_bgp h) with
+        | [] -> ()
+        | changed ->
+            Hashtbl.replace dirty h (Some changed);
+            touch h changed)
       next;
-    List.iter (fun (h, _, table) -> Hashtbl.replace bgp_state h table) next
+    List.iter (fun (h, table) -> Hashtbl.replace bgp_state h table) next
   done;
-  if Hashtbl.length dirty > 0 then
+  if Hashtbl.length dirty > 0 then begin
     Log.warn (fun m -> m "BGP did not converge after %d rounds" max_rounds);
+    Option.iter
+      (fun sink ->
+        sink
+          (Netcov_diag.Diag.warning Netcov_diag.Diag.No_convergence
+             (Printf.sprintf
+                "BGP did not converge within %d rounds: %d hosts still \
+                 changing; coverage is computed over the last round's state"
+                max_rounds (Hashtbl.length dirty))))
+      diags
+  end;
   let main_ribs = Hashtbl.create 64 in
   List.iter
     (fun (d : Device.t) ->

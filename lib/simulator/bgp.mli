@@ -6,7 +6,25 @@
     over every established edge, imports what its neighbors exported in
     the previous round, and re-selects best paths. No provenance is
     recorded — the coverage core re-derives contributions afterwards
-    from the stable state alone (paper §3.2, observation 2). *)
+    from the stable state alone (paper §3.2, observation 2).
+
+    Each edge is resolved once per fixed point into a {!session}: the
+    sender's device, neighbor statement, BGP configuration and export
+    chain, and the receiver's device, BGP configuration, import chain
+    and eBGP local-pref. The per-route pipeline is split in two halves:
+    - the {e sender half} ({!sender_half}): exportability (iBGP
+      full-mesh rule, no-export community), summary-only suppression and
+      the export chain;
+    - the {e receiver half} ({!receiver_half}): the session's wire
+      rewrite (eBGP prepending, next-hop and CLUSTER_LIST rewriting),
+      the AS-loop check, the import chain and the IGP cost.
+
+    The sender half reads only the sender, the export chain, the eBGP
+    flag and the route-reflector-client flag, so sessions that agree on
+    those four form an {e update group}, as in BGP speakers: each round
+    runs the sender half once per group and route, and each member
+    applies only its receiver half. {!export_route} and {!import_route}
+    resolve one side of an edge and call the same halves. *)
 
 open Netcov_types
 open Netcov_config
@@ -76,7 +94,7 @@ val compute_pre_mains :
 val reach_of :
   (string, Rib.main_entry Rib.table) Hashtbl.t -> string -> Ipv4.t -> bool
 
-(** Memo of per-(edge, prefix) import pipelines — the sender's group
+(** Memo of per-(session, prefix) import pipelines — the sender's group
     filtered and transformed by the export and import simulations —
     primed once from a converged state with {!build_import_memo}.
     During a warm {!fixed_point} a lookup is replayed verbatim when the
@@ -114,7 +132,7 @@ type warm = {
     starts from empty tables (equivalent to {!run} given the same
     inputs); with [warm] it replays only the dirty cone of an edit,
     which matches a from-scratch run whenever the iteration's fixed
-    point is unique. *)
+    point is unique. [max_rounds] and [diags] behave as for {!run}. *)
 val fixed_point :
   ?max_rounds:int ->
   ?diags:(Netcov_diag.Diag.t -> unit) ->
@@ -126,8 +144,9 @@ val fixed_point :
   result
 
 (** [run devices topo] computes the stable state. [max_rounds] caps the
-    iteration (default 64); non-convergence logs a warning and returns
-    the last state.
+    iteration (default 64); non-convergence logs a warning, emits one
+    [No_convergence] warning diagnostic to [diags] naming the cap and
+    the number of hosts still changing, and returns the last state.
 
     Without [diags], referencing an unknown device raises
     [Invalid_argument]. With [diags], each unknown hostname is reported
@@ -140,6 +159,44 @@ val run :
   Device.t list ->
   Topology.t ->
   result
+
+(** {2 Sessions}
+
+    Exposed so tests can check the fixed point's pipeline against
+    {!export_route} and {!import_route}. *)
+
+(** One edge with both sides resolved. *)
+type session
+
+(** [resolve_sessions find_device ~pre_mains edges] resolves every edge
+    whose two ends configure BGP and name each other, and returns the
+    sessions with the number of update groups among them. *)
+val resolve_sessions :
+  find_device ->
+  pre_mains:(string, Rib.main_entry Rib.table) Hashtbl.t ->
+  Session.edge list ->
+  session list * int
+
+val session_edge : session -> Session.edge
+
+(** The session's update group, numbered from 0 in resolution order. *)
+val update_group : session -> int
+
+(** [sender_half s entry] is the sender's post-export-chain route for
+    [entry], or [None] when it is not exported. Equal for every session
+    of one update group. *)
+val sender_half : session -> Rib.bgp_entry -> Route.bgp option
+
+(** [receiver_half ~pre_main s entry r] turns the sender half's result
+    [r] for [entry] into the receiver's candidate entry, or [None] when
+    the import rejects it. [pre_main] is the receiver's pre-BGP main
+    RIB, which prices the next hop. *)
+val receiver_half :
+  pre_main:Rib.main_entry Rib.table ->
+  session ->
+  Rib.bgp_entry ->
+  Route.bgp ->
+  Rib.bgp_entry option
 
 (** Best-path comparison used by selection (smaller is better); exposed
     for tests. Ranks: local origination, local-pref, AS-path length,

@@ -75,21 +75,20 @@ type bgp_entry = {
 }
 
 let compare_bgp_entry a b =
-  let cmps =
-    [
-      (fun () -> Route.compare_bgp a.be_route b.be_route);
-      (fun () -> compare_bgp_source a.be_source b.be_source);
-      (fun () -> Bool.compare a.be_from_ebgp b.be_from_ebgp);
-      (fun () -> Int.compare a.be_igp_cost b.be_igp_cost);
-      (fun () -> Ipv4.compare a.be_peer_id b.be_peer_id);
-      (fun () -> Bool.compare a.be_best b.be_best);
-    ]
-  in
-  let rec go = function
-    | [] -> 0
-    | f :: rest -> ( match f () with 0 -> go rest | c -> c)
-  in
-  go cmps
+  let c = Route.compare_bgp a.be_route b.be_route in
+  if c <> 0 then c
+  else
+    let c = compare_bgp_source a.be_source b.be_source in
+    if c <> 0 then c
+    else
+      let c = Bool.compare a.be_from_ebgp b.be_from_ebgp in
+      if c <> 0 then c
+      else
+        let c = Int.compare a.be_igp_cost b.be_igp_cost in
+        if c <> 0 then c
+        else
+          let c = Ipv4.compare a.be_peer_id b.be_peer_id in
+          if c <> 0 then c else Bool.compare a.be_best b.be_best
 
 let pp_bgp_entry fmt e =
   Format.fprintf fmt "%a (%s%s)" Route.pp_bgp e.be_route

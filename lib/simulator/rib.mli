@@ -31,6 +31,7 @@ type bgp_source =
   | From_redistribute of Route.protocol
 
 val bgp_source_to_string : bgp_source -> string
+val compare_bgp_source : bgp_source -> bgp_source -> int
 
 type bgp_entry = {
   be_route : Route.bgp;

@@ -42,8 +42,8 @@ let test_severity_and_kinds () =
       | Some k' when k' = k -> ()
       | _ -> Alcotest.failf "kind %s does not round-trip" (Diag.kind_to_string k))
     [ Diag.Parse_error; Diag.Parse_recovered; Diag.Duplicate_host;
-      Diag.Unknown_host; Diag.Policy_eval; Diag.Sim_failure; Diag.Test_failure;
-      Diag.Io_error; Diag.Internal ]
+      Diag.Unknown_host; Diag.No_convergence; Diag.Policy_eval;
+      Diag.Sim_failure; Diag.Test_failure; Diag.Io_error; Diag.Internal ]
 
 let test_compare_provenance_major () =
   let a = Diag.error ~file:"a.cfg" ~line:3 Diag.Parse_error "x" in

@@ -51,6 +51,46 @@ let test_origin_rank () =
   check_bool "incomplete worst" true
     (Route.origin_rank Route.Origin_egp < Route.origin_rank Route.Origin_incomplete)
 
+(* The closure-list comparator [Route.compare_bgp] replaced: the
+   reference its allocation-free chain must agree with. *)
+let reference_compare_bgp (a : Route.bgp) (b : Route.bgp) =
+  let cmp =
+    [
+      (fun () -> Prefix.compare a.prefix b.prefix);
+      (fun () -> Ipv4.compare a.next_hop b.next_hop);
+      (fun () -> As_path.compare a.as_path b.as_path);
+      (fun () -> Int.compare a.local_pref b.local_pref);
+      (fun () -> Int.compare a.med b.med);
+      (fun () -> Community.Set.compare a.communities b.communities);
+      (fun () -> Route.compare_origin a.origin b.origin);
+      (fun () -> Int.compare a.cluster_len b.cluster_len);
+    ]
+  in
+  let rec go = function
+    | [] -> 0
+    | f :: rest -> ( match f () with 0 -> go rest | c -> c)
+  in
+  go cmp
+
+let sign c = Int.compare c 0
+
+let prop_compare_reference =
+  QCheck.Test.make ~name:"compare_bgp and equal_bgp agree with the reference"
+    ~count:2000
+    (QCheck.make
+       QCheck.Gen.(
+         pair Testnet.gen_route Testnet.gen_route >>= fun (a, b) ->
+         (* half the pairs differ in the last field at most *)
+         map
+           (fun last ->
+             if last then (a, { a with Route.cluster_len = b.cluster_len })
+             else (a, b))
+           bool))
+    (fun (a, b) ->
+      let want = reference_compare_bgp a b in
+      sign (Route.compare_bgp a b) = sign want
+      && Route.equal_bgp a b = (want = 0))
+
 let () =
   Alcotest.run "route"
     [
@@ -64,4 +104,5 @@ let () =
           Alcotest.test_case "protocols" `Quick test_protocols;
           Alcotest.test_case "origin rank" `Quick test_origin_rank;
         ] );
+      ("props", [ QCheck_alcotest.to_alcotest prop_compare_reference ]);
     ]

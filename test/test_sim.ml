@@ -7,6 +7,10 @@ let check_int = Alcotest.(check int)
 let ip = Ipv4.of_string
 let p = Prefix.of_string
 
+module W = Netcov_workloads
+module I2 = W.Internet2
+module Diag = Netcov_diag.Diag
+
 (* ---------------- topology ---------------- *)
 
 let test_topology_adjacency () =
@@ -264,6 +268,371 @@ let test_no_export_community () =
   check_bool "no-export blocks ebgp export" true
     (fst (Bgp.export_route find_device edge tagged) = None)
 
+(* ---------------- comparators ---------------- *)
+
+(* The closure-list comparators the allocation-free chains replaced:
+   references their signs must agree with. *)
+let by_steps steps =
+  let rec go = function
+    | [] -> 0
+    | f :: rest -> ( match f () with 0 -> go rest | c -> c)
+  in
+  go steps
+
+let reference_compare_bgp_entry (a : Rib.bgp_entry) (b : Rib.bgp_entry) =
+  by_steps
+    [
+      (fun () -> Route.compare_bgp a.be_route b.be_route);
+      (fun () -> Rib.compare_bgp_source a.be_source b.be_source);
+      (fun () -> Bool.compare a.be_from_ebgp b.be_from_ebgp);
+      (fun () -> Int.compare a.be_igp_cost b.be_igp_cost);
+      (fun () -> Ipv4.compare a.be_peer_id b.be_peer_id);
+      (fun () -> Bool.compare a.be_best b.be_best);
+    ]
+
+let reference_preference_compare (a : Rib.bgp_entry) (b : Rib.bgp_entry) =
+  let local (e : Rib.bgp_entry) =
+    match e.be_source with Rib.Learned _ -> 1 | _ -> 0
+  in
+  let ra = a.be_route and rb = b.be_route in
+  by_steps
+    [
+      (fun () -> Int.compare (local a) (local b));
+      (fun () -> Int.compare rb.local_pref ra.local_pref);
+      (fun () ->
+        Int.compare (As_path.length ra.as_path) (As_path.length rb.as_path));
+      (fun () ->
+        Int.compare (Route.origin_rank ra.origin) (Route.origin_rank rb.origin));
+      (fun () -> Int.compare ra.med rb.med);
+      (fun () -> Bool.compare (not a.be_from_ebgp) (not b.be_from_ebgp));
+      (fun () -> Int.compare ra.cluster_len rb.cluster_len);
+      (fun () -> Int.compare a.be_igp_cost b.be_igp_cost);
+      (fun () -> Ipv4.compare a.be_peer_id b.be_peer_id);
+    ]
+
+let gen_entry =
+  QCheck.Gen.(
+    map
+      (fun (be_route, be_source, (be_from_ebgp, be_igp_cost, peer, be_best)) ->
+        {
+          Rib.be_route;
+          be_source;
+          be_from_ebgp;
+          be_igp_cost;
+          be_peer_id = ip peer;
+          be_best;
+        })
+      (triple Testnet.gen_route
+         (oneofl
+            [
+              Rib.Learned (ip "1.1.1.1");
+              Rib.Learned (ip "2.2.2.2");
+              Rib.From_network;
+              Rib.From_aggregate;
+              Rib.From_redistribute Route.Static;
+            ])
+         (quad bool (oneofl [ 0; 10 ]) (oneofl [ "1.1.1.1"; "2.2.2.2" ]) bool)))
+
+(* Pairs that are independent, or equal up to the comparator's last
+   field, so ties only that field breaks are common. *)
+let gen_entry_pair ~last =
+  QCheck.make
+    QCheck.Gen.(
+      pair gen_entry gen_entry >>= fun (a, b) ->
+      map (fun tie -> if tie then (a, last a b) else (a, b)) bool)
+
+let sign c = Int.compare c 0
+
+let prop_compare_bgp_entry =
+  QCheck.Test.make ~name:"compare_bgp_entry agrees with the reference"
+    ~count:2000
+    (gen_entry_pair ~last:(fun a (b : Rib.bgp_entry) ->
+         { a with Rib.be_best = b.be_best }))
+    (fun (a, b) ->
+      sign (Rib.compare_bgp_entry a b) = sign (reference_compare_bgp_entry a b))
+
+let prop_preference_compare =
+  QCheck.Test.make ~name:"preference_compare agrees with the reference"
+    ~count:2000
+    (gen_entry_pair ~last:(fun a (b : Rib.bgp_entry) ->
+         { a with Rib.be_peer_id = b.be_peer_id }))
+    (fun (a, b) ->
+      sign (Bgp.preference_compare a b)
+      = sign (reference_preference_compare a b))
+
+(* ---------------- sessions and update groups ---------------- *)
+
+let igp_cost_reference pre_main nh =
+  if Ipv4.equal nh Ipv4.zero then 0
+  else
+    match Rib.table_longest_match nh pre_main with
+    | Some (_, (e : Rib.main_entry) :: _) -> e.me_metric
+    | Some (_, []) | None -> 0
+
+(* [export_route], then [import_route], plus the IGP cost: the
+   candidate the receiver learns, computed without sessions. *)
+let reference_candidate find_device ~pre_main (e : Session.edge) se =
+  match Bgp.export_route find_device e se with
+  | None, _ -> None
+  | Some msg, _ -> (
+      match Bgp.import_route find_device e msg with
+      | None, _ -> None
+      | Some r, _ ->
+          Some
+            {
+              Rib.be_route = r;
+              be_source = Rib.Learned e.send_ip;
+              be_from_ebgp = e.ebgp;
+              be_igp_cost = igp_cost_reference pre_main r.Route.next_hop;
+              be_peer_id = e.send_ip;
+              be_best = false;
+            })
+
+(* On a converged state, for every session and every best entry of its
+   sender: the update group's shared sender half equals the session's
+   own, and the receiver half applied to it equals
+   [reference_candidate]. *)
+let test_session_pipeline () =
+  List.iter
+    (fun (name, devices) ->
+      let res = Bgp.run devices (Topology.build devices) in
+      let by_name = Hashtbl.create 64 in
+      List.iter
+        (fun (d : Device.t) -> Hashtbl.replace by_name d.hostname d)
+        devices;
+      let find_device = Hashtbl.find by_name in
+      let sessions, n_groups =
+        Bgp.resolve_sessions find_device ~pre_mains:res.pre_mains res.edges
+      in
+      check_int (name ^ ": every edge resolves") (List.length res.edges)
+        (List.length sessions);
+      check_bool (name ^ ": sessions share groups") true
+        (n_groups < List.length sessions);
+      let leader = Hashtbl.create 64 in
+      List.iter
+        (fun s ->
+          if not (Hashtbl.mem leader (Bgp.update_group s)) then
+            Hashtbl.replace leader (Bgp.update_group s) s)
+        sessions;
+      let compared = ref 0 and shared_diff = ref 0 and pipeline_diff = ref 0 in
+      List.iter
+        (fun s ->
+          let e = Bgp.session_edge s in
+          let pre_main = Hashtbl.find res.pre_mains e.recv_host in
+          let lead = Hashtbl.find leader (Bgp.update_group s) in
+          Prefix_trie.iter
+            (fun _ group ->
+              List.iter
+                (fun (se : Rib.bgp_entry) ->
+                  if se.be_best then begin
+                    incr compared;
+                    let shared = Bgp.sender_half lead se in
+                    let own = Bgp.sender_half s se in
+                    if not (Option.equal Route.equal_bgp shared own) then
+                      incr shared_diff;
+                    let got =
+                      Option.bind shared (Bgp.receiver_half ~pre_main s se)
+                    in
+                    let want = reference_candidate find_device ~pre_main e se in
+                    let same x y = Rib.compare_bgp_entry x y = 0 in
+                    if not (Option.equal same got want) then incr pipeline_diff
+                  end)
+                group)
+            (Hashtbl.find res.bgp_ribs e.send_host))
+        sessions;
+      check_bool (name ^ ": routes compared") true (!compared > 1000);
+      check_int (name ^ ": group export = member's own") 0 !shared_diff;
+      check_int (name ^ ": halves = export_route + import_route") 0
+        !pipeline_diff)
+    [
+      ("internet2", (I2.generate I2.default_params).devices);
+      ("wan", (W.Wan.generate ()).devices);
+    ]
+
+(* ---------------- non-convergence ---------------- *)
+
+let test_no_convergence_diag () =
+  let reg = Registry.build (W.Fattree.generate ~k:4 ()).devices in
+  let run ?max_rounds () =
+    let c = Diag.collector () in
+    let st = Stable_state.compute ?max_rounds ~diags:(Diag.sink c) reg in
+    ( Stable_state.rounds st,
+      List.filter
+        (fun (d : Diag.t) -> d.kind = Diag.No_convergence)
+        (Diag.items c) )
+  in
+  let rounds, diags = run () in
+  check_int "k=4 converges in 6 rounds" 6 rounds;
+  check_int "no diagnostic when converged" 0 (List.length diags);
+  let rounds, diags = run ~max_rounds:2 () in
+  check_int "stopped at the cap" 2 rounds;
+  match diags with
+  | [ d ] ->
+      check_bool "a warning" true (d.severity = Diag.Warning);
+      check_bool "message names the cap" true
+        (Astring_like.contains d.message "within 2 rounds");
+      check_bool "message names the changing hosts" true
+        (Astring_like.contains d.message "hosts still changing")
+  | ds -> Alcotest.failf "expected one diagnostic, got %d" (List.length ds)
+
+(* ---------------- pinned stable states ---------------- *)
+
+(* Every field of every entry, so any change to selection, attributes or
+   the best flag moves the digest. *)
+let bgp_entry_line (e : Rib.bgp_entry) =
+  let r = e.be_route in
+  Printf.sprintf
+    "%s nh %s path [%s] lp %d med %d comm {%s} origin %s cl %d %s ebgp %b \
+     igp %d peer %s best %b"
+    (Prefix.to_string r.Route.prefix)
+    (Ipv4.to_string r.next_hop)
+    (As_path.to_string r.as_path)
+    r.local_pref r.med
+    (String.concat ","
+       (List.map Community.to_string (Community.Set.elements r.communities)))
+    (Route.origin_to_string r.origin)
+    r.cluster_len
+    (Rib.bgp_source_to_string e.be_source)
+    e.be_from_ebgp e.be_igp_cost
+    (Ipv4.to_string e.be_peer_id)
+    e.be_best
+
+(* Every host's BGP and main RIB and the edge list; [canonical_state]
+   adds the round count. *)
+let canonical_ribs st =
+  let b = Buffer.create 65536 in
+  let line s =
+    Buffer.add_string b s;
+    Buffer.add_char b '\n'
+  in
+  List.iter
+    (fun h ->
+      line ("host " ^ h);
+      Prefix_trie.iter
+        (fun _ es -> List.iter (fun e -> line ("bgp " ^ bgp_entry_line e)) es)
+        (Stable_state.bgp_rib st h);
+      Prefix_trie.iter
+        (fun _ es ->
+          List.iter
+            (fun e -> line ("main " ^ Format.asprintf "%a" Rib.pp_main e))
+            es)
+        (Stable_state.main_rib st h))
+    (List.sort String.compare (Stable_state.all_hosts st));
+  List.iter
+    (fun (e : Session.edge) ->
+      line
+        (Printf.sprintf "edge %s ebgp %b multihop %b" (Session.edge_key e)
+           e.ebgp e.multihop))
+    (Stable_state.edges st);
+  Buffer.contents b
+
+let canonical_state st =
+  canonical_ribs st ^ Printf.sprintf "rounds %d\n" (Stable_state.rounds st)
+
+let corpus_dir =
+  if Sys.file_exists "corpus-hostile" then "corpus-hostile"
+  else "test/corpus-hostile"
+
+let hostile_registry () =
+  let read path =
+    let ic = open_in_bin path in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    s
+  in
+  let devices =
+    List.map
+      (fun f ->
+        match
+          Parse_junos.parse_lenient ~file:f (read (Filename.concat corpus_dir f))
+        with
+        | Ok (d, _) -> d
+        | Error _ -> Alcotest.failf "%s: fatal parse" f)
+      [ "h1.cfg"; "h2.cfg"; "h3.cfg"; "h3-dup.cfg" ]
+  in
+  fst (Registry.build_lenient devices)
+
+let internet2 params () = Registry.build (I2.generate params).devices
+let fattree k () = Registry.build (W.Fattree.generate ~k ()).devices
+let wan multipath () = Registry.build (W.Wan.generate ~multipath ()).devices
+
+let pinned_networks =
+  [
+    ("internet2 test_params", internet2 I2.test_params);
+    ("internet2 default_params", internet2 I2.default_params);
+    ( "internet2 default_params rr2",
+      internet2 { I2.default_params with ibgp = I2.Route_reflectors 2 } );
+    ("fat-tree k=4", fattree 4);
+    ("fat-tree k=6", fattree 6);
+    ("wan", wan 1);
+    ("wan multipath 4", wan 4);
+    ("hostile corpus", hostile_registry);
+  ]
+
+(* (network, digest of [canonical_state], rounds), recorded before the
+   fixed point was split into sessions and update groups. *)
+let pinned_digests =
+  [
+    ("internet2 test_params", "be12c1ac5d1a2f088683716792bf5253", 5);
+    ("internet2 default_params", "9afc7b9d8c64408bf6d5086a5a994ff6", 5);
+    ("internet2 default_params rr2", "68a41a08e0decd62d70cdf3433a16ca0", 6);
+    ("fat-tree k=4", "6286d79ca412b8e9fe931d6aace833b9", 6);
+    ("fat-tree k=6", "c408a686b9009509ab652a7cac2e75af", 6);
+    ("wan", "812667431f17e9735058bfbee42ed68c", 26);
+    ("wan multipath 4", "5346de58a31b045dbce13b20734def59", 26);
+    ("hostile corpus", "e4db72d99e35dce5a8b37c96125f068e", 4);
+  ]
+
+let test_pinned_states () =
+  (* Print every network's figures before checking any, so one failing
+     run shows all the values to compare. *)
+  let got =
+    List.map
+      (fun (name, build) ->
+        let st = Stable_state.compute (build ()) in
+        let digest = Digest.to_hex (Digest.string (canonical_state st)) in
+        Printf.printf "(%S, %S, %d);\n" name digest (Stable_state.rounds st);
+        (name, digest, Stable_state.rounds st))
+      pinned_networks
+  in
+  Alcotest.(check (list (triple string string int)))
+    "digests and rounds" pinned_digests got
+
+(* ---------------- warm restarts ---------------- *)
+
+(* b aggregates a's LAN and is outside the edit, so a warm update
+   recomputes b only at the prefixes a changed. The aggregate's
+   withdrawal happens at another prefix and must still reach c and
+   b's main RIB. *)
+let test_warm_aggregate_withdrawal () =
+  let map_bgp host f =
+    List.map (fun (d : Device.t) ->
+        match d.bgp with
+        | Some b when d.hostname = host -> { d with bgp = Some (f b) }
+        | _ -> d)
+  in
+  let devices =
+    map_bgp "b"
+      (fun b ->
+        {
+          b with
+          Device.aggregates =
+            [ { Device.ag_prefix = p "10.10.0.0/16"; ag_summary_only = false } ];
+        })
+      (Testnet.chain ())
+  in
+  let agg = p "10.10.0.0/16" in
+  let before = Testnet.state_of devices in
+  check_bool "c learns the aggregate" true
+    (Stable_state.bgp_lookup before "c" agg <> []);
+  let edited = map_bgp "a" (fun b -> { b with Device.networks = [] }) devices in
+  let warm = Stable_state.update_devices before edited in
+  let scratch = Testnet.state_of edited in
+  check_bool "scratch withdraws the aggregate" true
+    (Stable_state.bgp_lookup scratch "c" agg = []);
+  Alcotest.(check string)
+    "warm = scratch" (canonical_ribs scratch) (canonical_ribs warm)
+
 let () =
   Alcotest.run "simulator"
     [
@@ -295,4 +664,21 @@ let () =
             test_export_import_roundtrip;
           Alcotest.test_case "no-export community" `Quick test_no_export_community;
         ] );
+      ( "comparators",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_compare_bgp_entry; prop_preference_compare ] );
+      ( "update-groups",
+        [
+          Alcotest.test_case "shared sender half, receiver half" `Quick
+            test_session_pipeline;
+        ] );
+      ( "convergence",
+        [
+          Alcotest.test_case "no-convergence diagnostic" `Quick
+            test_no_convergence_diag;
+          Alcotest.test_case "warm aggregate withdrawal" `Quick
+            test_warm_aggregate_withdrawal;
+        ] );
+      ( "pinned",
+        [ Alcotest.test_case "stable-state digests" `Quick test_pinned_states ] );
     ]

@@ -120,6 +120,60 @@ let prop_cardinal =
       in
       Prefix_trie.cardinal (Prefix_trie.of_list bindings) = distinct)
 
+(* [Prefix_trie.diff]'s reference: the union's keys in [to_list] order,
+   kept where the two lookups differ. *)
+let diff_reference a b =
+  let union = Prefix_trie.fold (fun q v t -> Prefix_trie.add q v t) b a in
+  List.filter_map
+    (fun (q, _) ->
+      if Prefix_trie.find_opt q a <> Prefix_trie.find_opt q b then Some q
+      else None)
+    (Prefix_trie.to_list union)
+
+let prop_diff =
+  QCheck.Test.make ~name:"diff agrees with to_list reference" ~count:300
+    QCheck.(
+      triple gen_bindings gen_bindings (small_list (pair small_nat (option small_int))))
+    (fun (bindings, others, edits) ->
+      let a = Prefix_trie.of_list bindings in
+      (* [shared] rebinds or removes some of [a]'s keys and adds a few
+         more, so most of its subtrees are physically [a]'s *)
+      let shared =
+        List.fold_left
+          (fun t (i, v) ->
+            match bindings with
+            | [] -> t
+            | _ -> (
+                let q = fst (List.nth bindings (i mod List.length bindings)) in
+                match v with
+                | Some v -> Prefix_trie.add q v t
+                | None -> Prefix_trie.remove q t))
+          a edits
+      in
+      let shared =
+        match others with
+        | (q, v) :: _ -> Prefix_trie.add q v shared
+        | [] -> shared
+      in
+      let independent = Prefix_trie.of_list others in
+      List.for_all
+        (fun (x, y) ->
+          List.equal Prefix.equal (Prefix_trie.diff Int.equal x y)
+            (diff_reference x y))
+        [ (a, shared); (shared, a); (a, independent); (independent, shared); (a, a) ])
+
+let test_diff_skips_shared () =
+  (* An [eq] that calls every pair different still finds nothing in a
+     physically shared trie, and only the rebound prefix's path in a
+     one-binding edit. *)
+  let never _ _ = false in
+  check_int "same trie" 0 (List.length (Prefix_trie.diff never sample sample));
+  let edited = Prefix_trie.add (p "192.168.0.0/16") "private" sample in
+  Alcotest.(check (list string))
+    "edited path only"
+    [ "0.0.0.0/0"; "192.168.0.0/16" ]
+    (List.map Prefix.to_string (Prefix_trie.diff never sample edited))
+
 let () =
   Alcotest.run "prefix_trie"
     [
@@ -132,8 +186,10 @@ let () =
           Alcotest.test_case "subsumed" `Quick test_subsumed;
           Alcotest.test_case "remove and update" `Quick test_remove_update;
           Alcotest.test_case "fold order" `Quick test_fold_order;
+          Alcotest.test_case "diff skips shared subtrees" `Quick
+            test_diff_skips_shared;
         ] );
       ( "props",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_model_find; prop_lpm_sound; prop_cardinal ] );
+          [ prop_model_find; prop_lpm_sound; prop_cardinal; prop_diff ] );
     ]

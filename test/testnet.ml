@@ -155,3 +155,32 @@ let edge_from state ~recv_host ~send_ip =
     (fun (e : Netcov_sim.Session.edge) ->
       e.recv_host = recv_host && Ipv4.equal e.send_ip send_ip)
     (Netcov_sim.Stable_state.edges state)
+
+(* Routes drawn from two or three values per field, so generated pairs
+   often tie on every field but a few: comparator checks need ties. *)
+let gen_route =
+  QCheck.Gen.(
+    map
+      (fun ( (prefix, next_hop, as_path, local_pref),
+             (med, communities, origin, cluster_len) ) ->
+        {
+          Route.prefix = p prefix;
+          next_hop = ip next_hop;
+          as_path = As_path.of_list as_path;
+          local_pref;
+          med;
+          communities = Community.Set.of_list communities;
+          origin;
+          cluster_len;
+        })
+      (pair
+         (quad
+            (oneofl [ "10.0.0.0/8"; "10.0.0.0/16" ])
+            (oneofl [ "1.1.1.1"; "2.2.2.2" ])
+            (oneofl [ []; [ 1 ]; [ 1; 2 ]; [ 2 ] ])
+            (oneofl [ 100; 200 ]))
+         (quad (oneofl [ 0; 5 ])
+            (oneofl
+               [ []; [ Community.make 1 1 ]; [ Community.make 1 1; Community.make 2 2 ] ])
+            (oneofl [ Route.Origin_igp; Route.Origin_egp; Route.Origin_incomplete ])
+            (oneofl [ 0; 1 ]))))
