@@ -305,18 +305,6 @@ let mutation_cmd =
     Arg.(
       value & opt int 4 & info [ "k" ] ~docv:"K" ~doc:"Fat-tree arity (even, >= 4).")
   in
-  let mode =
-    Arg.(
-      value
-      & opt (enum [ ("warm", Mutation.Warm); ("scratch", Mutation.Scratch) ])
-          Mutation.Warm
-      & info [ "mode" ] ~docv:"MODE"
-          ~doc:
-            "Mutant execution: $(b,warm) replays each mutant's dirty cone \
-             from the baseline fixed point; $(b,scratch) recomputes every \
-             mutant network from a fresh registry build (the reference \
-             semantics).")
-  in
   let ops =
     Arg.(
       value
@@ -328,7 +316,7 @@ let mutation_cmd =
              action flips, bound widening/narrowing, preference \
              perturbation, community drops).")
   in
-  let run verbose k mode ops trace metrics =
+  let run verbose k ops trace metrics =
     setup_logs verbose;
     with_obs ~trace ~metrics @@ fun () ->
     let ft = Fattree.generate ~k () in
@@ -347,7 +335,7 @@ let mutation_cmd =
       Netcov_parallel.Pool.with_pool (fun pool ->
           Mutation.run reg
             ~oracle:(Mutation.facts_oracle r.Nettest.tested.Netcov.dp_facts)
-            ~operators ~mode ~pool ())
+            ~operators ~pool ())
     in
     Printf.printf "IFG coverage:      %d elements\n" (Element.Id_set.cardinal covered);
     Printf.printf "mutation coverage: %d elements (%d mutants, %.1fs)\n"
@@ -363,7 +351,7 @@ let mutation_cmd =
          "Compare IFG coverage against mutation-based coverage (typed \
           mutation operators, one control-plane delta-recompute per mutant; \
           see docs/MUTATION.md).")
-    Term.(const run $ verbose $ k $ mode $ ops $ trace_out $ metrics_out)
+    Term.(const run $ verbose $ k $ ops $ trace_out $ metrics_out)
 
 let trace_cmd =
   let file =
@@ -372,113 +360,18 @@ let trace_cmd =
       & pos 0 string "trace.json"
       & info [] ~docv:"FILE" ~doc:"Trace output file (Chrome trace_event JSON).")
   in
-  (* The paper's Figure 1 network (examples/quickstart.ml), round-tripped
-     through the Junos emitter and parser so the trace shows a genuine
-     parse stage, then simulated and analyzed end to end. *)
-  let figure1_devices () =
-    let ip = Netcov_types.Ipv4.of_string in
-    let pfx = Netcov_types.Prefix.of_string in
-    let r1 =
-      Device.make
-        ~interfaces:[ Device.interface ~address:(ip "192.168.1.1", 30) "eth0" ]
-        ~policies:
-          [
-            {
-              Policy_ast.pol_name = "R2-to-R1";
-              terms =
-                [
-                  {
-                    term_name = "block";
-                    matches =
-                      [
-                        Policy_ast.Match_prefix
-                          (pfx "10.10.2.0/24", Policy_ast.Exact);
-                      ];
-                    actions = [ Policy_ast.Reject ];
-                  };
-                  {
-                    term_name = "prefer";
-                    matches =
-                      [
-                        Policy_ast.Match_prefix
-                          (pfx "10.10.1.0/24", Policy_ast.Exact);
-                      ];
-                    actions =
-                      [ Policy_ast.Set_local_pref 120; Policy_ast.Accept ];
-                  };
-                ];
-            };
-          ]
-        ~bgp:
-          {
-            Device.local_as = 65001;
-            router_id = ip "192.168.1.1";
-            networks = [];
-            aggregates = [];
-            redistributes = [];
-            groups = [];
-            neighbors =
-              [
-                {
-                  Device.nb_ip = ip "192.168.1.2";
-                  nb_remote_as = 65002;
-                  nb_group = None;
-                  nb_import = [ "R2-to-R1" ];
-                  nb_export = [];
-                  nb_local_addr = None;
-                  nb_next_hop_self = false;
-                  nb_rr_client = false;
-                  nb_description = Some "to R2";
-                };
-              ];
-            multipath = 1;
-          }
-        "r1"
-    in
-    let r2 =
-      Device.make
-        ~interfaces:
-          [
-            Device.interface ~address:(ip "192.168.1.2", 30) "eth0";
-            Device.interface ~address:(ip "10.10.1.1", 24) "eth1";
-          ]
-        ~bgp:
-          {
-            Device.local_as = 65002;
-            router_id = ip "192.168.1.2";
-            networks = [ pfx "10.10.1.0/24" ];
-            aggregates = [];
-            redistributes = [];
-            groups = [];
-            neighbors =
-              [
-                {
-                  Device.nb_ip = ip "192.168.1.1";
-                  nb_remote_as = 65001;
-                  nb_group = None;
-                  nb_import = [];
-                  nb_export = [];
-                  nb_local_addr = None;
-                  nb_next_hop_self = false;
-                  nb_rr_client = false;
-                  nb_description = Some "to R1";
-                };
-              ];
-            multipath = 1;
-          }
-        "r2"
-    in
-    [ r1; r2 ]
-  in
   let run verbose file metrics =
     setup_logs verbose;
     with_obs ~trace:(Some file) ~metrics @@ fun () ->
     let module T = Netcov_obs.Trace in
+    (* The paper's Figure 1 network, round-tripped through the Junos
+       emitter and parser so the trace shows a genuine parse stage,
+       then simulated and analyzed end to end. *)
     let texts =
       T.with_span "emit" @@ fun () ->
       List.map
         (fun d -> (d.Device.hostname, Emit_junos.to_string d))
-        (figure1_devices ())
+        (Figure1.devices ())
     in
     let devices =
       List.map

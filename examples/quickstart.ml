@@ -12,104 +12,22 @@ open Netcov_config
 open Netcov_sim
 open Netcov_core
 
-let ip = Ipv4.of_string
-let pfx = Prefix.of_string
-
 (* ---- 1. Describe the devices (or parse them from text) ------------- *)
 
-let r1 =
-  Device.make
-    ~interfaces:[ Device.interface ~address:(ip "192.168.1.1", 30) "eth0" ]
-    ~policies:
-      [
-        {
-          Policy_ast.pol_name = "R2-to-R1";
-          terms =
-            [
-              {
-                term_name = "block";
-                matches =
-                  [ Policy_ast.Match_prefix (pfx "10.10.2.0/24", Policy_ast.Exact) ];
-                actions = [ Policy_ast.Reject ];
-              };
-              {
-                term_name = "prefer";
-                matches =
-                  [ Policy_ast.Match_prefix (pfx "10.10.1.0/24", Policy_ast.Exact) ];
-                actions = [ Policy_ast.Set_local_pref 120; Policy_ast.Accept ];
-              };
-            ];
-        };
-      ]
-    ~bgp:
-      {
-        Device.local_as = 65001;
-        router_id = ip "192.168.1.1";
-        networks = [];
-        aggregates = [];
-        redistributes = [];
-        groups = [];
-        neighbors =
-          [
-            {
-              Device.nb_ip = ip "192.168.1.2";
-              nb_remote_as = 65002;
-              nb_group = None;
-              nb_import = [ "R2-to-R1" ];
-              nb_export = [];
-              nb_local_addr = None;
-              nb_next_hop_self = false;
-              nb_rr_client = false;
-              nb_description = Some "to R2";
-            };
-          ];
-        multipath = 1;
-      }
-    "r1"
-
-let r2 =
-  Device.make
-    ~interfaces:
-      [
-        Device.interface ~address:(ip "192.168.1.2", 30) "eth0";
-        Device.interface ~address:(ip "10.10.1.1", 24) "eth1";
-      ]
-    ~bgp:
-      {
-        Device.local_as = 65002;
-        router_id = ip "192.168.1.2";
-        networks = [ pfx "10.10.1.0/24" ];
-        aggregates = [];
-        redistributes = [];
-        groups = [];
-        neighbors =
-          [
-            {
-              Device.nb_ip = ip "192.168.1.1";
-              nb_remote_as = 65001;
-              nb_group = None;
-              nb_import = [];
-              nb_export = [];
-              nb_local_addr = None;
-              nb_next_hop_self = false;
-              nb_rr_client = false;
-              nb_description = Some "to R1";
-            };
-          ];
-        multipath = 1;
-      }
-    "r2"
+(* The two routers as Device.make records (lib/workloads/figure1.ml);
+   Parse_junos and Parse_ios build the same records from config text. *)
+let devices = Netcov_workloads.Figure1.devices ()
 
 let () =
   (* ---- 2. Build the registry and compute the stable state ---------- *)
-  let reg = Registry.build [ r1; r2 ] in
+  let reg = Registry.build devices in
   let state = Stable_state.compute reg in
   Printf.printf "control plane converged in %d rounds; %d routing edges\n\n"
     (Stable_state.rounds state)
     (List.length (Stable_state.edges state));
 
   (* ---- 3. Declare what the test suite tested ----------------------- *)
-  let tested_entry = pfx "10.10.1.0/24" in
+  let tested_entry = Prefix.of_string "10.10.1.0/24" in
   let dp_facts =
     List.map
       (fun entry -> Fact.F_main_rib { host = "r1"; entry })

@@ -57,15 +57,15 @@ let shrink ~budget prop tree reason0 =
         | Seq.Nil -> None
         | Seq.Cons (cand, rest) -> (
             decr budget;
-            match eval prop (Gen.root cand) with
+            match eval prop (QCheck2.Tree.root cand) with
             | Some r -> Some (cand, r)
             | None -> first_failing rest)
     in
-    match first_failing (Gen.shrinks tree) with
+    match first_failing (QCheck2.Tree.children tree) with
     | Some (cand, r) ->
         incr steps;
         descend cand r
-    | None -> (Gen.root tree, reason, !steps)
+    | None -> (QCheck2.Tree.root tree, reason, !steps)
   in
   descend tree reason0
 
@@ -75,13 +75,19 @@ let run ~name ~seed ~iters ?(max_shrinks = 1000) ~print gen prop =
     else
       (* Iteration 0 draws from the raw seed, so re-running with
          [~seed:failure.seed ~iters:1] regenerates the failing value
-         exactly; later iterations derive their stream via [mix]. *)
-      let iter_seed = if i = 0 then seed else Prng.mix seed i in
-      let tree = gen (Prng.make iter_seed) in
-      match eval prop (Gen.root tree) with
+         exactly; later iterations draw their seed from a stream over
+         (seed, i). *)
+      let iter_seed =
+        if i = 0 then seed
+        else Random.State.bits (Random.State.make [| seed; i |])
+      in
+      let tree =
+        Gen.generate_tree ~rand:(Random.State.make [| iter_seed |]) gen
+      in
+      match eval prop (QCheck2.Tree.root tree) with
       | None -> go (i + 1)
       | Some reason0 ->
-          let original = print (Gen.root tree) in
+          let original = print (QCheck2.Tree.root tree) in
           let minimal, reason, shrink_steps =
             shrink ~budget:max_shrinks prop tree reason0
           in

@@ -1,10 +1,12 @@
-(** Property runner: iterate a generator, evaluate a property, and on
-    failure walk the shrink tree to a minimal counterexample.
+(** Property runner: iterate a QCheck2 generator, evaluate a property,
+    and on failure walk the shrink tree to a minimal counterexample.
 
     Every failure report carries the {e reproduction seed} of the
     failing iteration: [run ~seed:failure.seed ~iters:1 ...] replays
     exactly that counterexample (before shrinking), independent of how
-    many iterations the original run needed to reach it. *)
+    many iterations the original run needed to reach it. Iteration 0
+    draws from [Random.State.make [| seed |]], so a seed replays on
+    OCaml 5 with the same qcheck-core version. *)
 
 (** Why a property did not hold for one value. *)
 type reason =

@@ -1,110 +1,15 @@
-type 'a tree = Tree of 'a * 'a tree Seq.t
-type 'a t = Prng.t -> 'a tree
+include QCheck2.Gen
 
-let root (Tree (x, _)) = x
-let shrinks (Tree (_, s)) = s
+let opt g = option ~ratio:0.5 g
 
-let rec map_tree f (Tree (x, s)) = Tree (f x, Seq.map (map_tree f) s)
+(* Always [true], shrinking to [false]: paired with each list element,
+   it lets the shrinker drop any element, not only the tail. *)
+let keep =
+  make_primitive ~gen:(fun _ -> true) ~shrink:(fun k ->
+      if k then Seq.return false else Seq.empty)
 
-let return x : 'a t = fun _ -> Tree (x, Seq.empty)
-let map f (g : 'a t) : 'b t = fun rng -> map_tree f (g rng)
-
-(* The continuation runs on a snapshot of the stream, so when a shrink
-   of [a] re-runs it, the suffix of the composite value is regenerated
-   from identical randomness — shrinking one field never perturbs the
-   others. *)
-let bind (g : 'a t) (f : 'a -> 'b t) : 'b t =
- fun rng ->
-  let ra = Prng.split rng in
-  let rb = Prng.split rng in
-  let rec go (Tree (a, sa)) =
-    let (Tree (b, sb)) = f a (Prng.copy rb) in
-    Tree (b, Seq.append (Seq.map go sa) sb)
-  in
-  go (g ra)
-
-let map2 f ga gb = bind ga (fun a -> map (f a) gb)
-
-module Syntax = struct
-  let ( let* ) = bind
-  let ( let+ ) g f = map f g
-end
-
-let generate ~seed (g : 'a t) = root (g (Prng.make seed))
-
-(* Shrink candidates for an integer, most aggressive first: the origin
-   itself, then values halving the distance back towards [x]. *)
-let towards origin x : int Seq.t =
-  if x = origin then Seq.empty
-  else
-    let rec halves diff () =
-      if diff = 0 then Seq.Nil else Seq.Cons (x - diff, halves (diff / 2))
-    in
-    halves (x - origin)
-
-let rec int_tree ~origin x =
-  Tree (x, Seq.map (int_tree ~origin) (towards origin x))
-
-let int_range ?origin lo hi : int t =
-  if lo > hi then invalid_arg "Gen.int_range: lo > hi";
-  let origin = min hi (max lo (Option.value origin ~default:lo)) in
-  fun rng -> int_tree ~origin (Prng.range rng lo hi)
-
-let int_bound n = int_range 0 n
-let bool = map (fun n -> n = 1) (int_bound 1)
-
-let oneofl = function
-  | [] -> invalid_arg "Gen.oneofl: empty list"
-  | xs -> map (List.nth xs) (int_range 0 (List.length xs - 1))
-
-let oneof = function
-  | [] -> invalid_arg "Gen.oneof: empty list"
-  | gs -> bind (int_range 0 (List.length gs - 1)) (List.nth gs)
-
-let opt g = bind bool (function false -> return None | true -> map Option.some g)
-let pair ga gb = map2 (fun a b -> (a, b)) ga gb
-
-(* Run generators left to right against one stream (List.map's
-   evaluation order is unspecified; this one is not). *)
-let run_all gs rng =
-  List.rev (List.fold_left (fun acc g -> g rng :: acc) [] gs)
-
-(* Combine element trees into a list tree. [drop] additionally offers
-   removal of single elements (front first), shrinking the length. *)
-let rec tree_of_list ~drop ts =
-  let n = List.length ts in
-  let drops =
-    if not drop then Seq.empty
-    else
-      Seq.init n (fun i ->
-          tree_of_list ~drop (List.filteri (fun j _ -> j <> i) ts))
-  in
-  let elems =
-    Seq.concat
-      (Seq.init n (fun i ->
-           Seq.map
-             (fun ti' ->
-               tree_of_list ~drop
-                 (List.mapi (fun j t -> if j = i then ti' else t) ts))
-             (shrinks (List.nth ts i))))
-  in
-  Tree (List.map root ts, Seq.append drops elems)
-
-let list_repeat n g : 'a list t =
- fun rng -> tree_of_list ~drop:false (run_all (List.init n (fun _ -> g)) rng)
-
-let flatten_l gs : 'a list t = fun rng -> tree_of_list ~drop:false (run_all gs rng)
-
-let list_size size g =
-  bind size (fun n rng ->
-      tree_of_list ~drop:true (run_all (List.init n (fun _ -> g)) rng))
+let kept flagged = List.filter_map (fun (k, x) -> if k then Some x else None) flagged
+let list_size size g = map kept (list_size size (pair keep g))
 
 let sublist xs =
-  map
-    (fun flags ->
-      List.filter_map
-        (fun (x, keep) -> if keep then Some x else None)
-        (List.combine xs flags))
-    (list_repeat (List.length xs) bool)
-
-let no_shrink g : 'a t = fun rng -> Tree (root (g rng), Seq.empty)
+  map (fun flags -> kept (List.combine flags xs)) (list_repeat (List.length xs) bool)

@@ -1,78 +1,22 @@
-(** Random generators with integrated shrinking.
+(** QCheck2's generators, with the three deviations the differential
+    oracles were tuned on. Everything else is [QCheck2.Gen]'s, so a
+    generator here is a [QCheck2.Gen.t] and runs under [QCheck2.Test]
+    as well as under {!Check}. *)
 
-    A generator produces a lazy {e shrink tree}: the root is the
-    generated value, the children are candidate shrinks of it (each
-    itself a tree). Shrinking is thereby defined once, inside the
-    generator, and survives [map]/[bind] composition — the runner in
-    {!Check} only ever walks trees, so every property gets minimal
-    counterexamples without writing a shrinker by hand.
-
-    Determinism: generation threads an explicit {!Prng} stream, and
-    [bind] snapshots the stream it hands to the continuation, so
-    re-running the continuation on a shrunk prefix replays identical
-    randomness for the suffix. Same seed, same value, always. *)
-
-(** A value plus its lazily-computed shrink candidates, ordered most
-    aggressive first. *)
-type 'a tree = Tree of 'a * 'a tree Seq.t
-
-val root : 'a tree -> 'a
-val shrinks : 'a tree -> 'a tree Seq.t
-
-type 'a t = Prng.t -> 'a tree
-
-(** [generate ~seed g] is the root value at [seed] (no shrinking). *)
-val generate : seed:int -> 'a t -> 'a
-
-val return : 'a -> 'a t
-val map : ('a -> 'b) -> 'a t -> 'b t
-val map2 : ('a -> 'b -> 'c) -> 'a t -> 'b t -> 'c t
-val bind : 'a t -> ('a -> 'b t) -> 'b t
-
-(** [let*] is [bind]; [let+] is [map] with arguments flipped. *)
-module Syntax : sig
-  val ( let* ) : 'a t -> ('a -> 'b t) -> 'b t
-  val ( let+ ) : 'a t -> ('a -> 'b) -> 'b t
+include module type of struct
+  include QCheck2.Gen
 end
 
-(** [int_range lo hi] is uniform in [lo, hi] inclusive, shrinking
-    towards [origin] (default [lo], clamped into the range). *)
-val int_range : ?origin:int -> int -> int -> int t
-
-(** [int_bound n] is [int_range 0 n] (inclusive). *)
-val int_bound : int -> int t
-
-(** Shrinks towards [false]. *)
-val bool : bool t
-
-(** [oneofl xs] picks one element, shrinking towards earlier elements
-    of the list; raises on the empty list. *)
-val oneofl : 'a list -> 'a t
-
-(** [oneof gs] runs one generator of the list; the choice itself
-    shrinks towards earlier generators. *)
-val oneof : 'a t list -> 'a t
-
-(** [opt g] is [None] or [Some v], shrinking towards [None]. *)
+(** [opt g] is [None] or [Some v] at even odds (QCheck2 defaults to
+    [~ratio:0.85]); shrinks towards [None]. *)
 val opt : 'a t -> 'a option t
 
-val pair : 'a t -> 'b t -> ('a * 'b) t
-
 (** [list_size n g] draws the length from [n], then elements from [g].
-    Shrinks by dropping elements (towards the front) and by shrinking
-    individual elements. *)
+    Shrinks by cutting the tail first, then element by element from the
+    head: dropping it (QCheck2's own [list_size] only cuts the tail),
+    then shrinking it. *)
 val list_size : int t -> 'a t -> 'a list t
-
-(** Fixed-length list; shrinks elements only, never the length. *)
-val list_repeat : int -> 'a t -> 'a list t
-
-(** Run a list of generators in order (fixed structure). *)
-val flatten_l : 'a t list -> 'a list t
 
 (** [sublist xs] is a random subsequence of [xs] (order preserved),
     shrinking towards the empty list. *)
 val sublist : 'a list -> 'a list t
-
-(** [no_shrink g] keeps [g]'s values but discards its shrinks — for
-    parts whose shrinking would invalidate global invariants. *)
-val no_shrink : 'a t -> 'a t

@@ -1,6 +1,6 @@
 open Netcov_types
 open Netcov_config
-open Gen.Syntax
+let ( let* ) = Gen.( let* )
 
 (* ------------------------------------------------------------------ *)
 (* Single round-trippable devices (the emit→parse oracle input space)  *)

@@ -1,6 +1,6 @@
 open Netcov_config
 open Netcov_core
-open Gen.Syntax
+let ( let* ) = Gen.( let* )
 module Pool = Netcov_parallel.Pool
 module Stable_state = Netcov_sim.Stable_state
 

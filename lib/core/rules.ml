@@ -74,22 +74,6 @@ module Attr = struct
       0 chain
 end
 
-let canonical_route mask (r : Route.bgp) =
-  let keep a = mask land a <> 0 in
-  {
-    Route.prefix =
-      (if keep Attr.prefix then r.Route.prefix else Prefix.default);
-    next_hop = (if keep Attr.next_hop then r.Route.next_hop else Ipv4.zero);
-    as_path = (if keep Attr.as_path then r.Route.as_path else As_path.empty);
-    local_pref = (if keep Attr.local_pref then r.Route.local_pref else 0);
-    med = (if keep Attr.med then r.Route.med else 0);
-    communities =
-      (if keep Attr.communities then r.Route.communities
-       else Community.Set.empty);
-    origin = Route.Origin_igp;
-    cluster_len = 0;
-  }
-
 (* Restore the pass-through attributes of a cached result's transformed
    route from the actual input route. *)
 let patch_result mask (input : Route.bgp) (r : Eval.result) =
@@ -124,14 +108,10 @@ let patch_result mask (input : Route.bgp) (r : Eval.result) =
    lookup costs more than the evaluations the cache saves.
 
    The route is stored RAW and compared/hashed under the memoized
-   attribute mask: the previous scheme rebuilt a canonicalized route
-   record ([canonical_route]) on EVERY lookup, hit or miss, and that
-   per-probe allocation made the canonical cache a measured net
-   slowdown (0.877x on the internet2 suite). Mask-aware
-   equality/hashing give the same hit/miss behavior — kept attributes
-   equal iff the canonical routes are equal — with zero allocation on
-   the probe path, and [k_hash] is precomputed at key construction so
-   the table never re-walks the key. *)
+   attribute mask, with zero allocation on the probe path: rebuilding
+   a masked route record on every lookup made the cache a measured net
+   slowdown (0.877x on the internet2 suite). [k_hash] is precomputed at
+   key construction so the table never re-walks the key. *)
 module Sim_key = struct
   type t = {
     k_host : string;
@@ -144,9 +124,8 @@ module Sim_key = struct
   }
 
   (* Mask-aware route equality. Stripped attributes are pass-through
-     for the chain, so ignoring them is exactly what comparing the
-     canonical routes did. The community set compares via [Set.equal]
-     (tree shape may differ between equal sets). *)
+     for the chain, so they are ignored. The community set compares via
+     [Set.equal] (tree shape may differ between equal sets). *)
   let route_equal mask (a : Route.bgp) (b : Route.bgp) =
     let keep x = mask land x <> 0 in
     ((not (keep Attr.prefix)) || a.Route.prefix = b.Route.prefix)
@@ -234,8 +213,8 @@ let result_equiv mask (a : Eval.result) (b : Eval.result) =
   | None, None -> true
   | Some ra, Some rb ->
       (* pass-through attributes of the stored result come from its
-         original (non-canonical) input; compare modulo the mask *)
-      canonical_route mask ra = canonical_route mask rb
+         original input; compare modulo the mask *)
+      Sim_key.route_equal mask ra rb
   | _ -> false
 
 let sim_cache_revalidate_hosts c state pred =

@@ -5,12 +5,6 @@ let severity_to_string = function
   | Warning -> "warning"
   | Error -> "error"
 
-let severity_of_string = function
-  | "info" -> Some Info
-  | "warning" -> Some Warning
-  | "error" -> Some Error
-  | _ -> None
-
 let severity_rank = function Info -> 0 | Warning -> 1 | Error -> 2
 
 type kind =
@@ -163,152 +157,6 @@ let to_json d =
 
 let list_to_json ds =
   Printf.sprintf "[%s]" (String.concat "," (List.map to_json ds))
-
-(* Minimal parser for the flat objects [to_json] emits: string and
-   integer values only, no nesting. Kept dependency-free on purpose
-   (this library sits below everything else in the repo). *)
-let of_json s =
-  let exception Bad of string in
-  let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let skip_ws () =
-    while
-      !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    match peek () with
-    | Some c' when c' = c -> incr pos
-    | Some c' -> fail "expected %C at offset %d, got %C" c !pos c'
-    | None -> fail "expected %C, got end of input" c
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 32 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match s.[!pos] with
-        | '"' -> incr pos
-        | '\\' ->
-            incr pos;
-            (if !pos >= n then fail "unterminated escape"
-             else
-               match s.[!pos] with
-               | '"' -> Buffer.add_char buf '"'
-               | '\\' -> Buffer.add_char buf '\\'
-               | '/' -> Buffer.add_char buf '/'
-               | 'n' -> Buffer.add_char buf '\n'
-               | 't' -> Buffer.add_char buf '\t'
-               | 'r' -> Buffer.add_char buf '\r'
-               | 'b' -> Buffer.add_char buf '\b'
-               | 'f' -> Buffer.add_char buf '\012'
-               | 'u' ->
-                   if !pos + 4 >= n then fail "truncated \\u escape";
-                   let hex = String.sub s (!pos + 1) 4 in
-                   let code =
-                     match int_of_string_opt ("0x" ^ hex) with
-                     | Some c -> c
-                     | None -> fail "bad \\u escape %S" hex
-                   in
-                   if code > 0xff then fail "non-latin \\u escape %S" hex
-                   else Buffer.add_char buf (Char.chr code);
-                   pos := !pos + 4
-               | c -> fail "bad escape \\%C" c);
-            incr pos;
-            go ()
-        | c ->
-            Buffer.add_char buf c;
-            incr pos;
-            go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_int () =
-    skip_ws ();
-    let start = !pos in
-    if peek () = Some '-' then incr pos;
-    while !pos < n && match s.[!pos] with '0' .. '9' -> true | _ -> false do
-      incr pos
-    done;
-    match int_of_string_opt (String.sub s start (!pos - start)) with
-    | Some v -> v
-    | None -> fail "expected integer at offset %d" start
-  in
-  try
-    expect '{';
-    let fields = ref [] in
-    skip_ws ();
-    if peek () = Some '}' then incr pos
-    else begin
-      let rec members () =
-        skip_ws ();
-        let key = parse_string () in
-        expect ':';
-        skip_ws ();
-        let value =
-          match peek () with
-          | Some '"' -> `Str (parse_string ())
-          | Some ('-' | '0' .. '9') -> `Int (parse_int ())
-          | _ -> fail "field %S: expected string or integer value" key
-        in
-        fields := (key, value) :: !fields;
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-            incr pos;
-            members ()
-        | Some '}' -> incr pos
-        | _ -> fail "expected ',' or '}' at offset %d" !pos
-      in
-      members ()
-    end;
-    skip_ws ();
-    if !pos <> n then fail "trailing input at offset %d" !pos;
-    let str key =
-      match List.assoc_opt key !fields with
-      | Some (`Str v) -> Some v
-      | Some (`Int _) -> fail "field %S: expected a string" key
-      | None -> None
-    in
-    let int key =
-      match List.assoc_opt key !fields with
-      | Some (`Int v) -> Some v
-      | Some (`Str _) -> fail "field %S: expected an integer" key
-      | None -> None
-    in
-    let req key =
-      match str key with Some v -> v | None -> fail "missing field %S" key
-    in
-    let severity =
-      let v = req "severity" in
-      match severity_of_string v with
-      | Some sv -> sv
-      | None -> fail "unknown severity %S" v
-    in
-    let kind =
-      let v = req "kind" in
-      match kind_of_string v with
-      | Some k -> k
-      | None -> fail "unknown kind %S" v
-    in
-    Ok
-      {
-        severity;
-        kind;
-        message = req "message";
-        device = str "device";
-        file = str "file";
-        line = int "line";
-        fact = str "fact";
-      }
-  with Bad msg -> Result.Error msg
 
 (* ------------------------------------------------------------------ *)
 (* Collector                                                           *)

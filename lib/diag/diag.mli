@@ -20,8 +20,6 @@ type severity = Info | Warning | Error
 val severity_to_string : severity -> string
 (** ["info"], ["warning"], ["error"]. *)
 
-val severity_of_string : string -> severity option
-
 (** What went wrong, as a stable machine-readable classification.
     String forms (used in JSON and metrics labels) are dotted:
     [parse.error], [parse.recovered], [registry.duplicate-host],
@@ -97,13 +95,9 @@ val is_error : t -> bool
 (** {2 JSON}
 
     The encoding is a flat object with the string forms of severity
-    and kind; absent provenance fields are omitted. [of_json] inverts
-    [to_json] exactly ([of_json (to_json d) = Ok d]) and rejects
-    anything that is not a diagnostic object. *)
+    and kind; absent provenance fields are omitted. *)
 
 val to_json : t -> string
-
-val of_json : string -> (t, string) result
 
 val list_to_json : t list -> string
 

@@ -302,7 +302,7 @@ let rec take n = function
   | _ when n <= 0 -> []
   | x :: rest -> x :: take (n - 1) rest
 
-let falsifiability ?operators ?mode ?pool ?max_elements ?diags s =
+let falsifiability ?max_elements s =
   let reg = s.cur.reg in
   let cov = s.cur.rep.Netcov.coverage in
   let u = Netcov.union_tested s.cur.testeds in
@@ -339,7 +339,7 @@ let falsifiability ?operators ?mode ?pool ?max_elements ?diags s =
   let fz_mutation =
     Mutation.run reg
       ~oracle:(Mutation.facts_oracle u.Netcov.dp_facts)
-      ~elements ?operators ?mode ?pool ?diags ()
+      ~elements ()
   in
   let killed id = Element.Id_set.mem id fz_mutation.Mutation.killed in
   let survived id = Element.Id_set.mem id fz_mutation.Mutation.survived in

@@ -124,20 +124,13 @@ type falsifiability = {
 }
 
 (** [falsifiability s] runs mutation coverage over the session's
-    registry against the session's tested data-plane facts (warm mutant
-    execution by default) and cross-checks the verdicts against the
+    registry against the session's tested data-plane facts (default
+    operators, warm mutant execution) and cross-checks the verdicts against the
     session's coverage map. [max_elements] caps the sample: all strong
     elements first, then uncovered, then weak, deterministically in
     element-id order. The check passes iff [fz_missed] and
     [fz_divergent] are both empty. *)
-val falsifiability :
-  ?operators:Mutation.operator list ->
-  ?mode:Mutation.mode ->
-  ?pool:Netcov_parallel.Pool.t ->
-  ?max_elements:int ->
-  ?diags:(Netcov_diag.Diag.t -> unit) ->
-  session ->
-  falsifiability
+val falsifiability : ?max_elements:int -> session -> falsifiability
 
 (** Human-readable multi-line summary with element provenance for the
     violating samples. *)

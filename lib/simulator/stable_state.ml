@@ -99,19 +99,22 @@ let assemble reg down topo sim devices =
     trace_lock = Mutex.create ();
   }
 
-let compute ?max_rounds ?diags ?(down = []) reg =
-  let n_devices = List.length (Registry.devices reg) in
+(* A cold simulation of [raw_devices] over the coverage domain [reg]. *)
+let simulate ?max_rounds ?diags ~down reg raw_devices =
   Netcov_obs.Trace.with_span "simulate"
-    ~args:[ ("devices", Netcov_obs.Trace.I n_devices) ]
+    ~args:[ ("devices", Netcov_obs.Trace.I (List.length raw_devices)) ]
   @@ fun () ->
   let t, dt =
     Netcov_obs.Timing.time (fun () ->
-        let devices = apply_down down (Registry.devices reg) in
+        let devices = apply_down down raw_devices in
         let topo = Topology.build devices in
         let sim = Bgp.run ?max_rounds ?diags devices topo in
         assemble reg down topo sim devices)
   in
   record_metrics t dt
+
+let compute ?max_rounds ?diags ?(down = []) reg =
+  simulate ?max_rounds ?diags ~down reg (Registry.devices reg)
 
 (* Warm restart: seed the BGP fixed point from [prev]'s converged
    tables and replay only the cone affected by the device edits. A
@@ -141,7 +144,7 @@ let edges_in_map edges =
     edges;
   t
 
-let update_core ?max_rounds ?diags prev reg raw_devices =
+let update_devices ?max_rounds ?diags prev raw_devices =
   let devices = apply_down prev.down raw_devices in
   let same_hosts =
     List.length devices = Hashtbl.length prev.sim_devices
@@ -152,7 +155,7 @@ let update_core ?max_rounds ?diags prev reg raw_devices =
   if not same_hosts then
     (* Host added or removed: the cheap dirty analysis below assumes a
        stable host set; fall back to a full computation. *)
-    compute ?max_rounds ?diags ~down:prev.down reg
+    simulate ?max_rounds ?diags ~down:prev.down prev.reg raw_devices
   else
     Netcov_obs.Trace.with_span "simulate.update"
       ~args:[ ("devices", Netcov_obs.Trace.I (List.length devices)) ]
@@ -245,15 +248,9 @@ let update_core ?max_rounds ?diags prev reg raw_devices =
             Bgp.fixed_point ?max_rounds ?diags ~warm devices ~igp_ribs
               ~pre_mains ~edges
           in
-          assemble reg prev.down topo sim devices)
+          assemble prev.reg prev.down topo sim devices)
     in
     record_metrics t dt
-
-let update ?max_rounds ?diags prev reg =
-  update_core ?max_rounds ?diags prev reg (Registry.devices reg)
-
-let update_devices ?max_rounds ?diags prev devices =
-  update_core ?max_rounds ?diags prev prev.reg devices
 
 let registry t = t.reg
 let topology t = t.topo
@@ -264,7 +261,7 @@ let find_device t host =
   | None -> Registry.device t.reg host
 let is_external t host = Registry.is_external t.reg host
 
-(* Idempotent: prime once, then every [update]/[update_devices] seeded
+(* Idempotent: prime once, then every [update_devices] seeded
    from [t] replays unchanged (edge, prefix) imports from the memo. The
    memo is immutable after priming, so a primed state can serve many
    parallel warm updates (one domain per mutant) without synchronization.

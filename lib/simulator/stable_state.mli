@@ -25,31 +25,24 @@ val compute :
   Registry.t ->
   t
 
-(** [update prev reg] recomputes the stable state for [reg], warm-started
-    from [prev]: the BGP fixed point is seeded with [prev]'s converged
-    tables and only the cone affected by the device edits is replayed
-    (topology and IGP are reused when no edited device touches its
-    interface stanzas). [prev]'s [down] list carries over. Falls back to
-    a full {!compute} when the host set changed. The result matches
-    {!compute} whenever the synchronous iteration's fixed point is
-    unique, which holds for the deterministic selection used here; the
-    equivalence is differentially enforced by the [@mutation-smoke] gate
-    and the [mutation-falsifiability] oracle. *)
-val update :
-  ?max_rounds:int ->
-  ?diags:(Netcov_diag.Diag.t -> unit) ->
-  t ->
-  Registry.t ->
-  t
+(** [update_devices prev devices] recomputes the stable state for raw
+    device configurations [devices], warm-started from [prev]: the BGP
+    fixed point is seeded with [prev]'s converged tables and only the
+    cone affected by the device edits is replayed (topology and IGP are
+    reused when no edited device touches its interface stanzas).
+    [prev]'s [down] list carries over, and the {e registry} (the
+    coverage domain, what {!registry} returns) remains [prev]'s — a
+    simulation-level override with the same contract as [down]. Falls
+    back to a cold simulation of [devices] when the host set changed.
 
-(** [update_devices prev devices] is {!update} with raw device
-    configurations standing in for a registry build: the simulation uses
-    [devices], while the {e registry} (the coverage domain, what
-    {!registry} returns) remains [prev]'s — a simulation-level override
-    with the same contract as [down]. This is the mutant fast path:
-    mutation coverage perturbs one device and asks only simulation
-    questions of the result, so skipping [Registry.build] per mutant is
-    sound and is where most of the per-mutant speedup comes from. *)
+    This is the mutant fast path: mutation coverage perturbs one device
+    and asks only simulation questions of the result, so skipping
+    [Registry.build] per mutant is sound and is where most of the
+    per-mutant speedup comes from. The result matches {!compute}
+    whenever the synchronous iteration's fixed point is unique, which
+    holds for the deterministic selection used here; the equivalence is
+    differentially enforced by the [@mutation-smoke] gate and the
+    [mutation-falsifiability] oracle. *)
 val update_devices :
   ?max_rounds:int ->
   ?diags:(Netcov_diag.Diag.t -> unit) ->
@@ -58,12 +51,12 @@ val update_devices :
   t
 
 (** [prime t] builds the per-(edge, prefix) import memo for [t]
-    ({!Bgp.build_import_memo}) so that warm {!update}s seeded from [t]
-    replay unchanged imports instead of re-evaluating policy chains.
-    Idempotent; costs about one BGP round. The memo is immutable once
-    primed, so one primed state can serve many parallel updates.
-    States returned by {!update} are never primed — a memo is only
-    valid for the exact state it was built on. *)
+    ({!Bgp.build_import_memo}) so that warm {!update_devices} calls
+    seeded from [t] replay unchanged imports instead of re-evaluating
+    policy chains. Idempotent; costs about one BGP round. The memo is
+    immutable once primed, so one primed state can serve many parallel
+    updates. States returned by {!update_devices} are never primed — a
+    memo is only valid for the exact state it was built on. *)
 val prime : t -> unit
 
 val registry : t -> Registry.t

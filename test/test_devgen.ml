@@ -1,6 +1,7 @@
 (* Property tests over randomly generated device configurations:
    emit/parse round-trips for both syntaxes, registry invariants, and
-   total robustness of the analyses. *)
+   total robustness of the analyses. The devices come from the oracles'
+   generator, Netcov_check.Netgen.device. *)
 open Netcov_config
 
 let canon_bgp (bgp : Device.bgp_config option) =
@@ -26,25 +27,27 @@ let same (a : Device.t) (b : Device.t) =
   && a.policies = b.policies
   && canon_bgp a.bgp = canon_bgp b.bgp
 
+let device_test ~name ~count prop =
+  QCheck2.Test.make ~name ~count ~print:Emit_junos.to_string
+    Netcov_check.Netgen.device prop
+
 let prop_junos_roundtrip =
-  QCheck.Test.make ~name:"random device junos round-trip" ~count:150
-    Devgen.arbitrary_device (fun d ->
+  device_test ~name:"random device junos round-trip" ~count:150 (fun d ->
       let d = { d with Device.syntax = Device.Junos } in
       match Parse_junos.parse (Emit_junos.to_string d) with
       | Ok d' -> same d d'
-      | Error e -> QCheck.Test.fail_report (Parse_junos.error_to_string e))
+      | Error e -> QCheck2.Test.fail_report (Parse_junos.error_to_string e))
 
 let prop_ios_roundtrip =
-  QCheck.Test.make ~name:"random device ios round-trip" ~count:150
-    Devgen.arbitrary_device (fun d ->
+  device_test ~name:"random device ios round-trip" ~count:150 (fun d ->
       let d = { d with Device.syntax = Device.Ios } in
       match Parse_ios.parse (Emit_ios.to_string d) with
       | Ok d' -> same d d'
-      | Error e -> QCheck.Test.fail_report (Parse_ios.error_to_string e))
+      | Error e -> QCheck2.Test.fail_report (Parse_ios.error_to_string e))
 
 let prop_registry_line_ownership =
-  QCheck.Test.make ~name:"registry line ownership is consistent" ~count:100
-    Devgen.arbitrary_device (fun d ->
+  device_test ~name:"registry line ownership is consistent" ~count:100
+    (fun d ->
       let reg = Registry.build [ d ] in
       let host = d.Device.hostname in
       let ok = ref (Registry.considered_lines reg <= Registry.total_lines reg) in
@@ -66,15 +69,14 @@ let prop_registry_line_ownership =
       !ok && sum = Registry.considered_lines reg)
 
 let prop_element_keys_unique =
-  QCheck.Test.make ~name:"element keys are unique per device" ~count:150
-    Devgen.arbitrary_device (fun d ->
+  device_test ~name:"element keys are unique per device" ~count:150 (fun d ->
       let keys = Device.element_keys d in
       List.length keys
       = List.length (List.sort_uniq Element.compare_key keys))
 
 let prop_deadcode_total =
-  QCheck.Test.make ~name:"dead-code analysis is total and within bounds"
-    ~count:100 Devgen.arbitrary_device (fun d ->
+  device_test ~name:"dead-code analysis is total and within bounds" ~count:100
+    (fun d ->
       let reg = Registry.build [ d ] in
       let report = Deadcode.analyze reg in
       Element.Id_set.for_all
@@ -83,14 +85,13 @@ let prop_deadcode_total =
       && Deadcode.dead_lines reg report <= Registry.considered_lines reg)
 
 let prop_emit_deterministic =
-  QCheck.Test.make ~name:"emission is deterministic" ~count:100
-    Devgen.arbitrary_device (fun d ->
+  device_test ~name:"emission is deterministic" ~count:100 (fun d ->
       Emit_junos.to_string d = Emit_junos.to_string d
       && Emit_ios.to_string d = Emit_ios.to_string d)
 
 let prop_simulation_total =
-  QCheck.Test.make ~name:"simulation never raises on random single devices"
-    ~count:50 Devgen.arbitrary_device (fun d ->
+  device_test ~name:"simulation never raises on random single devices" ~count:50
+    (fun d ->
       let state =
         Netcov_sim.Stable_state.compute (Registry.build [ d ])
       in

@@ -105,7 +105,7 @@ let policied_state () =
   let rec hunt seed =
     if seed > 80 then Alcotest.fail "no policied scenario in 80 seeds"
     else
-      let sc = Gen.generate ~seed Netgen.scenario in
+      let sc = QCheck2.Gen.generate1 ~rand:(Random.State.make [| seed |]) Netgen.scenario in
       match sc.Netgen.net.Netgen.policied with
       | [] -> hunt (seed + 1)
       | i :: _ ->

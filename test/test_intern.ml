@@ -183,7 +183,7 @@ let ifg_facts (state, tested) =
    (generated networks have none). *)
 let identity_inputs () =
   let scenario seed =
-    let sc = Gen.generate ~seed Netgen.scenario in
+    let sc = QCheck2.Gen.generate1 ~rand:(Random.State.make [| seed |]) Netgen.scenario in
     let state =
       Stable_state.compute (Registry.build (Netgen.devices_of sc.Netgen.net))
     in

@@ -1,6 +1,6 @@
 (* The property-based correctness harness: engine self-tests (seeded
    reproducibility, integrated shrinking to minimal counterexamples)
-   and the nine differential oracles of lib/check/oracles.ml, each
+   and the seven differential oracles of lib/check/oracles.ml, each
    pinned at a fixed seed with a bounded iteration budget so tier-1
    stays fast. `netcov_cli fuzz` runs the same oracles with a larger
    budget; docs/TESTING.md explains how to replay a printed seed. *)
@@ -14,22 +14,12 @@ let check_str = Alcotest.(check string)
 (* Engine: generation determinism                                      *)
 (* ------------------------------------------------------------------ *)
 
-let test_prng_deterministic () =
-  let draws seed =
-    let t = Prng.make seed in
-    List.init 16 (fun _ -> Prng.int t 1_000_000)
-  in
-  check_bool "same seed, same stream" true (draws 42 = draws 42);
-  check_bool "different seeds diverge" true (draws 42 <> draws 43);
-  let t = Prng.make 7 in
-  let snap = Prng.copy t in
-  check_int "copy replays the stream" (Prng.int t 9999) (Prng.int snap 9999)
+let generate ~seed g = Gen.generate1 ~rand:(Random.State.make [| seed |]) g
 
 let test_gen_deterministic () =
   let g = Gen.list_size (Gen.int_bound 10) (Gen.int_range 0 1000) in
-  check_bool "same seed, same value" true
-    (Gen.generate ~seed:5 g = Gen.generate ~seed:5 g);
-  let d () = Gen.generate ~seed:11 Netgen.device in
+  check_bool "same seed, same value" true (generate ~seed:5 g = generate ~seed:5 g);
+  let d () = generate ~seed:11 Netgen.device in
   check_str "device generation is reproducible"
     (Netcov_config.Emit_junos.to_string (d ()))
     (Netcov_config.Emit_junos.to_string (d ()))
@@ -124,7 +114,6 @@ let () =
     [
       ( "engine",
         [
-          Alcotest.test_case "prng deterministic" `Quick test_prng_deterministic;
           Alcotest.test_case "gen deterministic" `Quick test_gen_deterministic;
           Alcotest.test_case "shrink int to boundary" `Quick test_shrink_int;
           Alcotest.test_case "shrink list to singleton" `Quick test_shrink_list;
