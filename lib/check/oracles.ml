@@ -380,10 +380,22 @@ let isolation_prop (sc : Netgen.scenario) =
   (* surround the healthy tests so exclusion is position-independent *)
   let mixed = (poison_tested 0 :: testeds) @ [ poison_tested 1 ] in
   let clean = Netcov.analyze_suite ~pool:Pool.sequential state testeds in
-  let outcome = Netcov.analyze_suite_isolated ~pool:Pool.sequential state mixed in
+  let diags = Diag.collector () in
+  let outcome =
+    Netcov.analyze_suite_isolated ~pool:Pool.sequential ~diags:(Diag.sink diags)
+      state mixed
+  in
+  let reported =
+    List.length
+      (List.filter
+         (fun (d : Diag.t) -> d.kind = Diag.Test_failure)
+         (Diag.items diags))
+  in
   if List.length outcome.Netcov.failures <> k then
     fail "expected %d isolated failures, got %d" k
       (List.length outcome.Netcov.failures)
+  else if reported <> k then
+    fail "expected %d test-failure diagnostics, got %d" k reported
   else if
     not
       (List.for_all

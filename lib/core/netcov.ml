@@ -236,14 +236,12 @@ let analyze_suite_isolated ?(pool = Pool.sequential) ?diags ?labels state
   List.iter
     (fun f ->
       M.inc m_errors 1;
-      Log.warn (fun m -> m "%s failed and was excluded: %s" f.tf_label f.tf_error);
-      Option.iter
-        (fun sink ->
-          sink
-            (Diag.error Diag.Test_failure
-               (Printf.sprintf "%s failed and was excluded: %s" f.tf_label
-                  f.tf_error)))
-        diags)
+      let msg =
+        Printf.sprintf "%s failed and was excluded: %s" f.tf_label f.tf_error
+      in
+      match diags with
+      | Some sink -> sink (Diag.error Diag.Test_failure msg)
+      | None -> Log.warn (fun m -> m "%s" msg))
     failures;
   { ok; failures }
 

@@ -111,7 +111,8 @@ type suite_outcome = { ok : report list; failures : test_failure list }
 (** Like {!analyze_suite}, but with per-test fault isolation: a test
     whose analysis raises is caught, recorded as a {!test_failure},
     counted in the [analyze.errors] metric, reported as a
-    [Test_failure] diagnostic when [diags] is given — and excluded. The
+    [Test_failure] diagnostic when [diags] is given (logged as a
+    warning otherwise) — and excluded. The
     surviving tests' reports are byte-identical to running them alone
     ([Stack_overflow]/[Out_of_memory] still propagate). [labels] names
     the tests for failure records, matched by position. [pool]

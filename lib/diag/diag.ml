@@ -31,23 +31,6 @@ let kind_to_string = function
   | Io_error -> "io.error"
   | Internal -> "internal"
 
-let all_kinds =
-  [
-    Parse_error;
-    Parse_recovered;
-    Duplicate_host;
-    Unknown_host;
-    No_convergence;
-    Policy_eval;
-    Sim_failure;
-    Test_failure;
-    Io_error;
-    Internal;
-  ]
-
-let kind_of_string s =
-  List.find_opt (fun k -> kind_to_string k = s) all_kinds
-
 type t = {
   severity : severity;
   kind : kind;

@@ -41,7 +41,6 @@ type kind =
   | Internal  (** anything that escaped classification *)
 
 val kind_to_string : kind -> string
-val kind_of_string : string -> kind option
 
 (** One diagnostic. All provenance fields are optional: parsers fill
     [file]/[line], the simulator fills [device], the coverage core

@@ -1,7 +1,14 @@
-(** A binary trie keyed by IPv4 prefixes, supporting exact lookup,
-    longest-prefix match and subtree queries. This is the storage used by
-    the simulator's RIBs and the stable-state lookups of the coverage
-    core. *)
+(** A path-compressed binary trie (a Patricia trie) keyed by IPv4
+    prefixes, supporting exact lookup, longest-prefix match and subtree
+    queries. This is the storage used by the simulator's RIBs and the
+    stable-state lookups of the coverage core.
+
+    Node invariant: every node carries a prefix and is either a binding
+    or a branch with two non-empty children; a child's prefix lies
+    strictly inside its parent's, on the side named by the next bit.
+    So n bindings take fewer than 2n nodes, a lookup visits at most one
+    node per bound prefix or branch point on its path (never more than
+    33), and the shape depends only on the set of bound prefixes. *)
 
 type 'a t
 

@@ -15,45 +15,37 @@ let match_prefix (p : Prefix.t) (mode : Policy_ast.mode) (target : Prefix.t) =
   | Policy_ast.Orlonger -> Prefix.subsumes p target
   | Policy_ast.Upto n -> Prefix.subsumes p target && Prefix.len target <= n
 
-(* Evaluates one condition. Returns [None] when it does not hold, and
-   the consulted list keys when it does. *)
-let eval_cond (d : Device.t) ~(protocol : Route.protocol) (r : Route.bgp)
-    (c : Policy_ast.match_cond) : Element.key list option =
+(* Whether one condition holds. *)
+let holds (d : Device.t) ~(protocol : Route.protocol) (r : Route.bgp)
+    (c : Policy_ast.match_cond) =
   match c with
   | Policy_ast.Match_prefix_list name -> (
       match Device.find_prefix_list d name with
-      | Some pl when Device.prefix_list_matches pl r.prefix ->
-          Some [ Element.key Prefix_list name ]
-      | Some _ | None -> None)
-  | Policy_ast.Match_prefix (p, mode) ->
-      if match_prefix p mode r.prefix then Some [] else None
+      | Some pl -> Device.prefix_list_matches pl r.prefix
+      | None -> false)
+  | Policy_ast.Match_prefix (p, mode) -> match_prefix p mode r.prefix
   | Policy_ast.Match_community_list name -> (
       match Device.find_community_list d name with
-      | Some cl
-        when List.exists (fun c -> Route.has_community r c) cl.cl_members ->
-          Some [ Element.key Community_list name ]
-      | Some _ | None -> None)
-  | Policy_ast.Match_community c ->
-      if Route.has_community r c then Some [] else None
+      | Some cl -> List.exists (fun c -> Route.has_community r c) cl.cl_members
+      | None -> false)
+  | Policy_ast.Match_community c -> Route.has_community r c
   | Policy_ast.Match_as_path_list name -> (
       match Device.find_as_path_list d name with
-      | Some al when List.exists (fun re -> As_regex.matches re r.as_path) al.al_patterns
-        ->
-          Some [ Element.key As_path_list name ]
-      | Some _ | None -> None)
-  | Policy_ast.Match_protocol p -> if p = protocol then Some [] else None
-  | Policy_ast.Match_next_hop nh ->
-      if Ipv4.equal nh r.next_hop then Some [] else None
+      | Some al -> List.exists (fun re -> As_regex.matches re r.as_path) al.al_patterns
+      | None -> false)
+  | Policy_ast.Match_protocol p -> p = protocol
+  | Policy_ast.Match_next_hop nh -> Ipv4.equal nh r.next_hop
 
-let matches_term d ~protocol r (t : Policy_ast.term) =
-  let rec go acc = function
-    | [] -> Some (List.rev acc)
-    | c :: rest -> (
-        match eval_cond d ~protocol r c with
-        | None -> None
-        | Some keys -> go (List.rev_append keys acc) rest)
-  in
-  go [] t.matches
+(* The list a holding condition consulted: a named list's condition
+   holds only when the list exists. *)
+let consulted (c : Policy_ast.match_cond) =
+  match c with
+  | Policy_ast.Match_prefix_list name -> Some (Element.key Prefix_list name)
+  | Policy_ast.Match_community_list name -> Some (Element.key Community_list name)
+  | Policy_ast.Match_as_path_list name -> Some (Element.key As_path_list name)
+  | Policy_ast.Match_prefix _ | Policy_ast.Match_community _
+  | Policy_ast.Match_protocol _ | Policy_ast.Match_next_hop _ ->
+      None
 
 let apply_actions d r actions =
   let rec go r keys = function
@@ -122,7 +114,10 @@ let m_chain_evals =
     ~help:"policy-chain evaluations (targeted-simulation primitive)"
     ~unit_:"evaluations" "policy.chain_evals"
 
-let run_chain (d : Device.t) ~chain ~default ?(protocol = Route.Bgp) route =
+(* The one policy walk. [record] says whether the caller reads the
+   exercised keys; without it no key, clause name or dedup set is
+   built, and [exercised] is [[]]. *)
+let walk ~record (d : Device.t) ~chain ~default ~protocol route =
   Netcov_obs.Metrics.inc m_chain_evals 1;
   let finish verdict route exercised =
     {
@@ -134,24 +129,28 @@ let run_chain (d : Device.t) ~chain ~default ?(protocol = Route.Bgp) route =
   let rec eval_terms pol_name r exercised terms rest_policies =
     match terms with
     | [] -> eval_policies r exercised rest_policies
-    | (t : Policy_ast.term) :: more -> (
-        match matches_term d ~protocol r t with
-        | None -> eval_terms pol_name r exercised more rest_policies
-        | Some consulted ->
-            let term_key =
-              Element.key Route_policy_clause
-                (Policy_ast.term_element_name ~policy_name:pol_name
-                   ~term_name:t.term_name)
-            in
-            let outcome, r', act_keys = apply_actions d r t.actions in
-            let exercised =
+    | (t : Policy_ast.term) :: more ->
+        if not (List.for_all (holds d ~protocol r) t.matches) then
+          eval_terms pol_name r exercised more rest_policies
+        else
+          let outcome, r', act_keys = apply_actions d r t.actions in
+          let exercised =
+            if not record then exercised
+            else
+              let term_key =
+                Element.key Route_policy_clause
+                  (Policy_ast.term_element_name ~policy_name:pol_name
+                     ~term_name:t.term_name)
+              in
               List.rev_append act_keys
-                (List.rev_append consulted (term_key :: exercised))
-            in
-            (match outcome with
-            | `Accept -> finish Accepted r' exercised
-            | `Reject -> finish Rejected r' exercised
-            | `Fallthrough -> eval_terms pol_name r' exercised more rest_policies))
+                (List.rev_append
+                   (List.filter_map consulted t.matches)
+                   (term_key :: exercised))
+          in
+          (match outcome with
+          | `Accept -> finish Accepted r' exercised
+          | `Reject -> finish Rejected r' exercised
+          | `Fallthrough -> eval_terms pol_name r' exercised more rest_policies)
   and eval_policies r exercised = function
     | [] -> finish default r exercised
     | name :: rest -> (
@@ -160,3 +159,9 @@ let run_chain (d : Device.t) ~chain ~default ?(protocol = Route.Bgp) route =
         | Some p -> eval_terms p.pol_name r exercised p.terms rest)
   in
   eval_policies route [] chain
+
+let run_chain d ~chain ~default ?(protocol = Route.Bgp) route =
+  walk ~record:true d ~chain ~default ~protocol route
+
+let run_chain_unrecorded d ~chain ~default ?(protocol = Route.Bgp) route =
+  walk ~record:false d ~chain ~default ~protocol route

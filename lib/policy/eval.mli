@@ -35,6 +35,18 @@ val run_chain :
   Route.bgp ->
   result
 
+(** [run_chain_unrecorded] is {!run_chain} for callers that read only
+    the verdict and the route, such as the BGP fixed point: the same
+    walk, but it builds no exercised key, and [exercised] is [[]]. Both
+    count in the [policy.chain_evals] metric. *)
+val run_chain_unrecorded :
+  Device.t ->
+  chain:string list ->
+  default:verdict ->
+  ?protocol:Route.protocol ->
+  Route.bgp ->
+  result
+
 (** The shape of a chain evaluator, as injected into the targeted
     simulations: [run_chain] itself, or a memoizing wrapper around it
     (the coverage core keys such a cache on device, chain, defaults and
@@ -47,15 +59,6 @@ type chain_eval =
   protocol:Route.protocol ->
   Route.bgp ->
   result
-
-(** [matches_term device ~protocol route term] tests a single clause,
-    returning the consulted list keys when it matches. *)
-val matches_term :
-  Device.t ->
-  protocol:Route.protocol ->
-  Route.bgp ->
-  Policy_ast.term ->
-  Element.key list option
 
 (** [apply_actions device route actions] folds attribute modifiers,
     returning the terminator (if any), the transformed route, and keys of

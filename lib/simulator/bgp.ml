@@ -116,6 +116,11 @@ let default_eval : Eval.chain_eval =
  fun d ~chain ~default ~protocol route ->
   Eval.run_chain d ~chain ~default ~protocol route
 
+(* The fixed point's evaluator: it reads only verdicts and routes. *)
+let route_eval : Eval.chain_eval =
+ fun d ~chain ~default ~protocol route ->
+  Eval.run_chain_unrecorded d ~chain ~default ~protocol route
+
 let accepted { Eval.verdict; route; exercised } =
   match (verdict, route) with
   | Eval.Accepted, Some r -> (Some r, exercised)
@@ -266,7 +271,7 @@ let resolve_sessions (find_device : find_device) ~pre_mains edges =
   (sessions, Hashtbl.length groups)
 
 let sender_half s (entry : Rib.bgp_entry) =
-  match export_half ~eval:default_eval s.send ~ebgp:s.edge.ebgp entry with
+  match export_half ~eval:route_eval s.send ~ebgp:s.edge.ebgp entry with
   | Some { Eval.verdict = Eval.Accepted; route = Some r; _ } -> Some r
   | Some _ | None -> None
 
@@ -275,7 +280,7 @@ let sender_half s (entry : Rib.bgp_entry) =
 let receiver_half ~pre_main s (entry : Rib.bgp_entry) r =
   let e = s.edge in
   match
-    import_half ~eval:default_eval s.recv ~ebgp:e.ebgp (to_wire s.send e entry r)
+    import_half ~eval:route_eval s.recv ~ebgp:e.ebgp (to_wire s.send e entry r)
   with
   | None, _ -> None
   | Some r, _ ->
@@ -411,6 +416,16 @@ let groups_equal xs ys =
   xs == ys
   || List.length xs = List.length ys
      && List.for_all2 (fun x y -> Rib.compare_bgp_entry x y = 0) xs ys
+
+(* Whether two groups hold the same best entries: all a receiver's
+   round and a main RIB read of a group. *)
+let rec bests_equal (xs : Rib.bgp_entry list) (ys : Rib.bgp_entry list) =
+  match (xs, ys) with
+  | x :: xs, _ when not x.be_best -> bests_equal xs ys
+  | _, y :: ys when not y.be_best -> bests_equal xs ys
+  | x :: xs, y :: ys -> Rib.compare_bgp_entry x y = 0 && bests_equal xs ys
+  | [], [] -> true
+  | _ :: _, [] | [], _ :: _ -> false
 
 (* A prefix set; [Prefix.t]'s fields are two ints, so the polymorphic
    hash spreads it well ([Prefix.hash] collides on the low bits). *)
@@ -565,7 +580,7 @@ let originate (d : Device.t) (b : Device.bgp_config) ~pre_main ~keep acc =
           List.iter
             (fun (me : Rib.main_entry) ->
               if keep me.me_prefix && me.me_protocol = rd.rd_from then
-                match redistribute ~eval:default_eval d rd me with
+                match redistribute ~eval:route_eval d rd me with
                 | Some r, _ ->
                     push acc
                       {
@@ -864,13 +879,14 @@ let fixed_point ?(max_rounds = 64) ?diags ?warm devices ~igp_ribs ~pre_mains
   let rounds = ref 0 in
   (* Dirty-host convergence: a host's round output is a pure function
      of its pre-BGP main RIB and its in-session senders' previous-round
-     tables, so only hosts with a sender in last round's changed set
-     can produce a different table this round. [dirty] holds last
-     round's changed hosts (initially every host, standing in for the
+     best entries, so only hosts with a sender whose best entries
+     changed last round can produce a different table this round.
+     [dirty] holds those senders, at the prefixes where their best
+     entries changed (initially every host, standing in for the
      transition into the empty initial state); hosts without a dirty
      sender keep their tables without recomputation or recomparison.
-     Round counts — including the final confirming round — match the
-     recompute-everything loop exactly.
+     A table change confined to entries that are not best dirties
+     nothing.
 
      A [warm] start replays only the affected cone of an edit: the
      iteration is seeded with a previous fixed point's tables, and
@@ -915,9 +931,10 @@ let fixed_point ?(max_rounds = 64) ?diags ?warm devices ~igp_ribs ~pre_mains
         fun s -> ctx.(s.id)
     | Some { w_memo = None; _ } | None -> fun _ -> (None, false)
   in
-  (* Hosts whose table may differ from the warm-start tables, with the
-     union of their changed prefixes across rounds ([None] = unbounded:
-     the seeded dirty hosts), for main-RIB patching below. *)
+  (* Hosts whose best entries may differ from the warm-start tables,
+     with the union of the prefixes where they changed across rounds
+     ([None] = unbounded: the seeded dirty hosts), for main-RIB
+     patching below; a main RIB reads only best entries. *)
   let touched : (string, pset option) Hashtbl.t = Hashtbl.create 64 in
   Hashtbl.iter (fun h _ -> Hashtbl.replace touched h None) dirty;
   let touch h ps =
@@ -929,6 +946,9 @@ let fixed_point ?(max_rounds = 64) ?diags ?warm devices ~igp_ribs ~pre_mains
         pset_add_list acc ps;
         Hashtbl.replace touched h (Some acc)
   in
+  (* Hosts whose table changed at all in the last round (the seed
+     before the first): the hosts "still changing" at a cap. *)
+  let changed_hosts = ref (Hashtbl.length dirty) in
   let first = ref true in
   while Hashtbl.length dirty > 0 && !rounds < max_rounds do
     incr rounds;
@@ -1045,19 +1065,40 @@ let fixed_point ?(max_rounds = 64) ?diags ?warm devices ~igp_ribs ~pre_mains
         targets
     in
     Hashtbl.reset dirty;
+    changed_hosts := 0;
     List.iter
       (fun (h, table) ->
         (* A scoped round splices into the previous table, so the walk
            visits only the spliced paths. *)
-        match Prefix_trie.diff groups_equal table (prev_bgp h) with
+        let prev = prev_bgp h in
+        match Prefix_trie.diff groups_equal table prev with
         | [] -> ()
-        | changed ->
-            Hashtbl.replace dirty h (Some changed);
-            touch h changed)
+        | changed -> (
+            incr changed_hosts;
+            match
+              List.filter
+                (fun p ->
+                  not (bests_equal (Rib.table_find p table) (Rib.table_find p prev)))
+                changed
+            with
+            | [] -> ()
+            | best_changed ->
+                Hashtbl.replace dirty h (Some best_changed);
+                touch h best_changed))
       next;
     List.iter (fun (h, table) -> Hashtbl.replace bgp_state h table) next
   done;
-  if Hashtbl.length dirty > 0 then begin
+  (* A last round that changed only entries that are not best leaves
+     every round's input as it was, so a further round would change
+     nothing. [rounds] counts that confirming round, as a loop that
+     stopped only on unchanged tables would; at the cap it is not run,
+     and the hosts that changed are still changing. *)
+  if Hashtbl.length dirty = 0 && !changed_hosts > 0 && !rounds < max_rounds
+  then begin
+    incr rounds;
+    changed_hosts := 0
+  end;
+  if !changed_hosts > 0 then begin
     Log.warn (fun m -> m "BGP did not converge after %d rounds" max_rounds);
     Option.iter
       (fun sink ->
@@ -1066,7 +1107,7 @@ let fixed_point ?(max_rounds = 64) ?diags ?warm devices ~igp_ribs ~pre_mains
              (Printf.sprintf
                 "BGP did not converge within %d rounds: %d hosts still \
                  changing; coverage is computed over the last round's state"
-                max_rounds (Hashtbl.length dirty))))
+                max_rounds !changed_hosts)))
       diags
   end;
   let main_ribs = Hashtbl.create 64 in

@@ -36,15 +36,16 @@ let test_severity_and_kinds () =
    with
   | Some Diag.Error -> ()
   | _ -> Alcotest.fail "max_severity should pick Error");
-  (* every kind's string form parses back *)
-  List.iter
-    (fun k ->
-      match Diag.kind_of_string (Diag.kind_to_string k) with
-      | Some k' when k' = k -> ()
-      | _ -> Alcotest.failf "kind %s does not round-trip" (Diag.kind_to_string k))
-    [ Diag.Parse_error; Diag.Parse_recovered; Diag.Duplicate_host;
-      Diag.Unknown_host; Diag.No_convergence; Diag.Policy_eval;
-      Diag.Sim_failure; Diag.Test_failure; Diag.Io_error; Diag.Internal ]
+  (* every kind has its own non-empty string form *)
+  let names =
+    List.map Diag.kind_to_string
+      [ Diag.Parse_error; Diag.Parse_recovered; Diag.Duplicate_host;
+        Diag.Unknown_host; Diag.No_convergence; Diag.Policy_eval;
+        Diag.Sim_failure; Diag.Test_failure; Diag.Io_error; Diag.Internal ]
+  in
+  check_bool "non-empty" true (List.for_all (fun n -> n <> "") names);
+  check_int "distinct" (List.length names)
+    (List.length (List.sort_uniq String.compare names))
 
 let test_compare_provenance_major () =
   let a = Diag.error ~file:"a.cfg" ~line:3 Diag.Parse_error "x" in

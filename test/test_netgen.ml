@@ -1,30 +1,40 @@
-(* Global invariants of the stable state on random eBGP tree networks:
-   full propagation, loop-free forwarding, AS-path sanity, best-path
+(* Global invariants of the stable state on random eBGP tree networks
+   (Netcov_check.Netgen.network, the oracles' generator): full
+   propagation, loop-free forwarding, AS-path sanity, best-path
    uniqueness, and end-to-end coverage totality. *)
 open Netcov_types
 open Netcov_config
 open Netcov_sim
 open Netcov_core
+module Cgen = Netcov_check.Netgen
 
-let state_of spec = Stable_state.compute (Registry.build (Netgen.devices_of spec))
+let state_of net = Stable_state.compute (Registry.build (Cgen.devices_of net))
+let routers (net : Cgen.network) = List.init net.n_routers Cgen.host
+let lans (net : Cgen.network) = List.init net.n_routers (fun j -> (j, Cgen.lan j))
 
-let routers (s : Netgen.spec) = List.init s.n_routers Netgen.host
+let net_test ~name ~count gen prop =
+  QCheck2.Test.make ~name ~count ~print:Cgen.print_network gen prop
+
+(* Networks without import policies, for the properties that assert
+   every route reaches every router. *)
+let unpolicied =
+  QCheck2.Gen.map (fun (net : Cgen.network) -> { net with policied = [] }) Cgen.network
 
 let prop_full_propagation =
-  QCheck.Test.make ~name:"every router learns every LAN" ~count:60
-    Netgen.arbitrary_spec (fun spec ->
-      let state = state_of spec in
+  net_test ~name:"every router learns every LAN" ~count:60 unpolicied
+    (fun net ->
+      let state = state_of net in
       List.for_all
         (fun r ->
           List.for_all
             (fun (_, lan) -> Stable_state.main_lookup state r lan <> [])
-            spec.Netgen.lans)
-        (routers spec))
+            (lans net))
+        (routers net))
 
 let prop_forwarding_reaches =
-  QCheck.Test.make ~name:"forwarding is loop-free and delivers" ~count:40
-    Netgen.arbitrary_spec (fun spec ->
-      let state = state_of spec in
+  net_test ~name:"forwarding is loop-free and delivers" ~count:40 unpolicied
+    (fun net ->
+      let state = state_of net in
       List.for_all
         (fun r ->
           List.for_all
@@ -43,15 +53,15 @@ let prop_forwarding_reaches =
                      List.length hosts
                      = List.length (List.sort_uniq String.compare hosts))
                    paths)
-            spec.Netgen.lans)
-        (routers spec))
+            (lans net))
+        (routers net))
 
 let prop_as_path_tree_distance =
-  QCheck.Test.make ~name:"AS-path length equals tree distance" ~count:60
-    Netgen.arbitrary_spec (fun spec ->
-      let state = state_of spec in
+  net_test ~name:"AS-path length equals tree distance" ~count:60 unpolicied
+    (fun net ->
+      let state = state_of net in
       (* distance in the tree between routers i and j *)
-      let rec ancestors i = if i = 0 then [ 0 ] else i :: ancestors spec.Netgen.parent.(i) in
+      let rec ancestors i = if i = 0 then [ 0 ] else i :: ancestors net.parent.(i) in
       let distance i j =
         let ai = ancestors i and aj = ancestors j in
         let common = List.find (fun a -> List.mem a aj) ai in
@@ -70,35 +80,31 @@ let prop_as_path_tree_distance =
             (fun (j, lan) ->
               if i = j then true
               else
-                match
-                  Stable_state.bgp_lookup_best state (Netgen.host i) lan
-                with
+                match Stable_state.bgp_lookup_best state (Cgen.host i) lan with
                 | [] -> false
                 | e :: _ ->
                     As_path.length e.Rib.be_route.Route.as_path = distance i j)
-            spec.Netgen.lans)
-        (List.init spec.Netgen.n_routers Fun.id))
+            (lans net))
+        (List.init net.n_routers Fun.id))
 
 let prop_single_best_without_multipath =
-  QCheck.Test.make ~name:"unique best path on trees" ~count:60
-    Netgen.arbitrary_spec (fun spec ->
-      let state = state_of spec in
+  net_test ~name:"unique best path on trees" ~count:60 unpolicied (fun net ->
+      let state = state_of net in
       (* a tree has a unique route between any two nodes, so even with
          multipath enabled there is exactly one best entry *)
       List.for_all
         (fun r ->
           List.for_all
             (fun (j, lan) ->
-              if Netgen.host j = r then true
-              else
-                List.length (Stable_state.bgp_lookup_best state r lan) = 1)
-            spec.Netgen.lans)
-        (routers spec))
+              if Cgen.host j = r then true
+              else List.length (Stable_state.bgp_lookup_best state r lan) = 1)
+            (lans net))
+        (routers net))
 
 let prop_coverage_total =
-  QCheck.Test.make ~name:"coverage of all LANs covers all live BGP config"
-    ~count:25 Netgen.arbitrary_spec (fun spec ->
-      let state = state_of spec in
+  net_test ~name:"coverage of all LANs covers all live BGP config" ~count:25
+    unpolicied (fun net ->
+      let state = state_of net in
       (* test every LAN everywhere: all peers, interfaces and network
          statements must be covered (the tree uses all of them) *)
       let tested =
@@ -109,8 +115,8 @@ let prop_coverage_total =
                 List.map
                   (fun entry -> Fact.F_main_rib { host = r; entry })
                   (Stable_state.main_lookup state r lan))
-              spec.Netgen.lans)
-          (routers spec)
+              (lans net))
+          (routers net)
       in
       let report = Netcov.analyze state { Netcov.dp_facts = tested; cp_elements = [] } in
       let reg = Stable_state.registry state in
@@ -126,9 +132,8 @@ let prop_coverage_total =
       !all_covered)
 
 let prop_deterministic_state =
-  QCheck.Test.make ~name:"simulation is deterministic" ~count:30
-    Netgen.arbitrary_spec (fun spec ->
-      let s1 = state_of spec and s2 = state_of spec in
+  net_test ~name:"simulation is deterministic" ~count:30 Cgen.network (fun net ->
+      let s1 = state_of net and s2 = state_of net in
       Stable_state.total_main_entries s1 = Stable_state.total_main_entries s2
       && Stable_state.total_bgp_entries s1 = Stable_state.total_bgp_entries s2
       && Stable_state.rounds s1 = Stable_state.rounds s2)
@@ -139,7 +144,6 @@ let prop_deterministic_state =
    check its structure (including the >255-router octet spill) and that
    its deterministic specs materialize into a working analysis, without
    paying a 1000-router simulation in the test suite. *)
-module Cgen = Netcov_check.Netgen
 
 let test_balanced_structure () =
   let net = Cgen.balanced ~fanout:4 600 in

@@ -560,6 +560,7 @@ let pinned_networks =
   [
     ("internet2 test_params", internet2 I2.test_params);
     ("internet2 default_params", internet2 I2.default_params);
+    ("internet2 paper_params", internet2 I2.paper_params);
     ( "internet2 default_params rr2",
       internet2 { I2.default_params with ibgp = I2.Route_reflectors 2 } );
     ("fat-tree k=4", fattree 4);
@@ -575,6 +576,7 @@ let pinned_digests =
   [
     ("internet2 test_params", "be12c1ac5d1a2f088683716792bf5253", 5);
     ("internet2 default_params", "9afc7b9d8c64408bf6d5086a5a994ff6", 5);
+    ("internet2 paper_params", "64b853cb054f62eef7ba24efa62056d8", 5);
     ("internet2 default_params rr2", "68a41a08e0decd62d70cdf3433a16ca0", 6);
     ("fat-tree k=4", "6286d79ca412b8e9fe931d6aace833b9", 6);
     ("fat-tree k=6", "c408a686b9009509ab652a7cac2e75af", 6);
@@ -597,6 +599,99 @@ let test_pinned_states () =
   in
   Alcotest.(check (list (triple string string int)))
     "digests and rounds" pinned_digests got
+
+let no_convergence_messages st_diags =
+  List.filter_map
+    (fun (d : Diag.t) ->
+      if d.kind = Diag.No_convergence then Some d.message else None)
+    st_diags
+
+(* Only best entries of every host's BGP RIB: what a receiver reads. *)
+let canonical_best st =
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun h ->
+      Buffer.add_string b ("host " ^ h ^ "\n");
+      Prefix_trie.iter
+        (fun _ es ->
+          List.iter
+            (fun (e : Rib.bgp_entry) ->
+              if e.be_best then
+                Buffer.add_string b (bgp_entry_line e ^ "\n"))
+            es)
+        (Stable_state.bgp_rib st h))
+    (List.sort String.compare (Stable_state.all_hosts st));
+  Buffer.contents b
+
+let compute_capped build max_rounds =
+  let c = Diag.collector () in
+  let st = Stable_state.compute ~max_rounds ~diags:(Diag.sink c) (build ()) in
+  (st, no_convergence_messages (Diag.items c))
+
+(* (network, hosts still changing) when each pinned network is capped one
+   round short of convergence, recorded with the pinned digests. *)
+let pinned_capped_hosts =
+  [
+    ("internet2 test_params", 10);
+    ("internet2 default_params", 10);
+    ("internet2 paper_params", 10);
+    ("internet2 default_params rr2", 2);
+    ("fat-tree k=4", 8);
+    ("fat-tree k=6", 18);
+    ("wan", 2);
+    ("wan multipath 4", 2);
+    ("hostile corpus", 2);
+  ]
+
+(* One round short of convergence every pinned network reports the cap
+   as its round count and exactly one no-convergence warning. The round
+   count includes the round that confirms convergence, so the round
+   before it still changed some host's table. *)
+let test_pinned_capped () =
+  let got =
+    List.map
+      (fun (name, build) ->
+        let _, _, rounds =
+          List.find (fun (n, _, _) -> n = name) pinned_digests
+        in
+        let st, messages = compute_capped build (rounds - 1) in
+        check_int (name ^ ": capped rounds") (rounds - 1)
+          (Stable_state.rounds st);
+        let hosts =
+          match messages with
+          | [ m ] ->
+              Scanf.sscanf m "BGP did not converge within %d rounds: %d hosts"
+                (fun cap hosts ->
+                  check_int (name ^ ": cap in message") (rounds - 1) cap;
+                  Alcotest.(check string)
+                    (name ^ ": message")
+                    (Printf.sprintf
+                       "BGP did not converge within %d rounds: %d hosts still \
+                        changing; coverage is computed over the last round's \
+                        state"
+                       (rounds - 1) hosts)
+                    m;
+                  hosts)
+          | ms ->
+              Alcotest.failf "%s: expected one no-convergence warning, got %d"
+                name (List.length ms)
+        in
+        Printf.printf "(%S, %d);\n" name hosts;
+        (name, hosts))
+      pinned_networks
+  in
+  Alcotest.(check (list (pair string int)))
+    "hosts still changing at the cap" pinned_capped_hosts got;
+  (* internet2 paper_params: its last round before the cap changed only
+     entries that are not best, so the cap stops on hosts whose tables
+     changed although no receiver's input did. *)
+  let build = List.assoc "internet2 paper_params" pinned_networks in
+  let before, _ = compute_capped build 3 and at_cap, _ = compute_capped build 4 in
+  Alcotest.(check string)
+    "paper_params: round 4 keeps every best entry" (canonical_best before)
+    (canonical_best at_cap);
+  check_bool "paper_params: round 4 changes some entry" true
+    (canonical_ribs before <> canonical_ribs at_cap)
 
 (* ---------------- warm restarts ---------------- *)
 
@@ -680,5 +775,8 @@ let () =
             test_warm_aggregate_withdrawal;
         ] );
       ( "pinned",
-        [ Alcotest.test_case "stable-state digests" `Quick test_pinned_states ] );
+        [
+          Alcotest.test_case "stable-state digests" `Quick test_pinned_states;
+          Alcotest.test_case "capped one round short" `Quick test_pinned_capped;
+        ] );
     ]

@@ -70,8 +70,10 @@ let test_fold_order () =
   let keys =
     Prefix_trie.to_list sample |> List.map (fun (q, _) -> Prefix.to_string q)
   in
-  check_int "all listed" 5 (List.length keys);
-  check_bool "default present" true (List.mem "0.0.0.0/0" keys)
+  Alcotest.(check (list string))
+    "ascending, each prefix before those inside it"
+    [ "0.0.0.0/0"; "10.0.0.0/8"; "10.1.0.0/16"; "10.1.2.0/24"; "192.168.0.0/16" ]
+    keys
 
 let gen_prefix =
   QCheck.map
@@ -79,6 +81,100 @@ let gen_prefix =
     QCheck.(pair (int_bound 0xFFFFFFF) (int_bound 32))
 
 let gen_bindings = QCheck.(small_list (pair gen_prefix small_int))
+
+(* Prefixes around a few addresses, so bindings nest and share paths:
+   uniform prefixes almost never contain one another. *)
+let gen_nested_prefix =
+  QCheck.map
+    (fun ((base, jitter), l) -> Prefix.make (Ipv4.of_int (base lxor jitter)) l)
+    QCheck.(
+      pair
+        (pair (oneofl [ 0; 0x0A000000; 0x0A010200; 0x0A018000; 0xC0A80000 ])
+           (int_bound 0x3FF))
+        (int_bound 32))
+
+let gen_nested_bindings =
+  QCheck.(small_list (pair gen_nested_prefix small_int))
+
+(* The list model: the last binding of each prefix, in [Prefix.compare]
+   order. *)
+let model bindings =
+  List.fold_left
+    (fun m (q, v) -> (q, v) :: List.filter (fun (q', _) -> not (Prefix.equal q q')) m)
+    [] bindings
+  |> List.sort (fun (a, _) (b, _) -> Prefix.compare a b)
+
+let prop_to_list_ascending =
+  QCheck.Test.make ~name:"to_list strictly ascending in Prefix.compare"
+    ~count:300 gen_nested_bindings (fun bindings ->
+      let rec ascending = function
+        | (a, _) :: ((b, _) :: _ as rest) -> Prefix.compare a b < 0 && ascending rest
+        | [ _ ] | [] -> true
+      in
+      let l = Prefix_trie.to_list (Prefix_trie.of_list bindings) in
+      ascending l && l = model bindings)
+
+let prop_subsumed_model =
+  QCheck.Test.make ~name:"subsumed agrees with list model" ~count:300
+    QCheck.(pair gen_nested_bindings gen_nested_prefix)
+    (fun (bindings, q) ->
+      Prefix_trie.subsumed q (Prefix_trie.of_list bindings)
+      = List.filter (fun (q', _) -> Prefix.subsumes q q') (model bindings))
+
+let prop_all_matches_model =
+  QCheck.Test.make ~name:"all_matches agrees with list model" ~count:300
+    QCheck.(pair gen_nested_bindings gen_nested_prefix)
+    (fun (bindings, q) ->
+      (* an address inside and one just past a drawn prefix *)
+      List.for_all
+        (fun a ->
+          Prefix_trie.all_matches a (Prefix_trie.of_list bindings)
+          = List.rev
+              (List.filter (fun (q', _) -> Prefix.contains q' a) (model bindings)))
+        [ Prefix.addr q; Ipv4.add (Prefix.addr q) (1 lsl (32 - max 1 (Prefix.len q))) ])
+
+type op = Add of Prefix.t * int | Remove of Prefix.t | Update of Prefix.t * int option
+
+let gen_ops =
+  let open QCheck in
+  small_list
+    (oneof
+       [
+         map (fun (q, v) -> Add (q, v)) (pair gen_nested_prefix small_int);
+         map (fun q -> Remove q) gen_nested_prefix;
+         map (fun (q, v) -> Update (q, v)) (pair gen_nested_prefix (option small_int));
+       ])
+
+let prop_ops_model =
+  QCheck.Test.make ~name:"add/remove/update sequences agree with list model"
+    ~count:500 gen_ops (fun ops ->
+      let unbind q m = List.filter (fun (q', _) -> not (Prefix.equal q q')) m in
+      let t, m =
+        List.fold_left
+          (fun (t, m) op ->
+            match op with
+            | Add (q, v) -> (Prefix_trie.add q v t, (q, v) :: unbind q m)
+            | Remove q -> (Prefix_trie.remove q t, unbind q m)
+            | Update (q, v) ->
+                (* [f] sees the current binding and bumps it, or binds
+                   [v] where there is none *)
+                let f = function Some x -> Some (x + 1) | None -> v in
+                let m' =
+                  match f (List.assoc_opt q m) with
+                  | Some x -> (q, x) :: unbind q m
+                  | None -> unbind q m
+                in
+                (Prefix_trie.update q f t, m'))
+          (Prefix_trie.empty, []) ops
+      in
+      let m = List.sort (fun (a, _) (b, _) -> Prefix.compare a b) m in
+      Prefix_trie.to_list t = m
+      && Prefix_trie.cardinal t = List.length m
+      && List.for_all (fun (q, v) -> Prefix_trie.find_opt q t = Some v) m
+      (* the shape depends only on the bindings, so a trie built by
+         edits equals one built fresh *)
+      && Prefix_trie.equal Int.equal t (Prefix_trie.of_list m)
+      && Prefix_trie.diff Int.equal t (Prefix_trie.of_list m) = [])
 
 let prop_model_find =
   QCheck.Test.make ~name:"find agrees with assoc model" ~count:300 gen_bindings
@@ -133,7 +229,8 @@ let diff_reference a b =
 let prop_diff =
   QCheck.Test.make ~name:"diff agrees with to_list reference" ~count:300
     QCheck.(
-      triple gen_bindings gen_bindings (small_list (pair small_nat (option small_int))))
+      triple gen_nested_bindings gen_nested_bindings
+        (small_list (pair small_nat (option small_int))))
     (fun (bindings, others, edits) ->
       let a = Prefix_trie.of_list bindings in
       (* [shared] rebinds or removes some of [a]'s keys and adds a few
@@ -191,5 +288,14 @@ let () =
         ] );
       ( "props",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_model_find; prop_lpm_sound; prop_cardinal; prop_diff ] );
+          [
+            prop_model_find;
+            prop_lpm_sound;
+            prop_cardinal;
+            prop_diff;
+            prop_to_list_ascending;
+            prop_subsumed_model;
+            prop_all_matches_model;
+            prop_ops_model;
+          ] );
     ]
