@@ -600,11 +600,11 @@ let test_pinned_states () =
   Alcotest.(check (list (triple string string int)))
     "digests and rounds" pinned_digests got
 
-let no_convergence_messages st_diags =
+let no_convergence_messages diags =
   List.filter_map
     (fun (d : Diag.t) ->
       if d.kind = Diag.No_convergence then Some d.message else None)
-    st_diags
+    diags
 
 (* Only best entries of every host's BGP RIB: what a receiver reads. *)
 let canonical_best st =
