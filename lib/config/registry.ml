@@ -52,45 +52,40 @@ let build devices =
     (fun (d : Device.t) ->
       if Hashtbl.mem infos d.hostname then
         invalid_arg ("Registry.build: duplicate hostname " ^ d.hostname);
-      let text, key_owners = emit_for d in
-      let owners = Array.make (Array.length text) None in
-      let element_ids =
-        if d.is_external then []
-        else begin
-          (* Collect owned line numbers per key, in first-appearance
-             order. *)
-          let tbl : (Element.key, int list ref) Hashtbl.t = Hashtbl.create 64 in
-          let order = ref [] in
-          Array.iteri
-            (fun i ko ->
-              match ko with
-              | None -> ()
-              | Some k ->
-                  let cell =
-                    match Hashtbl.find_opt tbl k with
-                    | Some c -> c
-                    | None ->
-                        let c = ref [] in
-                        Hashtbl.add tbl k c;
-                        order := k :: !order;
-                        c
-                  in
-                  cell := (i + 1) :: !cell)
-            key_owners;
-          let key_lines =
-            List.rev_map (fun k -> (k, !(Hashtbl.find tbl k))) !order
-          in
-          let ids = register d key_lines in
-          (* Fill the per-line id map. *)
-          Array.iteri
-            (fun i ko ->
-              match ko with
-              | None -> ()
-              | Some k -> owners.(i) <- Key_tbl.find_opt by_key (d.hostname, k))
-            key_owners;
-          ids
-        end
+      (* An external device is outside the coverage domain: it gets no
+         text, so no line and no element. *)
+      let text, key_owners =
+        if d.is_external then ([||], [||]) else emit_for d
       in
+      let owners = Array.make (Array.length text) None in
+      (* Collect owned line numbers per key, in first-appearance order. *)
+      let tbl : (Element.key, int list ref) Hashtbl.t = Hashtbl.create 64 in
+      let order = ref [] in
+      Array.iteri
+        (fun i ko ->
+          match ko with
+          | None -> ()
+          | Some k ->
+              let cell =
+                match Hashtbl.find_opt tbl k with
+                | Some c -> c
+                | None ->
+                    let c = ref [] in
+                    Hashtbl.add tbl k c;
+                    order := k :: !order;
+                    c
+              in
+              cell := (i + 1) :: !cell)
+        key_owners;
+      let key_lines = List.rev_map (fun k -> (k, !(Hashtbl.find tbl k))) !order in
+      let element_ids = register d key_lines in
+      (* Fill the per-line id map. *)
+      Array.iteri
+        (fun i ko ->
+          match ko with
+          | None -> ()
+          | Some k -> owners.(i) <- Key_tbl.find_opt by_key (d.hostname, k))
+        key_owners;
       Hashtbl.replace infos d.hostname { device = d; text; owners; element_ids })
     devices;
   {

@@ -7,9 +7,9 @@ type t
 
 (** [build devices] renders each device with the emitter matching its
     syntax, assigns globally unique element ids, and indexes ownership.
-    Elements of external (environment stub) devices are not registered:
-    they are outside the coverage domain. Raises [Invalid_argument] on
-    duplicate hostnames. *)
+    External (environment stub) devices are outside the coverage domain:
+    they are not rendered, so they have no text, lines or registered
+    elements. Raises [Invalid_argument] on duplicate hostnames. *)
 val build : Device.t list -> t
 
 (** Like {!build}, but duplicate hostnames degrade instead of raising:
@@ -44,7 +44,8 @@ val find_exn : t -> device:string -> Element.key -> Element.id
 (** Element ids belonging to one device. *)
 val elements_of_device : t -> string -> Element.id list
 
-(** Rendered configuration lines of a device. *)
+(** Rendered configuration lines of a device; empty for an external
+    device. *)
 val text : t -> string -> string array
 
 (** [line_owner t host n] is the element owning 1-based line [n]. *)

@@ -633,11 +633,6 @@ let run reg ~oracle ?elements ?(operators = default_operators)
     ?(mode = Warm) ?(pool = Pool.sequential) ?diags () =
   let t0 = Unix.gettimeofday () in
   let baseline_state = Stable_state.compute ?diags reg in
-  (* Every warm mutant is seeded from [baseline_state]: prime its import
-     memo once (about one BGP round) before fanning out, so each mutant
-     replays the imports its cone did not touch. Read-only after
-     priming, hence safe under the domain pool. *)
-  if mode = Warm then Stable_state.prime baseline_state;
   let baseline = oracle baseline_state in
   let element_ids =
     match elements with

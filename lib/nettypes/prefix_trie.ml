@@ -247,6 +247,25 @@ let diff eq a b =
   in
   List.rev (go a b [])
 
+let rec iter_common f a b =
+  match (a, b) with
+  | Empty, _ | _, Empty -> ()
+  | _, _ ->
+      let ka = key_of a and kb = key_of b in
+      let la = Prefix.len ka and lb = Prefix.len kb in
+      if la = lb && addr ka = addr kb then begin
+        (match (a, b) with
+        | Bind x, Bind y -> f ka x.value y.value
+        | _, _ -> ());
+        iter_common f (zero_of a) (zero_of b);
+        iter_common f (one_of a) (one_of b)
+      end
+      else if la < lb && inside (addr ka) la (addr kb) then
+        (* [b] lies in one of [a]'s subtrees *)
+        iter_common f (if bit (addr kb) la then one_of a else zero_of a) b
+      else if lb < la && inside (addr kb) lb (addr ka) then
+        iter_common f a (if bit (addr ka) lb then one_of b else zero_of b)
+
 (* The shape depends only on the bound prefixes, so equal tries have
    equal shapes. *)
 let rec equal eq a b =

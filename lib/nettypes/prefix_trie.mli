@@ -54,4 +54,11 @@ val map : ('a -> 'b) -> 'a t -> 'b t
     a few bindings replaced against its original walks only the
     replaced paths. *)
 val diff : ('a -> 'a -> bool) -> 'a t -> 'a t -> Prefix.t list
+
+(** [iter_common f a b] calls [f p va vb] for every prefix [p] bound in
+    both [a] (to [va]) and [b] (to [vb]), in {!to_list} order. It walks
+    only the paths the two tries share, so intersecting a small trie
+    with a large one visits about the small one's nodes. *)
+val iter_common : (Prefix.t -> 'a -> 'b -> unit) -> 'a t -> 'b t -> unit
+
 val equal : ('a -> 'a -> bool) -> 'a t -> 'a t -> bool

@@ -319,18 +319,6 @@ let group_exports s best =
     if !k = n then (entries, routes)
     else (Array.sub entries 0 !k, Array.sub routes 0 !k)
 
-(* Both halves for one session over one sender group: the candidates
-   the receiver learns. *)
-let session_candidates ~pre_main s sender_entries =
-  List.filter_map
-    (fun (se : Rib.bgp_entry) ->
-      if not se.be_best then None
-      else
-        match sender_half s se with
-        | None -> None
-        | Some r -> receiver_half ~pre_main s se r)
-    sender_entries
-
 let session_edge s = s.edge
 let update_group s = s.group
 
@@ -505,73 +493,25 @@ let pre_bgp_main (d : Device.t) igp_table =
     Prefix_trie.empty all
   |> normalize_main
 
-(* Memo of [session_candidates], two-level — edge key, then prefix —
-   carrying the sender group each entry was computed from. A lookup is
-   valid only when the current group is {e physically} the stored one
-   ([==]): that holds exactly for groups untouched since the memo's
-   state, because the warm iteration splices recomputed prefixes and
-   structurally shares the rest. The caller additionally gates on the
-   warm dirty seed so both endpoints' configurations and the receiver's
-   pre-BGP main RIB match prime time. The edge key is looked up once
-   per session and fixed point. *)
-type import_memo =
-  ( string,
-    (Prefix.t, Rib.bgp_entry list * Rib.bgp_entry list) Hashtbl.t )
-  Hashtbl.t
-
-(* Prime a memo from a converged state: one [session_candidates] per
-   (session, sender prefix) — about one round's worth of policy work,
-   paid once and read by every warm replay seeded from this state. *)
-let build_import_memo (find_device : find_device) ~edges ~pre_mains ~bgp_ribs :
-    import_memo =
-  let memo : import_memo = Hashtbl.create 1024 in
-  let sessions, _ = resolve_sessions find_device ~pre_mains edges in
-  List.iter
-    (fun s ->
-      let pre_main =
-        Option.value
-          (Hashtbl.find_opt pre_mains s.edge.recv_host)
-          ~default:Prefix_trie.empty
-      in
-      match Hashtbl.find_opt bgp_ribs s.edge.send_host with
-      | None -> ()
-      | Some sender_table ->
-          let inner = Hashtbl.create 64 in
-          Prefix_trie.iter
-            (fun p group ->
-              Hashtbl.replace inner p
-                (group, session_candidates ~pre_main s group))
-            sender_table;
-          Hashtbl.replace memo (Session.edge_key s.edge) inner)
-    sessions;
-  memo
-
-let push acc (e : Rib.bgp_entry) =
-  acc :=
-    Prefix_trie.update e.be_route.Route.prefix
-      (function None -> Some [ e ] | Some es -> Some (e :: es))
-      !acc
-
-(* Local origination at the prefixes [keep] admits: network statements
-   pull exact main-RIB entries into BGP, redistribution pulls matching
-   protocols through its policy. *)
-let originate (d : Device.t) (b : Device.bgp_config) ~pre_main ~keep acc =
+(* Local origination: network statements pull exact main-RIB entries
+   into BGP, redistribution pulls matching protocols through its
+   policy. *)
+let originate (d : Device.t) (b : Device.bgp_config) ~pre_main add =
   List.iter
     (fun p ->
-      if keep p then
-        match Rib.table_find p pre_main with
-        | [] -> ()
-        | me :: _ ->
-            if me.Rib.me_protocol <> Route.Bgp then
-              push acc
-                {
-                  Rib.be_route = Route.originate p ~next_hop:self_next_hop;
-                  be_source = Rib.From_network;
-                  be_from_ebgp = false;
-                  be_igp_cost = 0;
-                  be_peer_id = b.router_id;
-                  be_best = false;
-                })
+      match Rib.table_find p pre_main with
+      | [] -> ()
+      | me :: _ ->
+          if me.Rib.me_protocol <> Route.Bgp then
+            add
+              {
+                Rib.be_route = Route.originate p ~next_hop:self_next_hop;
+                be_source = Rib.From_network;
+                be_from_ebgp = false;
+                be_igp_cost = 0;
+                be_peer_id = b.router_id;
+                be_best = false;
+              })
     b.networks;
   List.iter
     (fun (rd : Device.redistribute) ->
@@ -579,10 +519,10 @@ let originate (d : Device.t) (b : Device.bgp_config) ~pre_main ~keep acc =
         (fun _ mes ->
           List.iter
             (fun (me : Rib.main_entry) ->
-              if keep me.me_prefix && me.me_protocol = rd.rd_from then
+              if me.me_protocol = rd.rd_from then
                 match redistribute ~eval:route_eval d rd me with
                 | Some r, _ ->
-                    push acc
+                    add
                       {
                         Rib.be_route = r;
                         be_source = Rib.From_redistribute rd.rd_from;
@@ -596,136 +536,129 @@ let originate (d : Device.t) (b : Device.bgp_config) ~pre_main ~keep acc =
         pre_main)
     b.redistributes
 
-(* One synchronous round for one host: local origination plus, from
-   each in-session, its update group's exports of the previous round
-   through the session's receiver half. *)
-let host_round (d : Device.t) ~in_sessions ~exports_of ~pre_main =
-  match d.bgp with
-  | None -> Prefix_trie.empty
-  | Some b ->
-      let acc = ref Prefix_trie.empty in
-      originate d b ~pre_main ~keep:(fun _ -> true) acc;
-      List.iter
-        (fun s ->
-          let entries, routes = exports_of s in
-          Array.iteri
-            (fun i se ->
-              match receiver_half ~pre_main s se routes.(i) with
-              | Some c -> push acc c
-              | None -> ())
-            entries)
-        in_sessions;
-      (* aggregates: active iff a strictly more specific BGP entry
-         exists among what we have so far *)
-      let base = !acc in
-      List.iter
-        (fun (a : Device.aggregate) ->
-          let has_contributor =
-            List.exists
-              (fun (q, _) -> Prefix.len q > Prefix.len a.ag_prefix)
-              (Prefix_trie.subsumed a.ag_prefix base)
-          in
-          if has_contributor then
-            push acc
-              {
-                Rib.be_route =
-                  {
-                    (Route.originate a.ag_prefix ~next_hop:self_next_hop) with
-                    Route.origin = Route.Origin_incomplete;
-                  };
-                be_source = Rib.From_aggregate;
-                be_from_ebgp = false;
-                be_igp_cost = 0;
-                be_peer_id = b.router_id;
-                be_best = false;
-              })
-        b.aggregates;
-      Prefix_trie.map (select_group b) !acc
+let is_aggregate (e : Rib.bgp_entry) =
+  match e.be_source with
+  | Rib.From_aggregate -> true
+  | Rib.Learned _ | Rib.From_network | Rib.From_redistribute _ -> false
 
-(* Scoped variant of [host_round] for warm starts: recompute only the
-   groups at the [scope] prefixes and splice them into [prev_self],
-   the host's previous-round table. Exact because a prefix's group is
-   a per-prefix function of the round's inputs — local origination at
-   p, each in-sender's previous-round group at p (export and import
-   transforms never rewrite a route's prefix), and best-path selection
-   within the group. Aggregates are the one cross-prefix coupling
-   (their activation scans contributors under the aggregate prefix),
-   so a host configured with any aggregate takes the full round. Each
-   session runs both halves itself: update groups are not shared
-   here. *)
-let host_round_scoped (d : Device.t) ~in_sessions ~exports_of
-    ~(prev_bgp : string -> Rib.bgp_entry Rib.table) ~pre_main ~(scope : pset)
-    ~prev_self ~base_self ~self_clean ~memo =
+let aggregate_entry (b : Device.bgp_config) (a : Device.aggregate) =
+  {
+    Rib.be_route =
+      {
+        (Route.originate a.ag_prefix ~next_hop:self_next_hop) with
+        Route.origin = Route.Origin_incomplete;
+      };
+    be_source = Rib.From_aggregate;
+    be_from_ebgp = false;
+    be_igp_cost = 0;
+    be_peer_id = b.router_id;
+    be_best = false;
+  }
+
+(* An aggregate is active iff some entry other than an aggregate sits at
+   a strictly more specific prefix. *)
+let aggregate_active table (a : Device.aggregate) =
+  List.exists
+    (fun (q, es) ->
+      Prefix.len q > Prefix.len a.ag_prefix
+      && not (List.for_all is_aggregate es))
+    (Prefix_trie.subsumed a.ag_prefix table)
+
+let learned_from ip (e : Rib.bgp_entry) =
+  match e.be_source with
+  | Rib.Learned x -> Ipv4.equal x ip
+  | Rib.From_network | Rib.From_aggregate | Rib.From_redistribute _ -> false
+
+(* One synchronous round for one host. A prefix's group is a function of
+   the host's own origination at that prefix, each in-sender's
+   previous-round best entries at that prefix (export and import never
+   rewrite a prefix) and selection within the group. So the round starts
+   from the host's previous table [prev] and redoes only prefixes where
+   [changed_at] says an in-sender's best entries changed, and of those
+   only the ones where the host holds an entry from that sender or gets
+   a fresh one: there it swaps the sender's entries ([be_source =
+   Learned send_ip]; an address has one owner, so every session with
+   that address comes from the same sender) for fresh receiver halves of
+   the sender's update-group exports, and selects again. A host whose
+   round function changed ([full]) starts from the empty table instead:
+   it originates and imports every in-sender's whole table. Aggregates
+   are the one cross-prefix coupling: an aggregate above a redone prefix
+   is checked again. *)
+let host_round (d : Device.t) ~full ~prev ~in_sessions ~changed_at ~exports_of
+    ~pre_main =
   match d.bgp with
   | None -> Prefix_trie.empty
-  | Some b when b.aggregates <> [] ->
-      host_round d ~in_sessions ~exports_of ~pre_main
   | Some b ->
-      let fresh = ref Prefix_trie.empty in
-      originate d b ~pre_main ~keep:(Hashtbl.mem scope) fresh;
-      (* Per-session context for this round: the sender's table, the
-         memo's inner (prefix → candidates) table, and whether the
-         memo admits the session (both endpoints outside the dirty
-         seed, so configurations and the receiver's pre-BGP main RIB
-         match prime time). *)
-      let ctxs =
-        List.map
-          (fun s ->
-            let inner, admit = memo s in
-            (s, prev_bgp s.edge.send_host, inner, admit))
-          in_sessions
+      (* per redone prefix: the session addresses swapped out, and the
+         fresh candidates *)
+      let redo : (Prefix.t, Ipv4.t list * Rib.bgp_entry list) Hashtbl.t =
+        Hashtbl.create 64
       in
-      Hashtbl.fold
-        (fun p () table ->
-          (* [stable] tracks whether every input at this prefix provably
-             equals the memo's baseline: the host's own previous group
-             is physically the baseline one, and each session
-             contributes either a verbatim memo hit or candidates
-             structurally equal to the cached ones. Local origination
-             cannot diverge when [self_clean] — the host is outside the
-             dirty seed, so its configuration and pre-BGP main RIB are
-             unchanged (a seeded host reached here via later-round
-             table dirt forfeits the shortcut). When stable, the
-             previous binding IS this round's output: skip selection
-             and keep the table untouched (preserving physical identity
-             for downstream memo hits). *)
-          let stable =
-            ref
-              (self_clean
-              && Rib.table_find p prev_self == Rib.table_find p base_self)
+      let at p = Option.value (Hashtbl.find_opt redo p) ~default:([], []) in
+      let add (c : Rib.bgp_entry) =
+        let p = c.be_route.Route.prefix in
+        let ips, cs = at p in
+        Hashtbl.replace redo p (ips, c :: cs)
+      in
+      let import s =
+        let entries, routes = exports_of s in
+        Array.iteri
+          (fun i se ->
+            Option.iter add (receiver_half ~pre_main s se routes.(i)))
+          entries
+      in
+      if full then begin
+        originate d b ~pre_main add;
+        List.iter import in_sessions
+      end
+      else
+        List.iter
+          (fun s ->
+            match changed_at s.edge.send_host with
+            | None -> ()
+            | Some changed ->
+                let ip = s.edge.send_ip in
+                Prefix_trie.iter_common
+                  (fun p group () ->
+                    if List.exists (learned_from ip) group then
+                      let ips, cs = at p in
+                      Hashtbl.replace redo p (ip :: ips, cs))
+                  prev changed;
+                import s)
+          in_sessions;
+      (* [select_group] sets every best flag again *)
+      let regroup p es table =
+        match es with
+        | [] -> Prefix_trie.remove p table
+        | es -> Prefix_trie.add p (select_group b es) table
+      in
+      let table =
+        Hashtbl.fold
+          (fun p (ips, cs) table ->
+            let kept (e : Rib.bgp_entry) =
+              not (List.exists (fun ip -> learned_from ip e) ips)
+            in
+            regroup p (cs @ List.filter kept (Rib.table_find p table)) table)
+          redo
+          (if full then Prefix_trie.empty else prev)
+      in
+      List.fold_left
+        (fun table (a : Device.aggregate) ->
+          let below p =
+            Prefix.len p > Prefix.len a.ag_prefix
+            && Prefix.subsumes a.ag_prefix p
           in
-          let cands = ref (Rib.table_find p !fresh) in
-          List.iter
-            (fun (s, sender_table, inner, admit) ->
-              let group = Rib.table_find p sender_table in
-              let cs =
-                match inner with
-                | None ->
-                    stable := false;
-                    session_candidates ~pre_main s group
-                | Some t -> (
-                    match Hashtbl.find_opt t p with
-                    | Some (g0, cached) when admit && g0 == group -> cached
-                    | Some (_, cached) ->
-                        let cs = session_candidates ~pre_main s group in
-                        if !stable && not (groups_equal cs cached) then
-                          stable := false;
-                        cs
-                    | None ->
-                        (* no baseline binding: the session contributed
-                           nothing at prime time *)
-                        let cs = session_candidates ~pre_main s group in
-                        if cs <> [] then stable := false;
-                        cs)
-              in
-              if cs <> [] then cands := cs @ !cands)
-            ctxs;
-          if !stable then table
+          if not (Seq.exists below (Hashtbl.to_seq_keys redo)) then table
           else
-            match !cands with
-            | [] -> Prefix_trie.remove p table
-            | es -> Prefix_trie.add p (select_group b es) table)
-        scope prev_self
+            let es = Rib.table_find a.ag_prefix table in
+            let active = aggregate_active table a in
+            if active = List.exists is_aggregate es then table
+            else
+              regroup a.ag_prefix
+                (if active then aggregate_entry b a :: es
+                 else List.filter (fun e -> not (is_aggregate e)) es)
+                table)
+        table b.aggregates
 
 (* The main-RIB entries one prefix's BGP group installs: the best
    learned routes as next-hop entries, aggregates as discard routes,
@@ -826,12 +759,14 @@ type warm = {
   w_tables : (string, Rib.bgp_entry Rib.table) Hashtbl.t;
   w_dirty : (string, unit) Hashtbl.t;
   w_main_reuse : (string, Rib.main_entry Rib.table) Hashtbl.t;
-  w_memo : import_memo option;
-      (** import memo primed from the state that produced [w_tables];
-          read-only here (misses recompute, never populate) *)
 }
 
-let fixed_point ?(max_rounds = 64) ?diags ?warm devices ~igp_ribs ~pre_mains
+(* What changed at a dirty host: its round function (configuration,
+   pre-BGP main RIB or in-edge set), or its best entries at these
+   prefixes in the last round. *)
+type dirt = Full | At of unit Prefix_trie.t
+
+let fixed_point ?(max_rounds = 64) ?diags ~warm devices ~igp_ribs ~pre_mains
     ~edges =
   let dev_tbl = Hashtbl.create 64 in
   List.iter (fun (d : Device.t) -> Hashtbl.replace dev_tbl d.hostname d) devices;
@@ -866,75 +801,37 @@ let fixed_point ?(max_rounds = 64) ?diags ?warm devices ~igp_ribs ~pre_mains
   let bgp_state = Hashtbl.create 64 in
   List.iter
     (fun (d : Device.t) ->
-      let init =
-        match warm with
-        | None -> Prefix_trie.empty
-        | Some w ->
-            Option.value
-              (Hashtbl.find_opt w.w_tables d.hostname)
-              ~default:Prefix_trie.empty
-      in
-      Hashtbl.replace bgp_state d.hostname init)
+      Hashtbl.replace bgp_state d.hostname
+        (Option.value
+           (Hashtbl.find_opt warm.w_tables d.hostname)
+           ~default:Prefix_trie.empty))
     devices;
   let rounds = ref 0 in
-  (* Dirty-host convergence: a host's round output is a pure function
-     of its pre-BGP main RIB and its in-session senders' previous-round
-     best entries, so only hosts with a sender whose best entries
-     changed last round can produce a different table this round.
-     [dirty] holds those senders, at the prefixes where their best
-     entries changed (initially every host, standing in for the
-     transition into the empty initial state); hosts without a dirty
-     sender keep their tables without recomputation or recomparison.
-     A table change confined to entries that are not best dirties
+  (* Semi-naive iteration. A host's round output is a function of its
+     round function and its in-senders' previous-round best entries, so
+     a round recomputes only the hosts that are [dirty] or have a dirty
+     in-sender, and those only where something changed ([host_round]);
+     every other host keeps its table untouched. The seed marks the
+     hosts of [w_dirty] [Full]: their round function changed (a scratch
+     run's seed is every host, over empty tables). After each round a
+     host is dirty at exactly the prefixes where its best entries
+     changed; a change confined to entries that are not best dirties
      nothing.
 
-     A [warm] start replays only the affected cone of an edit: the
-     iteration is seeded with a previous fixed point's tables, and
-     [w_dirty] names the hosts whose round {e function} changed (their
-     device configuration, pre-BGP main RIB, or in-edge set differs
-     from the run that produced [w_tables]). The first round then
-     recomputes the dirty hosts themselves {e and} every receiver of a
-     dirty sender — the receivers' imports re-evaluate the dirty
-     sender's new export configuration even when that sender's own
-     table is unchanged — after which ordinary dirty propagation takes
-     over. Hosts outside the cone keep their tables untouched. The
-     result is a fixed point of the new network; it matches a
-     from-scratch run whenever the synchronous iteration's fixed point
-     is unique (differentially enforced by the mutation smoke gate and
-     the [mutation-falsifiability] oracle). *)
-  (* [None] = the host's round function changed (recompute it in full);
-     [Some ps] = only its table changed, at exactly the [ps] prefixes. *)
-  let dirty : (string, Prefix.t list option) Hashtbl.t = Hashtbl.create 64 in
-  (match warm with
-  | None ->
-      List.iter
-        (fun (d : Device.t) -> Hashtbl.replace dirty d.hostname None)
-        devices
-  | Some w -> Hashtbl.iter (fun h () -> Hashtbl.replace dirty h None) w.w_dirty);
-  (* Memo admission: the cached import is replayable only when neither
-     endpoint is in the dirty seed — seeded hosts may differ from the
-     memo's state in configuration, pre-BGP main RIB, or edge
-     attributes. [w_dirty] is never mutated here, so the gate stays
-     valid across rounds. *)
-  let memo =
-    match warm with
-    | Some ({ w_memo = Some m; _ } as w) ->
-        let ctx =
-          Array.of_list
-            (List.map
-               (fun s ->
-                 ( Hashtbl.find_opt m (Session.edge_key s.edge),
-                   (not (Hashtbl.mem w.w_dirty s.edge.send_host))
-                   && not (Hashtbl.mem w.w_dirty s.edge.recv_host) ))
-               sessions)
-        in
-        fun s -> ctx.(s.id)
-    | Some { w_memo = None; _ } | None -> fun _ -> (None, false)
-  in
-  (* Hosts whose best entries may differ from the warm-start tables,
-     with the union of the prefixes where they changed across rounds
-     ([None] = unbounded: the seeded dirty hosts), for main-RIB
-     patching below; a main RIB reads only best entries. *)
+     A warm seed replays only the affected cone of an edit: receivers of
+     a [Full] sender take that sender's whole table in round one (their
+     imports re-evaluate its new export configuration even where its
+     table is unchanged), and ordinary propagation takes over. The
+     result is a fixed point of the new network; it matches a scratch
+     run whenever the synchronous iteration's fixed point is unique
+     (differentially enforced by the mutation smoke gate and the
+     [mutation-falsifiability] oracle). *)
+  let dirty : (string, dirt) Hashtbl.t = Hashtbl.create 64 in
+  Hashtbl.iter (fun h () -> Hashtbl.replace dirty h Full) warm.w_dirty;
+  (* Hosts whose best entries may differ from the seed's tables, with
+     the union of the prefixes where they changed across rounds ([None]
+     = unbounded: the [Full] hosts), for main-RIB patching below; a main
+     RIB reads only best entries. *)
   let touched : (string, pset option) Hashtbl.t = Hashtbl.create 64 in
   Hashtbl.iter (fun h _ -> Hashtbl.replace touched h None) dirty;
   let touch h ps =
@@ -949,7 +846,6 @@ let fixed_point ?(max_rounds = 64) ?diags ?warm devices ~igp_ribs ~pre_mains
   (* Hosts whose table changed at all in the last round (the seed
      before the first): the hosts "still changing" at a cap. *)
   let changed_hosts = ref (Hashtbl.length dirty) in
-  let first = ref true in
   while Hashtbl.length dirty > 0 && !rounds < max_rounds do
     incr rounds;
     Netcov_obs.Trace.with_span "sim.bgp.round"
@@ -962,114 +858,72 @@ let fixed_point ?(max_rounds = 64) ?diags ?warm devices ~igp_ribs ~pre_mains
     let prev_bgp h =
       Option.value (Hashtbl.find_opt bgp_state h) ~default:Prefix_trie.empty
     in
-    (* This round's sender halves: each sender's best entries are
-       collected once, and each update group's exports computed once,
-       on first use; both are dropped when the round ends. *)
-    let best_of = Hashtbl.create 64 in
-    let best h =
-      match Hashtbl.find_opt best_of h with
-      | Some es -> es
-      | None ->
-          let es =
-            Array.of_list
-              (Prefix_trie.fold
-                 (fun _ group acc ->
-                   List.fold_left
-                     (fun acc (e : Rib.bgp_entry) ->
-                       if e.be_best then e :: acc else acc)
-                     acc group)
-                 (prev_bgp h) [])
-          in
-          Hashtbl.replace best_of h es;
-          es
+    let is_full h =
+      match Hashtbl.find_opt dirty h with
+      | Some Full -> true
+      | Some (At _) | None -> false
     in
+    (* A [Full] sender may export differently at every prefix. *)
+    let changed_at h =
+      match Hashtbl.find_opt dirty h with
+      | None -> None
+      | Some (At changed) -> Some changed
+      | Some Full -> Some (Prefix_trie.map ignore (prev_bgp h))
+    in
+    (* This round's sender halves, computed on first use and dropped
+       when the round ends: a sender's best entries at the prefixes
+       where they changed, or in its whole table in round one (then
+       every dirty host is [Full], and only [Full] receivers import
+       from a clean sender), and each update group's exports of
+       them. *)
     let exports = Array.make n_groups None in
     let exports_of s =
       match exports.(s.group) with
       | Some xs -> xs
       | None ->
-          let xs = group_exports s (best s.edge.send_host) in
+          let h = s.edge.send_host in
+          let table = prev_bgp h in
+          let groups =
+            match Hashtbl.find_opt dirty h with
+            | Some (At changed) ->
+                let acc = ref [] in
+                Prefix_trie.iter_common
+                  (fun _ g () -> acc := g :: !acc)
+                  table changed;
+                !acc
+            | Some Full | None ->
+                Prefix_trie.fold (fun _ g acc -> g :: acc) table []
+          in
+          let best =
+            Array.of_list
+              (List.concat_map
+                 (List.filter (fun (e : Rib.bgp_entry) -> e.be_best))
+                 groups)
+          in
+          let xs = group_exports s best in
           exports.(s.group) <- Some xs;
           xs
     in
-    let has_dirty_sender (d : Device.t) =
-      List.exists
-        (fun s -> Hashtbl.mem dirty s.edge.send_host)
-        (in_sessions_of_host d.hostname)
-    in
-    let targets =
-      if !first then
-        match warm with
-        | None -> devices
-        | Some _ ->
-            List.filter
-              (fun (d : Device.t) ->
-                Hashtbl.mem dirty d.hostname || has_dirty_sender d)
-              devices
-      else List.filter has_dirty_sender devices
-    in
-    first := false;
-    (* In a warm run a clean target re-imports only the prefixes its
-       dirty senders changed. A fully-dirty sender contributes every
-       prefix of its previous-round table: this round reads exactly
-       that table, and any prefixes its own recomputation adds arrive
-       through next round's diff. Scratch runs (and the dirty hosts
-       themselves) take the full round. *)
-    let scope_of (d : Device.t) : pset option =
-      match warm with
-      | None -> None
-      | Some _ ->
-          if
-            match Hashtbl.find_opt dirty d.hostname with
-            | Some None -> true
-            | _ -> false
-          then None
-          else begin
-            let acc : pset = Hashtbl.create 32 in
-            List.iter
-              (fun s ->
-                match Hashtbl.find_opt dirty s.edge.send_host with
-                | None -> ()
-                | Some (Some ps) -> pset_add_list acc ps
-                | Some None ->
-                    Prefix_trie.iter
-                      (fun p _ -> Hashtbl.replace acc p ())
-                      (prev_bgp s.edge.send_host))
-              (in_sessions_of_host d.hostname);
-            Some acc
-          end
-    in
     let next =
-      List.map
+      List.filter_map
         (fun (d : Device.t) ->
-          let in_sessions = in_sessions_of_host d.hostname in
-          let pre_main = Hashtbl.find pre_mains d.hostname in
-          let table =
-            match scope_of d with
-            | None -> host_round d ~in_sessions ~exports_of ~pre_main
-            | Some scope ->
-                let base_self, self_clean =
-                  match warm with
-                  | Some w ->
-                      ( Option.value
-                          (Hashtbl.find_opt w.w_tables d.hostname)
-                          ~default:Prefix_trie.empty,
-                        not (Hashtbl.mem w.w_dirty d.hostname) )
-                  | None -> (Prefix_trie.empty, false)
-                in
-                host_round_scoped d ~in_sessions ~exports_of ~prev_bgp
-                  ~pre_main ~scope ~prev_self:(prev_bgp d.hostname) ~base_self
-                  ~self_clean ~memo
-          in
-          (d.hostname, table))
-        targets
+          let h = d.hostname in
+          let in_sessions = in_sessions_of_host h in
+          let dirty_sender s = Hashtbl.mem dirty s.edge.send_host in
+          if is_full h || List.exists dirty_sender in_sessions then
+            Some
+              ( h,
+                host_round d ~full:(is_full h) ~prev:(prev_bgp h) ~in_sessions
+                  ~changed_at ~exports_of ~pre_main:(Hashtbl.find pre_mains h) )
+          else None)
+        devices
     in
     Hashtbl.reset dirty;
     changed_hosts := 0;
     List.iter
       (fun (h, table) ->
-        (* A scoped round splices into the previous table, so the walk
-           visits only the spliced paths. *)
+        (* A round splices into the previous table, so the walk visits
+           only the spliced paths. *)
         let prev = prev_bgp h in
         match Prefix_trie.diff groups_equal table prev with
         | [] -> ()
@@ -1083,7 +937,8 @@ let fixed_point ?(max_rounds = 64) ?diags ?warm devices ~igp_ribs ~pre_mains
             with
             | [] -> ()
             | best_changed ->
-                Hashtbl.replace dirty h (Some best_changed);
+                let at = List.map (fun p -> (p, ())) best_changed in
+                Hashtbl.replace dirty h (At (Prefix_trie.of_list at));
                 touch h best_changed))
       next;
     List.iter (fun (h, table) -> Hashtbl.replace bgp_state h table) next
@@ -1113,30 +968,21 @@ let fixed_point ?(max_rounds = 64) ?diags ?warm devices ~igp_ribs ~pre_mains
   let main_ribs = Hashtbl.create 64 in
   List.iter
     (fun (d : Device.t) ->
-      let rebuild () =
-        let pre_main = normalize_main (Hashtbl.find pre_mains d.hostname) in
-        build_main d pre_main (Hashtbl.find bgp_state d.hostname)
-      in
+      let h = d.hostname in
       let table =
-        match warm with
-        | None -> rebuild ()
-        | Some w -> (
-            match Hashtbl.find_opt touched d.hostname with
-            | None -> (
-                match Hashtbl.find_opt w.w_main_reuse d.hostname with
-                | Some t -> t
-                | None -> rebuild ())
-            | Some None -> rebuild ()
-            | Some (Some changed) -> (
-                match Hashtbl.find_opt w.w_main_reuse d.hostname with
-                | Some old_main ->
-                    patch_main d
-                      (Hashtbl.find pre_mains d.hostname)
-                      (Hashtbl.find bgp_state d.hostname)
-                      ~changed ~old_main
-                | None -> rebuild ()))
+        match
+          (Hashtbl.find_opt touched h, Hashtbl.find_opt warm.w_main_reuse h)
+        with
+        | None, Some old_main -> old_main
+        | Some (Some changed), Some old_main ->
+            patch_main d (Hashtbl.find pre_mains h) (Hashtbl.find bgp_state h)
+              ~changed ~old_main
+        | Some None, _ | _, None ->
+            build_main d
+              (normalize_main (Hashtbl.find pre_mains h))
+              (Hashtbl.find bgp_state h)
       in
-      Hashtbl.replace main_ribs d.hostname table)
+      Hashtbl.replace main_ribs h table)
     devices;
   { bgp_ribs = bgp_state; main_ribs; igp_ribs; pre_mains; edges; rounds = !rounds }
 
@@ -1144,4 +990,12 @@ let run ?max_rounds ?diags devices topo =
   let igp_ribs = Igp.compute devices topo in
   let pre_mains = compute_pre_mains devices igp_ribs in
   let edges = Session.establish devices topo ~reach:(reach_of pre_mains) in
-  fixed_point ?max_rounds ?diags devices ~igp_ribs ~pre_mains ~edges
+  (* A scratch run: empty tables, and every host's round function new. *)
+  let w_dirty = Hashtbl.create 64 in
+  List.iter
+    (fun (d : Device.t) -> Hashtbl.replace w_dirty d.hostname ())
+    devices;
+  let warm =
+    { w_tables = Hashtbl.create 1; w_dirty; w_main_reuse = Hashtbl.create 1 }
+  in
+  fixed_point ?max_rounds ?diags ~warm devices ~igp_ribs ~pre_mains ~edges

@@ -1,12 +1,18 @@
 (** BGP control-plane computation to a stable state, plus the targeted
     per-route simulations that NetCov's inference rules re-run (§4.2).
 
-    The propagation is a synchronous fixed point: each round every
-    device re-originates local routes, exports its current best routes
-    over every established edge, imports what its neighbors exported in
-    the previous round, and re-selects best paths. No provenance is
-    recorded — the coverage core re-derives contributions afterwards
-    from the stable state alone (paper §3.2, observation 2).
+    The propagation is a synchronous fixed point, evaluated semi-naively:
+    a round recomputes a host only where one of its in-senders' best
+    entries changed in the previous round. There it swaps that sender's
+    entries for fresh imports of the sender's new best entries and
+    re-selects best paths; aggregates above a changed prefix are
+    checked again, as they are the one coupling across prefixes. Every
+    round yields the tables a round over every host and prefix would. A
+    scratch run starts from empty tables with every host's round
+    function new, and a warm run from a previous state with the edited
+    hosts' round functions new. No provenance is recorded — the
+    coverage core re-derives contributions afterwards from the stable
+    state alone (paper §3.2, observation 2).
 
     Each edge is resolved once per fixed point into a {!session}: the
     sender's device, neighbor statement, BGP configuration and export
@@ -22,9 +28,10 @@
     The sender half reads only the sender, the export chain, the eBGP
     flag and the route-reflector-client flag, so sessions that agree on
     those four form an {e update group}, as in BGP speakers: each round
-    runs the sender half once per group and route, and each member
-    applies only its receiver half. {!export_route} and {!import_route}
-    resolve one side of an edge and call the same halves. *)
+    runs the sender half once per group over the sender's changed best
+    entries, and each member applies only its receiver half.
+    {!export_route} and {!import_route} resolve one side of an edge and
+    call the same halves. *)
 
 open Netcov_types
 open Netcov_config
@@ -38,9 +45,9 @@ type find_device = string -> Device.t
     policy elements exercised on the sender.
 
     [eval] substitutes the policy-chain evaluator (default:
-    [Eval.run_chain]); the coverage core injects a memoizing wrapper so
+    [Eval.run_chain]). The inference rules inject one that answers
     repeated targeted simulations of the same (device, chain, route)
-    are answered from cache. *)
+    from a memo cache; only [Incr] sessions keep such a cache. *)
 val export_route :
   ?eval:Netcov_policy.Eval.chain_eval ->
   find_device ->
@@ -94,49 +101,31 @@ val compute_pre_mains :
 val reach_of :
   (string, Rib.main_entry Rib.table) Hashtbl.t -> string -> Ipv4.t -> bool
 
-(** Memo of per-(session, prefix) import pipelines — the sender's group
-    filtered and transformed by the export and import simulations —
-    primed once from a converged state with {!build_import_memo}.
-    During a warm {!fixed_point} a lookup is replayed verbatim when the
-    sender's current group is physically the one the memo was primed
-    from (the warm iteration structurally shares untouched prefixes)
-    and neither edge endpoint is in the dirty seed. Read-only once
-    primed, so it is safe to share across parallel warm replays. *)
-type import_memo
-
-(** [build_import_memo find_device ~edges ~pre_mains ~bgp_ribs] primes
-    a memo from a converged state's edges and tables — about one
-    round's worth of policy evaluation. *)
-val build_import_memo :
-  find_device ->
-  edges:Session.edge list ->
-  pre_mains:(string, Rib.main_entry Rib.table) Hashtbl.t ->
-  bgp_ribs:(string, Rib.bgp_entry Rib.table) Hashtbl.t ->
-  import_memo
-
-(** Warm-start seed for {!fixed_point}: a previous run's converged
-    tables plus the set of hosts whose round function changed (their
-    configuration, pre-BGP main RIB, or in-edge set differs from the
-    run that produced the tables). [w_main_reuse] supplies main RIBs to
-    reuse for hosts outside the affected cone; [w_memo] optionally
-    supplies an import memo primed from the same state. *)
+(** Seed for {!fixed_point}: starting tables, the hosts whose round
+    function changed against them (their configuration, pre-BGP main
+    RIB, or in-edge set differs from the run that produced the tables),
+    and main RIBs to reuse for hosts whose best entries the run leaves
+    as they were. {!run}'s scratch seed is empty tables with every host
+    dirty. *)
 type warm = {
   w_tables : (string, Rib.bgp_entry Rib.table) Hashtbl.t;
   w_dirty : (string, unit) Hashtbl.t;
   w_main_reuse : (string, Rib.main_entry Rib.table) Hashtbl.t;
-  w_memo : import_memo option;
 }
 
-(** [fixed_point devices ~igp_ribs ~pre_mains ~edges] runs the
-    synchronous iteration from explicit inputs. Without [warm] it
-    starts from empty tables (equivalent to {!run} given the same
-    inputs); with [warm] it replays only the dirty cone of an edit,
-    which matches a from-scratch run whenever the iteration's fixed
-    point is unique. [max_rounds] and [diags] behave as for {!run}. *)
+(** [fixed_point ~warm devices ~igp_ribs ~pre_mains ~edges] runs the
+    synchronous iteration from explicit inputs, starting from [warm]'s
+    tables. Round one recomputes the whole table of every host in
+    [w_dirty] and, at every prefix of a dirty sender's table, the
+    imports of its receivers; later rounds redo only the prefixes where
+    an in-sender's best entries changed. From a seed that is a fixed
+    point of the network before an edit, the result matches a scratch
+    run whenever the iteration's fixed point is unique. [max_rounds] and
+    [diags] behave as for {!run}. *)
 val fixed_point :
   ?max_rounds:int ->
   ?diags:(Netcov_diag.Diag.t -> unit) ->
-  ?warm:warm ->
+  warm:warm ->
   Device.t list ->
   igp_ribs:(string, Rib.igp_entry Rib.table) Hashtbl.t ->
   pre_mains:(string, Rib.main_entry Rib.table) Hashtbl.t ->

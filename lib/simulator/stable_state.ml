@@ -9,10 +9,6 @@ type t = {
      the unmodified configurations for coverage) *)
   sim_devices : (string, Device.t) Hashtbl.t;
   down : (string * string) list;
-  mutable import_memo : Bgp.import_memo option;
-      (* primed lazily by [prime]; always [None] on a freshly assembled
-         state — a memo is only valid for warm updates seeded from the
-         exact state it was primed on, so it never carries over *)
   edge_of_key : (string, Session.edge) Hashtbl.t;
   learned_edge : (string * Ipv4.t, Session.edge * string) Hashtbl.t;
       (* (recv_host, send_ip) -> edge and its key. Both edge indexes
@@ -92,7 +88,6 @@ let assemble reg down topo sim devices =
     sim;
     sim_devices;
     down;
-    import_memo = None;
     edge_of_key;
     learned_edge;
     traces = Hashtbl.create 64;
@@ -121,8 +116,9 @@ let compute ?max_rounds ?diags ?(down = []) reg =
    host's round function is determined by its configuration, its
    pre-BGP main RIB, and its in-edge set, so the dirty seed is exactly
    the hosts where one of those three differs; Bgp.fixed_point then
-   adds receivers of dirty senders in round one (export policies are
-   evaluated receiver-side) and propagates normally. Topology and IGP
+   re-imports a dirty sender's whole table at its receivers in round
+   one (the sender's export policies may have changed) and propagates
+   only best-entry changes after that. Topology and IGP
    depend only on interface stanzas and are reused when no edited
    device touches them. Exact whenever the synchronous iteration's
    fixed point is unique — differentially gated by @mutation-smoke and
@@ -241,7 +237,6 @@ let update_devices ?max_rounds ?diags prev raw_devices =
               Bgp.w_tables = prev.sim.Bgp.bgp_ribs;
               w_dirty = dirty;
               w_main_reuse = prev.sim.Bgp.main_ribs;
-              w_memo = prev.import_memo;
             }
           in
           let sim =
@@ -261,21 +256,6 @@ let find_device t host =
   | None -> Registry.device t.reg host
 let is_external t host = Registry.is_external t.reg host
 
-(* Idempotent: prime once, then every [update_devices] seeded
-   from [t] replays unchanged (edge, prefix) imports from the memo. The
-   memo is immutable after priming, so a primed state can serve many
-   parallel warm updates (one domain per mutant) without synchronization.
-   Derived states come out with [import_memo = None] — re-prime them if
-   they will seed further batches. *)
-let prime t =
-  match t.import_memo with
-  | Some _ -> ()
-  | None ->
-      t.import_memo <-
-        Some
-          (Bgp.build_import_memo (find_device t) ~edges:t.sim.Bgp.edges
-             ~pre_mains:t.sim.Bgp.pre_mains ~bgp_ribs:t.sim.Bgp.bgp_ribs)
-
 let table_of tbl host =
   Option.value (Hashtbl.find_opt tbl host) ~default:Prefix_trie.empty
 
@@ -291,9 +271,6 @@ let learned_edge t ~recv_host ~send_ip =
 
 let edges_in t host =
   List.filter (fun (e : Session.edge) -> e.recv_host = host) t.sim.edges
-
-let edges_out t host =
-  List.filter (fun (e : Session.edge) -> e.send_host = host) t.sim.edges
 
 let main_lookup t host p = Rib.table_find p (main_rib t host)
 let bgp_lookup t host p = Rib.table_find p (bgp_rib t host)

@@ -39,25 +39,19 @@ val compute :
     and asks only simulation questions of the result, so skipping
     [Registry.build] per mutant is sound and is where most of the
     per-mutant speedup comes from. The result matches {!compute}
-    whenever the synchronous iteration's fixed point is unique, which
-    holds for the deterministic selection used here; the equivalence is
-    differentially enforced by the [@mutation-smoke] gate and the
-    [mutation-falsifiability] oracle. *)
+    whenever the synchronous iteration's fixed point is unique: both
+    stop at the first fixed point they reach, one from [prev]'s tables
+    and one from empty tables. That holds on the fat-trees, internet2
+    and the hostile corpus, differentially enforced by the
+    [@mutation-smoke] gate and the [mutation-falsifiability] oracle; it
+    fails for some WAN delete mutants, where scratch does not converge
+    within the round cap (docs/MUTATION.md). *)
 val update_devices :
   ?max_rounds:int ->
   ?diags:(Netcov_diag.Diag.t -> unit) ->
   t ->
   Device.t list ->
   t
-
-(** [prime t] builds the per-(edge, prefix) import memo for [t]
-    ({!Bgp.build_import_memo}) so that warm {!update_devices} calls
-    seeded from [t] replay unchanged imports instead of re-evaluating
-    policy chains. Idempotent; costs about one BGP round. The memo is
-    immutable once primed, so one primed state can serve many parallel
-    updates. States returned by {!update_devices} are never primed — a
-    memo is only valid for the exact state it was built on. *)
-val prime : t -> unit
 
 val registry : t -> Registry.t
 val topology : t -> Topology.t
@@ -86,7 +80,6 @@ val learned_edge :
   t -> recv_host:string -> send_ip:Ipv4.t -> (Session.edge * string) option
 
 val edges_in : t -> string -> Session.edge list
-val edges_out : t -> string -> Session.edge list
 
 (** Exact-prefix lookups. *)
 val main_lookup : t -> string -> Prefix.t -> Rib.main_entry list

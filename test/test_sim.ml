@@ -693,6 +693,48 @@ let test_pinned_capped () =
   check_bool "paper_params: round 4 changes some entry" true
     (canonical_ribs before <> canonical_ribs at_cap)
 
+(* (network, digest of the [canonical_ribs] digests at every cap from 1
+   to rounds - 1), recorded with the earlier round function: every round
+   of the fixed point, not only the last, must produce the same
+   tables. *)
+let pinned_round_digests =
+  [
+    ("internet2 test_params", "cfa5817755582c50c53b3b0160d57144");
+    ("internet2 default_params", "f4b0f4105f3d39ceddc3de2f0b54c3a8");
+    ("internet2 paper_params", "d935d3c56bfa372929490e4556f273af");
+    ("internet2 default_params rr2", "186e5ad96ebdac6fb13217a9b0df86bd");
+    ("fat-tree k=4", "b36d81e5a2b4ef8c32897bcc8a1162af");
+    ("fat-tree k=6", "6340112c6e344b0dd1e365cee675eceb");
+    ("wan", "ac435f27c9f8a12e88352d7e220d00e8");
+    ("wan multipath 4", "0c013889ef1baa3d9c6d27fbc7744e66");
+    ("hostile corpus", "63195d5665ba6a4fc5250a531cbae894");
+  ]
+
+let test_pinned_rounds () =
+  let got =
+    List.map
+      (fun (name, build) ->
+        let _, _, rounds =
+          List.find (fun (n, _, _) -> n = name) pinned_digests
+        in
+        let reg = build () in
+        let per_round =
+          List.init (rounds - 1) (fun i ->
+              let st =
+                Stable_state.compute ~max_rounds:(i + 1) ~diags:ignore reg
+              in
+              Digest.to_hex (Digest.string (canonical_ribs st)))
+        in
+        let digest =
+          Digest.to_hex (Digest.string (String.concat "" per_round))
+        in
+        Printf.printf "(%S, %S);\n" name digest;
+        (name, digest))
+      pinned_networks
+  in
+  Alcotest.(check (list (pair string string)))
+    "per-round digests" pinned_round_digests got
+
 (* ---------------- warm restarts ---------------- *)
 
 (* b aggregates a's LAN and is outside the edit, so a warm update
@@ -727,6 +769,49 @@ let test_warm_aggregate_withdrawal () =
     (Stable_state.bgp_lookup scratch "c" agg = []);
   Alcotest.(check string)
     "warm = scratch" (canonical_ribs scratch) (canonical_ribs warm)
+
+(* Every mutant, under every operator, of each element [pick] admits (by
+   position in id order): a warm update from the baseline and a scratch
+   computation of the mutant network reach the same state. Returns the
+   number of mutants and the disagreeing ones. *)
+let warm_scratch_mutants reg ~pick =
+  let module Mutation = Netcov_core.Mutation in
+  let base = Stable_state.compute reg in
+  let ids =
+    List.rev (Registry.fold_elements reg (fun acc e -> e.Element.id :: acc) [])
+  in
+  let n = ref 0 and differ = ref [] in
+  List.iteri
+    (fun i id ->
+      if pick i then
+        List.iter
+          (fun (m : Mutation.mutant) ->
+            let devices = Mutation.mutant_devices reg m in
+            let warm = Stable_state.update_devices base devices in
+            let scratch = Stable_state.compute (Registry.build devices) in
+            incr n;
+            if canonical_ribs warm <> canonical_ribs scratch then
+              differ :=
+                Printf.sprintf "%s %s" m.mu_op m.mu_element.Element.ekey.name
+                :: !differ)
+          (Option.value ~default:[]
+             (Mutation.mutants_of ~operators:Mutation.all_operators reg id)))
+    ids;
+  (!n, List.rev !differ)
+
+let test_warm_scratch_mutants () =
+  List.iter
+    (fun (name, build, pick, expected) ->
+      let n, differ = warm_scratch_mutants (build ()) ~pick in
+      check_int (name ^ ": mutants") expected n;
+      Alcotest.(check (list string)) (name ^ ": warm <> scratch") [] differ)
+    [
+      ("fat-tree k=4", fattree 4, (fun _ -> true), 252);
+      ( "internet2 test_params",
+        internet2 I2.test_params,
+        (fun i -> i mod 8 = 0),
+        141 );
+    ]
 
 let () =
   Alcotest.run "simulator"
@@ -773,10 +858,13 @@ let () =
             test_no_convergence_diag;
           Alcotest.test_case "warm aggregate withdrawal" `Quick
             test_warm_aggregate_withdrawal;
+          Alcotest.test_case "warm = scratch per mutant" `Quick
+            test_warm_scratch_mutants;
         ] );
       ( "pinned",
         [
           Alcotest.test_case "stable-state digests" `Quick test_pinned_states;
           Alcotest.test_case "capped one round short" `Quick test_pinned_capped;
+          Alcotest.test_case "every round" `Quick test_pinned_rounds;
         ] );
     ]

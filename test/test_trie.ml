@@ -259,6 +259,22 @@ let prop_diff =
             (diff_reference x y))
         [ (a, shared); (shared, a); (a, independent); (independent, shared); (a, a) ])
 
+let prop_iter_common =
+  QCheck.Test.make ~name:"iter_common agrees with the list model"
+    ~count:300
+    QCheck.(pair gen_nested_bindings gen_nested_bindings)
+    (fun (xs, ys) ->
+      let a = Prefix_trie.of_list xs and b = Prefix_trie.of_list ys in
+      let got = ref [] in
+      Prefix_trie.iter_common (fun q va vb -> got := (q, va, vb) :: !got) a b;
+      let expected =
+        List.filter_map
+          (fun (q, va) ->
+            Option.map (fun vb -> (q, va, vb)) (List.assoc_opt q (model ys)))
+          (model xs)
+      in
+      List.rev !got = expected)
+
 let test_diff_skips_shared () =
   (* An [eq] that calls every pair different still finds nothing in a
      physically shared trie, and only the rebound prefix's path in a
@@ -293,6 +309,7 @@ let () =
             prop_lpm_sound;
             prop_cardinal;
             prop_diff;
+            prop_iter_common;
             prop_to_list_ascending;
             prop_subsumed_model;
             prop_all_matches_model;
