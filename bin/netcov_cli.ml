@@ -756,7 +756,9 @@ let incr_cmd =
         "warning: baseline report says %.1f%% but the old configuration \
          recomputes to %.1f%% — stale baseline?\n"
         bl_pct old_pct;
-    let state_new = Stable_state.compute (Registry.build (load_dir new_dir)) in
+    let state_new =
+      Stable_state.recompute ~prev:state_old (Registry.build (load_dir new_dir))
+    in
     let tested_new = Netcov_dpcov.Dpcov.all_data_plane_tested state_new in
     let ustats = Incr.update session state_new [ tested_new ] in
     let rep = Incr.report session in

@@ -522,21 +522,27 @@ let incr_prop ((sc : Netgen.scenario), pick) =
   let devs_old = Netgen.devices_of sc.Netgen.net in
   let devs_new = mutate_devices pick devs_old in
   let state_a = Stable_state.compute (Registry.build devs_old) in
-  let state_b = Stable_state.compute (Registry.build devs_new) in
   let testeds_a = testeds_of state_a sc in
-  let testeds_b = testeds_of state_b sc in
   (* The session starts on the first half of the suite, and the rest is
      registered on the live session: the old tests are a prefix of the
-     new list, so only the appended ones are analyzed and merged in. *)
+     new list, so only the appended ones are analyzed and merged in.
+     After that the session moves through Stable_state.recompute, as
+     netcov serve does, and each reference is a scratch analysis of a
+     state computed from scratch. *)
   let half =
     List.filteri (fun i _ -> 2 * i < List.length testeds_a) testeds_a
   in
   let session, _ = Incr.create state_a half in
-  let diverges state testeds =
-    coverage_fp (Incr.report session) <> scratch_fp state testeds
+  let diverges reference testeds =
+    coverage_fp (Incr.report session) <> scratch_fp reference testeds
   in
   let update state testeds =
     ignore (Incr.update session state testeds : Incr.stats)
+  in
+  let recompute prev devs =
+    let state = Stable_state.recompute ~prev (Registry.build devs) in
+    update state (testeds_of state sc);
+    state
   in
   if diverges state_a half then
     fail "cold incremental run diverges from Netcov.analyze_suite"
@@ -545,16 +551,15 @@ let incr_prop ((sc : Netgen.scenario), pick) =
     if diverges state_a testeds_a then
       fail "registering tests on a live session diverges from scratch"
     else begin
-      update state_b testeds_b;
-      if diverges state_b testeds_b then
+      let state_b = recompute state_a devs_new in
+      let scratch_b = Stable_state.compute (Registry.build devs_new) in
+      if diverges scratch_b (testeds_of scratch_b sc) then
         fail "incremental update diverges from from-scratch analysis (edit %d)"
           pick
       else begin
         (* Edit reverted: this update must match from scratch too. *)
-        let state_a' = Stable_state.compute (Registry.build devs_old) in
-        let testeds_a' = testeds_of state_a' sc in
-        update state_a' testeds_a';
-        if diverges state_a' testeds_a' then
+        ignore (recompute state_b devs_old : Stable_state.t);
+        if diverges state_a testeds_a then
           fail "incremental revert diverges from from-scratch analysis"
         else Ok ()
       end
@@ -568,9 +573,10 @@ let incr_oracle =
   {
     name = "incremental-scratch";
     describe =
-      "incremental registration and update (diff -> fast path or union \
-       re-analysis over the replay-validated sim cache) produces \
-       byte-identical coverage to a from-scratch analysis";
+      "incremental registration and update (state through \
+       Stable_state.recompute, diff -> fast path or union re-analysis over \
+       the replay-validated sim cache) produces byte-identical coverage to \
+       a from-scratch analysis of a from-scratch state";
     run =
       (fun ~seed ~iters ->
         Check.run ~name:"incremental-scratch" ~seed ~iters ~print:print_incr

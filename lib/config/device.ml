@@ -79,6 +79,26 @@ type t = {
   bgp : bgp_config option;
 }
 
+(* The erased fields, and only these: a field read anywhere outside
+   the emitters and parsers must not be erased here. *)
+let behaviour d =
+  {
+    d with
+    interfaces =
+      List.map (fun i -> { i with description = None }) d.interfaces;
+    bgp =
+      Option.map
+        (fun b ->
+          {
+            b with
+            groups =
+              List.map (fun g -> { g with pg_description = None }) b.groups;
+            neighbors =
+              List.map (fun n -> { n with nb_description = None }) b.neighbors;
+          })
+        d.bgp;
+  }
+
 let make ?(syntax = Junos) ?(is_external = false) ?(interfaces = [])
     ?(static_routes = []) ?(acls = []) ?(prefix_lists = [])
     ?(community_lists = []) ?(as_path_lists = []) ?(policies = []) ?bgp

@@ -94,6 +94,15 @@ type t = {
   bgp : bgp_config option;
 }
 
+(** [behaviour d] is [d] with the fields that nothing outside the
+    emitters and parsers reads erased: the interface, peer-group and
+    neighbor descriptions. Two configurations of a device with equal
+    behaviours simulate and analyze alike, so this one projection
+    decides that an edit is behaviour-free, for the stable-state reuse
+    of [Stable_state.recompute] and for the incremental engine's fast
+    path. *)
+val behaviour : t -> t
+
 val make :
   ?syntax:syntax ->
   ?is_external:bool ->

@@ -174,13 +174,18 @@ let create state testeds =
 
    - every changed element belongs to a class that influences the
      analysis only through policy-chain evaluation (clauses and the
-     match lists they consult) — no interface, session, origination,
-     static-route or ACL semantics can have moved;
+     match lists they consult), or sits on a device whose
+     Device.behaviour is unchanged (the edit touched only fields that
+     nothing but the emitters and parsers reads) — no interface,
+     session, origination, static-route or ACL semantics can have
+     moved;
    - replaying every cached chain evaluation of the changed devices
      against their new configuration reproduces every result exactly
      (Rules.sim_cache_revalidate_hosts dropped nothing); and
    - the new stable state's RIBs, hosts and sessions are equal to the
-     old one's, so the same evaluations feed the same fixed point.
+     old one's (Stable_state.routes_equal; O(1) when the new state
+     reuses the old one's tables), so the same evaluations feed the
+     same fixed point.
 
    Under that witness the stored union would re-materialize its exact
    old graph and relabel it to its exact old result, so when the old
@@ -193,20 +198,6 @@ let reusable_etype = function
   | Element.As_path_list ->
       true
   | _ -> false
-
-let state_unchanged st_old st_new =
-  Stable_state.all_hosts st_old = Stable_state.all_hosts st_new
-  && Stable_state.internal_hosts st_old = Stable_state.internal_hosts st_new
-  && Stable_state.edges st_old = Stable_state.edges st_new
-  && List.for_all
-       (fun h ->
-         Rib.table_entries (Stable_state.main_rib st_old h)
-         = Rib.table_entries (Stable_state.main_rib st_new h)
-         && Rib.table_entries (Stable_state.bgp_rib st_old h)
-            = Rib.table_entries (Stable_state.bgp_rib st_new h)
-         && Rib.table_entries (Stable_state.igp_rib st_old h)
-            = Rib.table_entries (Stable_state.igp_rib st_new h))
-       (Stable_state.internal_hosts st_old)
 
 let id_map_is_identity m =
   try
@@ -237,16 +228,25 @@ let update s state testeds =
   let _checked, dropped =
     Rules.sim_cache_revalidate_hosts s.cache state (Hashtbl.mem changed_devs)
   in
+  let behaviour_free =
+    List.filter
+      (fun h ->
+        match (Registry.device_opt old.reg h, Registry.device_opt reg h) with
+        | Some o, Some n -> Device.behaviour o = Device.behaviour n
+        | _ -> false)
+      d.Registry_diff.devices_changed
+  in
   let fast =
     d.Registry_diff.added = []
     && d.Registry_diff.removed = []
     && id_map_is_identity d.Registry_diff.id_map
     && List.for_all
          (fun (e : Registry_diff.entry) ->
-           reusable_etype e.Registry_diff.e_key.Element.etype)
+           reusable_etype e.Registry_diff.e_key.Element.etype
+           || List.mem e.Registry_diff.e_device behaviour_free)
          d.Registry_diff.changed
     && dropped = 0
-    && state_unchanged old.st state
+    && Stable_state.routes_equal old.st state
   in
   let kept =
     if not fast then None

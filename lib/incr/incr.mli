@@ -12,10 +12,12 @@
     - {b Fast path.} The registries are diffed ({!Registry_diff}), and
       every cached evaluation of a changed device is replayed against
       its new configuration
-      ({!Netcov_core.Rules.sim_cache_revalidate_hosts}). When only
-      policy-class elements changed, every replay reproduced its result
-      and the new stable state's hosts, sessions and RIBs equal the old
-      one's, no behavior moved. If the old tests are a prefix of the
+      ({!Netcov_core.Rules.sim_cache_revalidate_hosts}). When every
+      changed element is of a policy class or sits on a device whose
+      {!Netcov_config.Device.behaviour} is unchanged, every replay
+      reproduced its result and the new stable state's hosts, sessions
+      and RIBs equal the old one's
+      ({!Netcov_sim.Stable_state.routes_equal}), no behavior moved. If the old tests are a prefix of the
       new list, their labels are kept and only the appended tests (a
       registered suite) are analyzed, as their own union.
     - {b Re-analysis.} Otherwise the whole union is analyzed again,

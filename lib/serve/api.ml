@@ -84,26 +84,41 @@ let configs_of_json j =
         items
 
 (* ------------------------------------------------------------------ *)
-(* Parse + simulate one uploaded configuration set. Lenient per PR 5:
+(* Parse + simulate one uploaded configuration set, leniently:
    recoverable problems become diagnostics in the response; an
    unrecoverable file fails the whole request with 422 and the
-   collected diagnostics, leaving any existing session untouched. *)
+   collected diagnostics, leaving any existing session untouched.
 
-let build_state ~syntax configs =
+   An update passes the entry's files of the last accepted request
+   ([cache]) and the session's state ([prev]): a file whose text is
+   byte-equal to its cached one keeps its parse outcome, and
+   Stable_state.recompute keeps [prev]'s simulation when every device
+   kept its behaviour. Both give what parsing and simulating from
+   scratch give, so an update answers as an upload of the same texts
+   would. *)
+
+let build_state ~syntax ?prev ~cache configs =
   let coll = Diag.collector () in
   let fatals = ref [] in
+  let parsed = Hashtbl.create (List.length configs) in
   let devices =
     List.filter_map
       (fun (file, text) ->
-        let hostname = Filename.remove_extension file in
-        let parsed =
-          match syntax with
-          | `Junos -> Parse_junos.parse_lenient ~file ~hostname text
-          | `Ios -> Parse_ios.parse_lenient ~file ~hostname text
+        let outcome =
+          match Hashtbl.find_opt cache file with
+          | Some (p : Session_table.parsed) when String.equal p.p_text text ->
+              Ok (p.p_device, p.p_warnings)
+          | _ -> (
+              let hostname = Filename.remove_extension file in
+              match syntax with
+              | `Junos -> Parse_junos.parse_lenient ~file ~hostname text
+              | `Ios -> Parse_ios.parse_lenient ~file ~hostname text)
         in
-        match parsed with
+        match outcome with
         | Ok (d, warns) ->
             List.iter (Diag.add coll) warns;
+            Hashtbl.replace parsed file
+              { Session_table.p_text = text; p_device = d; p_warnings = warns };
             Some d
         | Error diag ->
             Diag.add coll diag;
@@ -118,8 +133,13 @@ let build_state ~syntax configs =
       ~diags:(Diag.items coll);
   let reg, reg_diags = Registry.build_lenient devices in
   List.iter (Diag.add coll) reg_diags;
-  let state = Stable_state.compute ~diags:(Diag.add coll) reg in
-  (state, List.length devices, Diag.items coll)
+  let diags = Diag.add coll in
+  let state =
+    match prev with
+    | None -> Stable_state.compute ~diags reg
+    | Some prev -> Stable_state.recompute ~diags ~prev reg
+  in
+  (state, List.length devices, Diag.items coll, parsed)
 
 (* ------------------------------------------------------------------ *)
 (* Test-suite specs: uploaded as JSON, compiled against a stable state
@@ -276,9 +296,11 @@ let upload t req =
   let name = Option.value (member_str j "name") ~default:"" in
   let syntax = syntax_of_json j in
   let configs = configs_of_json j in
-  let state, n_devices, diags = build_state ~syntax configs in
+  let state, n_devices, diags, parsed =
+    build_state ~syntax ~cache:(Hashtbl.create 1) configs
+  in
   let session, _stats = Incr.create state [] in
-  match Session_table.add t.tbl ~name ~syntax ~session ~diags with
+  match Session_table.add t.tbl ~name ~syntax ~session ~diags ~parsed with
   | Error `Full ->
       fail 409 "too-many-networks"
         (Printf.sprintf
@@ -358,14 +380,16 @@ let update e req =
            (syntax_to_string e.Session_table.e_syntax)
            s)
   | _ -> ());
-  let state, n_devices, diags =
-    build_state ~syntax:e.Session_table.e_syntax configs
-  in
   Session_table.with_entry e @@ fun () ->
   let session = e.Session_table.e_session in
+  let state, n_devices, diags, parsed =
+    build_state ~syntax:e.Session_table.e_syntax
+      ~prev:(Incr.state session) ~cache:e.Session_table.e_parsed configs
+  in
   let reg = Stable_state.registry state in
   let testeds = compile_suites state reg e.Session_table.e_suites in
   let stats = Incr.update session state testeds in
+  e.Session_table.e_parsed <- parsed;
   e.Session_table.e_diags <- diags;
   e.Session_table.e_updates <- e.Session_table.e_updates + 1;
   let diff_json =

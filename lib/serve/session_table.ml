@@ -12,6 +12,12 @@ type test_spec =
 
 type suite = { su_name : string; su_tests : test_spec list }
 
+type parsed = {
+  p_text : string;
+  p_device : Netcov_config.Device.t;
+  p_warnings : Netcov_diag.Diag.t list;
+}
+
 type entry = {
   e_id : string;
   e_name : string;
@@ -21,6 +27,7 @@ type entry = {
   mutable e_suites : suite list;
   mutable e_diags : Netcov_diag.Diag.t list;
   mutable e_updates : int;
+  mutable e_parsed : (string, parsed) Hashtbl.t;
   e_created_s : float;
 }
 
@@ -43,7 +50,7 @@ let locked t f =
 
 let count t = locked t (fun () -> Hashtbl.length t.entries)
 
-let add t ~name ~syntax ~session ~diags =
+let add t ~name ~syntax ~session ~diags ~parsed =
   locked t @@ fun () ->
   if Hashtbl.length t.entries >= t.cap then Error `Full
   else begin
@@ -59,6 +66,7 @@ let add t ~name ~syntax ~session ~diags =
         e_suites = [];
         e_diags = diags;
         e_updates = 0;
+        e_parsed = parsed;
         e_created_s = Unix.gettimeofday ();
       }
     in

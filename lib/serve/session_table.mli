@@ -33,6 +33,15 @@ type test_spec =
 
 type suite = { su_name : string; su_tests : test_spec list }
 
+(** One configuration file of the latest accepted upload or update: its
+    text and what parsing it gave. An update that sends byte-equal text
+    under the same file name reuses the device and warnings. *)
+type parsed = {
+  p_text : string;
+  p_device : Netcov_config.Device.t;
+  p_warnings : Netcov_diag.Diag.t list;
+}
+
 type entry = {
   e_id : string;
   e_name : string;
@@ -44,6 +53,9 @@ type entry = {
       (** diagnostics of the latest accepted upload/update, embedded in
           coverage reports *)
   mutable e_updates : int;  (** completed [/update] calls *)
+  mutable e_parsed : (string, parsed) Hashtbl.t;
+      (** by file name, the files of the latest accepted upload or
+          update; replaced whole, never written in place *)
   e_created_s : float;  (** [Unix.gettimeofday] at creation *)
 }
 
@@ -57,14 +69,16 @@ val create : max_networks:int -> unit -> t
 val max_networks : t -> int
 val count : t -> int
 
-(** [add t ~name ~syntax ~session ~diags] registers a network under a
-    fresh id, or [Error `Full] at capacity ([remove] frees a slot). *)
+(** [add t ~name ~syntax ~session ~diags ~parsed] registers a network
+    under a fresh id, or [Error `Full] at capacity ([remove] frees a
+    slot). *)
 val add :
   t ->
   name:string ->
   syntax:[ `Junos | `Ios ] ->
   session:Netcov_incr.Incr.session ->
   diags:Netcov_diag.Diag.t list ->
+  parsed:(string, parsed) Hashtbl.t ->
   (entry, [ `Full ]) result
 
 val find : t -> string -> entry option

@@ -9,6 +9,14 @@ type t = {
      the unmodified configurations for coverage) *)
   sim_devices : (string, Device.t) Hashtbl.t;
   down : (string * string) list;
+  max_rounds : int option;  (* the cap the simulation ran under *)
+  sim_diags : Netcov_diag.Diag.t list option;
+      (* what a scratch simulation emitted, when it ran with a sink; a
+         reused state emits these again *)
+  scratch : bool;
+      (* [sim] is the scratch fixed point of [sim_devices]: false after
+         a warm run of [update_devices], which may stop at another fixed
+         point, so [recompute] never reuses such a state *)
   edge_of_key : (string, Session.edge) Hashtbl.t;
   learned_edge : (string * Ipv4.t, Session.edge * string) Hashtbl.t;
       (* (recv_host, send_ip) -> edge and its key. Both edge indexes
@@ -47,6 +55,11 @@ let m_rounds =
   M.counter M.default ~help:"BGP convergence rounds, summed over runs"
     ~unit_:"rounds" "sim.rounds"
 
+let m_reused =
+  M.counter M.default
+    ~help:"stable states reused by a recompute after a behaviour-free edit"
+    ~unit_:"states" "sim.reused"
+
 let m_seconds =
   M.histogram M.default ~help:"wall time of one stable-state computation"
     ~unit_:"seconds" ~buckets:M.seconds_buckets "sim.seconds"
@@ -69,11 +82,12 @@ let record_metrics t dt =
   M.set m_edges (float_of_int (List.length t.sim.edges));
   t
 
-let assemble reg down topo sim devices =
-  let sim_devices = Hashtbl.create 64 in
-  List.iter
-    (fun (d : Device.t) -> Hashtbl.replace sim_devices d.hostname d)
-    devices;
+let devices_table devices =
+  let t = Hashtbl.create 64 in
+  List.iter (fun (d : Device.t) -> Hashtbl.replace t d.hostname d) devices;
+  t
+
+let assemble ~max_rounds ~sim_diags ~scratch reg down topo sim devices =
   let edge_of_key = Hashtbl.create 256 in
   let learned_edge = Hashtbl.create 256 in
   List.iter
@@ -86,13 +100,29 @@ let assemble reg down topo sim devices =
     reg;
     topo;
     sim;
-    sim_devices;
+    sim_devices = devices_table devices;
     down;
+    max_rounds;
+    sim_diags;
+    scratch;
     edge_of_key;
     learned_edge;
     traces = Hashtbl.create 64;
     trace_lock = Mutex.create ();
   }
+
+(* [diags] passed through, keeping what it receives for the state's
+   [sim_diags]. *)
+let recording diags =
+  let emitted = ref [] in
+  let sink =
+    Option.map
+      (fun sink d ->
+        emitted := d :: !emitted;
+        sink d)
+      diags
+  in
+  (sink, fun () -> Option.map (fun _ -> List.rev !emitted) diags)
 
 (* A cold simulation of [raw_devices] over the coverage domain [reg]. *)
 let simulate ?max_rounds ?diags ~down reg raw_devices =
@@ -103,13 +133,46 @@ let simulate ?max_rounds ?diags ~down reg raw_devices =
     Netcov_obs.Timing.time (fun () ->
         let devices = apply_down down raw_devices in
         let topo = Topology.build devices in
-        let sim = Bgp.run ?max_rounds ?diags devices topo in
-        assemble reg down topo sim devices)
+        let sink, emitted = recording diags in
+        let sim = Bgp.run ?max_rounds ?diags:sink devices topo in
+        assemble ~max_rounds ~sim_diags:(emitted ()) ~scratch:true reg down
+          topo sim devices)
   in
   record_metrics t dt
 
 let compute ?max_rounds ?diags ?(down = []) reg =
   simulate ?max_rounds ?diags ~down reg (Registry.devices reg)
+
+(* Reuse needs every simulation input equal: the host set, [down], the
+   round cap, each device's behaviour, and a sink on both sides or on
+   neither (without one, the simulation records no diagnostics to
+   emit again). The reused state shares [prev]'s tables, topology and
+   edge indexes; its devices and registry are the new ones, and its
+   trace memo starts empty. *)
+let recompute ?max_rounds ?diags ?(down = []) ~prev reg =
+  let devices = apply_down down (Registry.devices reg) in
+  let same_behaviour (d : Device.t) =
+    match Hashtbl.find_opt prev.sim_devices d.hostname with
+    | Some old -> old == d || Device.behaviour old = Device.behaviour d
+    | None -> false
+  in
+  if
+    prev.scratch && down = prev.down && max_rounds = prev.max_rounds
+    && Option.is_some diags = Option.is_some prev.sim_diags
+    && List.length devices = Hashtbl.length prev.sim_devices
+    && List.for_all same_behaviour devices
+  then begin
+    Option.iter (fun sink -> Option.iter (List.iter sink) prev.sim_diags) diags;
+    M.inc m_reused 1;
+    {
+      prev with
+      reg;
+      sim_devices = devices_table devices;
+      traces = Hashtbl.create 64;
+      trace_lock = Mutex.create ();
+    }
+  end
+  else compute ?max_rounds ?diags ~down reg
 
 (* Warm restart: seed the BGP fixed point from [prev]'s converged
    tables and replay only the cone affected by the device edits. A
@@ -243,7 +306,8 @@ let update_devices ?max_rounds ?diags prev raw_devices =
             Bgp.fixed_point ?max_rounds ?diags ~warm devices ~igp_ribs
               ~pre_mains ~edges
           in
-          assemble prev.reg prev.down topo sim devices)
+          assemble ~max_rounds ~sim_diags:None ~scratch:false prev.reg
+            prev.down topo sim devices)
     in
     record_metrics t dt
 
@@ -323,3 +387,16 @@ let internal_hosts t =
 
 let all_hosts t =
   List.map (fun (d : Device.t) -> d.hostname) (Registry.devices t.reg)
+
+let routes_equal a b =
+  let same_table x y = x == y || Rib.table_entries x = Rib.table_entries y in
+  all_hosts a = all_hosts b
+  && internal_hosts a = internal_hosts b
+  && (a.sim == b.sim
+     || a.sim.edges = b.sim.edges
+        && List.for_all
+             (fun h ->
+               same_table (main_rib a h) (main_rib b h)
+               && same_table (bgp_rib a h) (bgp_rib b h)
+               && same_table (igp_rib a h) (igp_rib b h))
+             (internal_hosts a))

@@ -25,6 +25,35 @@ val compute :
   Registry.t ->
   t
 
+(** [recompute ~prev registry] returns what [compute registry] returns,
+    with the same optional arguments. When the host set, [down] and
+    [max_rounds] are [prev]'s, [diags] is given exactly when it was
+    for [prev], [prev] came from {!compute} or [recompute], and every
+    device has the {!Netcov_config.Device.behaviour} of [prev]'s, no
+    simulation input moved: the result is [prev]'s simulation over
+    [registry] (RIBs, edges, topology and rounds, physically shared),
+    and the diagnostics [prev]'s simulation emitted are emitted again
+    to [diags]. Each such reuse counts in the [sim.reused] metric.
+    Otherwise it computes from scratch.
+
+    It never warm-starts the fixed point: a warm run equals a scratch
+    run only where the fixed point is unique (see {!update_devices}),
+    and this function must equal {!compute} on every input. *)
+val recompute :
+  ?max_rounds:int ->
+  ?diags:(Netcov_diag.Diag.t -> unit) ->
+  ?down:(string * string) list ->
+  prev:t ->
+  Registry.t ->
+  t
+
+(** [routes_equal a b] holds when [a] and [b] have the same hosts and
+    internal hosts, the same routing edges, and every internal host
+    the same main, BGP and IGP RIB entries. Tables that the two states
+    share physically (a {!recompute} reuse shares all of them) compare
+    in O(1). *)
+val routes_equal : t -> t -> bool
+
 (** [update_devices prev devices] recomputes the stable state for raw
     device configurations [devices], warm-started from [prev]: the BGP
     fixed point is seeded with [prev]'s converged tables and only the

@@ -329,8 +329,9 @@ let check_scratch what session state testeds =
 
 (* Both update paths on a session whose tests each have many tested
    roots (the fat-tree k=4 datacenter suite). A description edit
-   changes no behavior but is outside the fast path's element classes,
-   so every test is re-analyzed. Then three edits in a row set the
+   leaves the leaf's Device.behaviour unchanged, so it takes the fast
+   path. A static route added on the same leaf changes behaviour, so
+   every test is re-analyzed. Then three edits in a row set the
    [upto] bound of one spine's IMPORT-WAN prefix match: behavior-free
    (the WAN stubs announce only the default route) and policy-class,
    so each takes the fast path. The later two hold only because a
@@ -357,16 +358,23 @@ let test_fattree_paths () =
     (cold.Incr.s_relabeled > 2 * List.length testeds);
   check_scratch "create" session state testeds;
   let spine = List.hd ft.Fattree.spines in
-  let described =
-    map_device edit_interface (List.hd ft.Fattree.leaves) ft.Fattree.devices
-  in
+  let leaf = List.hd ft.Fattree.leaves in
+  let described = map_device edit_interface leaf ft.Fattree.devices in
   let state, testeds = analyze described in
   let st = Incr.update session state testeds in
   check_int "description: one changed element" 1 st.Incr.s_changed;
-  check_int "description: nothing reused" 0 st.Incr.s_reused;
-  check_int "description: every root relabeled" cold.Incr.s_relabeled
-    st.Incr.s_relabeled;
+  check_int "description: nothing relabeled" 0 st.Incr.s_relabeled;
+  check_bool "description: full reuse ratio" true
+    (st.Incr.s_reuse_ratio = 1.0);
   check_scratch "description" session state testeds;
+  let edited = map_device add_static leaf described in
+  let state, testeds = analyze edited in
+  let st = Incr.update session state testeds in
+  check_int "static route: one added element" 1 st.Incr.s_added;
+  check_int "static route: nothing reused" 0 st.Incr.s_reused;
+  check_int "static route: every root relabeled" cold.Incr.s_relabeled
+    st.Incr.s_relabeled;
+  check_scratch "static route" session state testeds;
   let widen n (d : Device.t) =
     let widen_term (t : Policy_ast.term) =
       {
@@ -393,7 +401,7 @@ let test_fattree_paths () =
   List.iter
     (fun n ->
       let what = Printf.sprintf "upto %d" n in
-      let state, testeds = analyze (map_device (widen n) spine described) in
+      let state, testeds = analyze (map_device (widen n) spine edited) in
       let st = Incr.update session state testeds in
       check_int (what ^ ": one changed element") 1 st.Incr.s_changed;
       check_int (what ^ ": nothing relabeled") 0 st.Incr.s_relabeled;

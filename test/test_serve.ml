@@ -311,10 +311,56 @@ let add_static (d : Device.t) =
       :: d.Device.static_routes;
   }
 
+(* An interface description on a device. *)
+let describe (d : Device.t) =
+  match d.Device.interfaces with
+  | [] -> d
+  | i :: rest ->
+      {
+        d with
+        Device.interfaces = { i with Device.description = Some "edited" } :: rest;
+      }
+
+(* A prefix list the lenient parser drops with a parse.recovered
+   warning, leaving the device as it was. *)
+let with_bad_list configs =
+  List.map
+    (fun (file, text) ->
+      if file = "c.cfg" then
+        ( file,
+          text
+          ^ "policy-options {\n    prefix-list BAD-LIST {\n        \
+             999.1.2.3/99;\n    }\n}\n" )
+      else (file, text))
+    configs
+
+(* A report payload without its "timing" object, the one part that
+   differs between two runs of the same analysis. *)
+let drop_timing report =
+  let key = "\"timing\":{" in
+  let klen = String.length key in
+  let rec find i =
+    if i + klen > String.length report then
+      Alcotest.fail "report has no timing object"
+    else if String.sub report i klen = key then i
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let rec close i depth =
+    match report.[i] with
+    | '{' -> close (i + 1) (depth + 1)
+    | '}' -> if depth = 1 then i else close (i + 1) (depth - 1)
+    | _ -> close (i + 1) depth
+  in
+  let stop = close (start + klen - 1) 0 in
+  String.sub report 0 start
+  ^ String.sub report (stop + 2) (String.length report - stop - 2)
+
 (* The `netcov audit` code path on the same uploaded texts: lenient
    parse, lenient registry, simulate, analyze the data-plane upper
    bound in isolation, merge. The daemon's [?format=coverage] and
-   [?format=lcov] payloads are held byte-identical to this. *)
+   [?format=lcov] payloads are held byte-identical to this; the
+   diagnostics are returned beside the merged report. *)
 let audit_scratch configs =
   let coll = Diag.collector () in
   let devices =
@@ -338,7 +384,7 @@ let audit_scratch configs =
     Netcov.analyze_suite_isolated ~labels:[ "data-plane-upper-bound" ] state
       [ all ]
   in
-  Netcov.merge_reports ~registry:reg outcome.Netcov.ok
+  (Netcov.merge_reports ~registry:reg outcome.Netcov.ok, Diag.items coll)
 
 (* ---------------- end-to-end over loopback ------------------------- *)
 
@@ -402,7 +448,7 @@ let test_lifecycle () =
   check_bool "coverage computed" true (jnum reg "coverage_pct" > 0.);
 
   (* coverage must be byte-identical to the audit path on these texts *)
-  let scratch = audit_scratch configs in
+  let scratch, _ = audit_scratch configs in
   let status, body = request ~port (net "/coverage?format=coverage") in
   check_int "coverage fetched" 200 status;
   check_string "coverage bytes == audit" (J.coverage scratch.Netcov.coverage)
@@ -423,7 +469,7 @@ let test_lifecycle () =
   check_int "first update" 1 (jint u1 "update");
   check_bool "diff saw the added element" true
     (jint (jmem u1 "diff") "added" >= 1);
-  let scratch' = audit_scratch configs' in
+  let scratch', _ = audit_scratch configs' in
   let _, body = request ~port (net "/coverage?format=coverage") in
   check_string "post-update coverage == audit"
     (J.coverage scratch'.Netcov.coverage)
@@ -459,6 +505,54 @@ let test_lifecycle () =
     (J.coverage scratch'.Netcov.coverage)
     body;
 
+  (* a dropped prefix list on c (a parse warning, the same device),
+     then a description on b: the description-only update reuses the
+     parse of every other file and the stable state, relabels nothing,
+     and answers as the audit path does on the same texts, warning
+     included *)
+  let configs_w = with_bad_list configs' in
+  let status, body =
+    request ~port ~meth:"POST" ~body:(update_body configs_w) (net "/update")
+  in
+  check_int "warning update applied" 200 status;
+  check_int "one parse warning" 1
+    (List.length
+       (Option.get (Json_import.to_list (jmem (jparse body) "diagnostics"))));
+  let configs_d =
+    with_bad_list
+      (configs_of
+         (map_device describe "b" (map_device add_static "b" (Testnet.chain ()))))
+  in
+  let _, m0 = request ~port "/metrics" in
+  let m0 = jparse m0 in
+  let status, body =
+    request ~port ~meth:"POST" ~body:(update_body configs_d) (net "/update")
+  in
+  check_int "description update applied" 200 status;
+  let incr = jmem (jparse body) "incr" in
+  check_int "description: one changed element" 1 (jint incr "changed");
+  check_int "description: nothing relabeled" 0 (jint incr "relabeled_cones");
+  let _, m1 = request ~port "/metrics" in
+  let m1 = jparse m1 in
+  check_int "metrics: the stable state was reused"
+    (metric_total m0 "sim.reused" + 1)
+    (metric_total m1 "sim.reused");
+  check_int "metrics: no simulation ran" (metric_total m0 "sim.runs")
+    (metric_total m1 "sim.runs");
+  let scratch_d, diags_d = audit_scratch configs_d in
+  let _, body = request ~port (net "/coverage?format=coverage") in
+  check_string "description: coverage bytes == audit"
+    (J.coverage scratch_d.Netcov.coverage)
+    body;
+  let _, body = request ~port (net "/coverage?format=lcov") in
+  check_string "description: lcov bytes == audit"
+    (Lcov.report scratch_d.Netcov.coverage)
+    body;
+  let _, body = request ~port (net "/coverage?format=report") in
+  check_string "description: report bytes == audit, timing aside"
+    (drop_timing (J.report ~diags:diags_d ~failures:[] scratch_d))
+    (drop_timing body);
+
   (* listing, detail, deletion *)
   let _, body = request ~port "/v1/networks" in
   (match Json_import.to_list (jmem (jparse body) "networks") with
@@ -466,7 +560,7 @@ let test_lifecycle () =
   | _ -> Alcotest.fail "expected exactly one listed network");
   let status, body = request ~port (net "") in
   check_int "detail fetched" 200 status;
-  check_int "detail counts updates" 2 (jint (jparse body) "updates");
+  check_int "detail counts updates" 4 (jint (jparse body) "updates");
   let status, _ = request ~port ~meth:"DELETE" (net "") in
   check_int "deleted" 200 status;
   let status, _ = request ~port (net "") in

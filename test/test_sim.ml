@@ -813,6 +813,239 @@ let test_warm_scratch_mutants () =
         141 );
     ]
 
+(* ---------------- stable-state reuse ---------------- *)
+
+module M = Netcov_obs.Metrics
+
+let counter name =
+  match M.value M.default name with Some (M.Counter n) -> n | _ -> 0
+
+(* Every router also gets an unused peer group, so that a
+   re-description can land on a group. *)
+let with_group devices =
+  List.map
+    (fun (d : Device.t) ->
+      let group =
+        {
+          Device.pg_name = "PEERS";
+          pg_remote_as = None;
+          pg_import = [];
+          pg_export = [];
+          pg_local_pref = None;
+          pg_description = None;
+        }
+      in
+      {
+        d with
+        bgp =
+          Option.map
+            (fun (b : Device.bgp_config) ->
+              { b with groups = b.groups @ [ group ] })
+            d.bgp;
+      })
+    devices
+
+(* Sets one description per draw [(device, kind, k)]: of an interface,
+   a neighbor or a peer group of the drawn device, picked by [k]. *)
+let redescribe draws devices =
+  let n = List.length devices in
+  let nth_map xs k f =
+    match xs with
+    | [] -> []
+    | _ ->
+        let j = k mod List.length xs in
+        List.mapi (fun i x -> if i = j then f x else x) xs
+  in
+  List.fold_left
+    (fun devs (di, kind, k) ->
+      let text = Some (Printf.sprintf "re-%d" k) in
+      List.mapi
+        (fun i (d : Device.t) ->
+          if i <> di mod n then d
+          else
+            let bgp f = { d with bgp = Option.map f d.bgp } in
+            match kind mod 3 with
+            | 0 ->
+                {
+                  d with
+                  interfaces =
+                    nth_map d.interfaces k (fun (x : Device.interface) ->
+                        { x with description = text });
+                }
+            | 1 ->
+                bgp (fun b ->
+                    {
+                      b with
+                      neighbors =
+                        nth_map b.neighbors k (fun (x : Device.neighbor) ->
+                            { x with nb_description = text });
+                    })
+            | _ ->
+                bgp (fun b ->
+                    {
+                      b with
+                      groups =
+                        nth_map b.groups k (fun (x : Device.peer_group) ->
+                            { x with pg_description = text });
+                    }))
+        devs)
+    devices draws
+
+let shares_tables a b =
+  List.for_all
+    (fun h ->
+      Stable_state.main_rib a h == Stable_state.main_rib b h
+      && Stable_state.bgp_rib a h == Stable_state.bgp_rib b h)
+    (Stable_state.all_hosts a)
+
+(* Element statuses of one analysis of every forwarding rule. *)
+let labels state =
+  let rep =
+    Netcov_core.Netcov.analyze state
+      (Netcov_dpcov.Dpcov.all_data_plane_tested state)
+  in
+  Registry.fold_elements (Stable_state.registry state)
+    (fun acc e ->
+      Netcov_core.Coverage.element_status rep.Netcov_core.Netcov.coverage
+        e.Element.id
+      :: acc)
+    []
+
+(* A re-described network reuses the previous state, and the reuse is
+   what a scratch computation gives: RIBs, edges, rounds and labels.
+   A behaviour edit on top computes from scratch. *)
+let prop_recompute_exact =
+  let module Netgen = Netcov_check.Netgen in
+  let gen =
+    QCheck2.Gen.(
+      pair Netgen.network
+        (list_size (int_range 1 4) (triple nat nat nat)))
+  in
+  QCheck2.Test.make ~name:"recompute reuses exactly" ~count:40
+    ~print:(fun (net, draws) ->
+      Printf.sprintf "%s redescribe %s" (Netgen.print_network net)
+        (String.concat ";"
+           (List.map (fun (a, b, c) -> Printf.sprintf "%d,%d,%d" a b c) draws)))
+    gen
+    (fun (net, draws) ->
+      let base = with_group (Netgen.devices_of net) in
+      let prev = Stable_state.compute (Registry.build base) in
+      let described = redescribe draws base in
+      let reg = Registry.build described in
+      let reused0 = counter "sim.reused" and runs0 = counter "sim.runs" in
+      let reused = Stable_state.recompute ~prev reg in
+      let scratch = Stable_state.compute reg in
+      let exact =
+        counter "sim.reused" = reused0 + 1
+        && counter "sim.runs" = runs0 + 1
+        && shares_tables reused prev
+        && Stable_state.registry reused == reg
+        && canonical_ribs reused = canonical_ribs scratch
+        && Stable_state.edges reused = Stable_state.edges scratch
+        && Stable_state.rounds reused = Stable_state.rounds scratch
+        && labels reused = labels scratch
+      in
+      let edited =
+        List.mapi
+          (fun i (d : Device.t) ->
+            if i <> 0 then d
+            else
+              {
+                d with
+                static_routes =
+                  { Device.st_prefix = p "10.250.0.0/24"; st_next_hop = Ipv4.zero }
+                  :: d.static_routes;
+              })
+          described
+      in
+      let reg' = Registry.build edited in
+      let reused1 = counter "sim.reused" in
+      let fresh = Stable_state.recompute ~prev:reused reg' in
+      exact
+      && counter "sim.reused" = reused1
+      && canonical_state fresh
+         = canonical_state (Stable_state.compute reg'))
+
+(* DISAGREE (Griffin et al.): n1 and n2 each prefer the route through
+   the other over their direct route from o. The synchronous iteration
+   swaps between both-direct and both-through-the-other every round,
+   so the scratch simulation stops at the round cap with a
+   sim.no-convergence warning. A reused state must emit it again. *)
+let disagree () =
+  let iface addr name = Device.interface ~address:(ip addr, 30) name in
+  let prefer =
+    {
+      Policy_ast.pol_name = "PREFER-PEER";
+      terms =
+        [
+          {
+            Policy_ast.term_name = "all";
+            matches = [];
+            actions = [ Policy_ast.Set_local_pref 200; Policy_ast.Accept ];
+          };
+        ];
+    }
+  in
+  let node host asn own peer peer_as =
+    Device.make
+      ~interfaces:
+        [ iface own.(0) "eth0"; iface own.(1) "eth1" ]
+      ~policies:[ prefer ]
+      ~bgp:
+        (Testnet.bgp ~local_as:asn ~router_id:own.(0)
+           [
+             Testnet.neighbor ~remote_as:65000 own.(2);
+             Testnet.neighbor ~remote_as:peer_as ~import:[ "PREFER-PEER" ] peer;
+           ])
+      host
+  in
+  [
+    Device.make
+      ~interfaces:
+        [
+          iface "10.0.1.1" "eth0";
+          iface "10.0.2.1" "eth1";
+          Device.interface ~address:(ip "10.99.0.1", 24) "lan0";
+        ]
+      ~bgp:
+        (Testnet.bgp ~local_as:65000 ~router_id:"10.0.1.1"
+           ~networks:[ "10.99.0.0/24" ]
+           [
+             Testnet.neighbor ~remote_as:65001 "10.0.1.2";
+             Testnet.neighbor ~remote_as:65002 "10.0.2.2";
+           ])
+      "o";
+    node "n1" 65001 [| "10.0.1.2"; "10.0.3.1"; "10.0.1.1" |] "10.0.3.2" 65002;
+    node "n2" 65002 [| "10.0.2.2"; "10.0.3.2"; "10.0.2.1" |] "10.0.3.1" 65001;
+  ]
+
+let test_reuse_no_convergence () =
+  let run f =
+    let c = Diag.collector () in
+    let st = f (Diag.sink c) in
+    (st, List.map Diag.to_string (Diag.items c))
+  in
+  let prev, prev_diags =
+    run (fun diags -> Stable_state.compute ~diags (Registry.build (disagree ())))
+  in
+  check_int "stops at the default cap" 64 (Stable_state.rounds prev);
+  check_int "one diagnostic" 1 (List.length prev_diags);
+  check_bool "it is sim.no-convergence" true
+    (Astring_like.contains (List.hd prev_diags) "did not converge");
+  let reg = Registry.build (redescribe [ (1, 0, 0); (2, 1, 1) ] (disagree ())) in
+  let reused, reused_diags =
+    run (fun diags -> Stable_state.recompute ~diags ~prev reg)
+  in
+  let scratch, scratch_diags =
+    run (fun diags -> Stable_state.compute ~diags reg)
+  in
+  check_bool "the state is reused" true (shares_tables reused prev);
+  Alcotest.(check (list string))
+    "diagnostics equal compute's" scratch_diags reused_diags;
+  Alcotest.(check string)
+    "state equals compute's" (canonical_state scratch)
+    (canonical_state reused)
+
 let () =
   Alcotest.run "simulator"
     [
@@ -860,6 +1093,12 @@ let () =
             test_warm_aggregate_withdrawal;
           Alcotest.test_case "warm = scratch per mutant" `Quick
             test_warm_scratch_mutants;
+        ] );
+      ( "reuse",
+        [
+          QCheck_alcotest.to_alcotest prop_recompute_exact;
+          Alcotest.test_case "no-convergence diagnostic reused" `Quick
+            test_reuse_no_convergence;
         ] );
       ( "pinned",
         [
