@@ -380,12 +380,20 @@ let update e req =
            (syntax_to_string e.Session_table.e_syntax)
            s)
   | _ -> ());
-  Session_table.with_entry e @@ fun () ->
+  (* Parsing and simulating run outside the entry lock, so coverage
+     reads of this network do not wait for them. The session's state
+     and parse cache are taken under it; an update that commits in
+     between changes neither result, since both equal parsing and
+     simulating from scratch. *)
   let session = e.Session_table.e_session in
-  let state, n_devices, diags, parsed =
-    build_state ~syntax:e.Session_table.e_syntax
-      ~prev:(Incr.state session) ~cache:e.Session_table.e_parsed configs
+  let prev, cache =
+    Session_table.with_entry e (fun () ->
+        (Incr.state session, e.Session_table.e_parsed))
   in
+  let state, n_devices, diags, parsed =
+    build_state ~syntax:e.Session_table.e_syntax ~prev ~cache configs
+  in
+  Session_table.with_entry e @@ fun () ->
   let reg = Stable_state.registry state in
   let testeds = compile_suites state reg e.Session_table.e_suites in
   let stats = Incr.update session state testeds in

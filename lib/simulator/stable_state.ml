@@ -9,14 +9,15 @@ type t = {
      the unmodified configurations for coverage) *)
   sim_devices : (string, Device.t) Hashtbl.t;
   down : (string * string) list;
-  max_rounds : int option;  (* the cap the simulation ran under *)
   sim_diags : Netcov_diag.Diag.t list option;
       (* what a scratch simulation emitted, when it ran with a sink; a
          reused state emits these again *)
   scratch : bool;
-      (* [sim] is the scratch fixed point of [sim_devices]: false after
-         a warm run of [update_devices], which may stop at another fixed
-         point, so [recompute] never reuses such a state *)
+      (* [sim] is what [compute ?diags] gives for [sim_devices]: a
+         scratch run at the default round cap with no failed
+         interfaces. False after a warm run of [update_devices], which
+         may stop at another fixed point, so [recompute] reuses only
+         scratch states *)
   edge_of_key : (string, Session.edge) Hashtbl.t;
   learned_edge : (string * Ipv4.t, Session.edge * string) Hashtbl.t;
       (* (recv_host, send_ip) -> edge and its key. Both edge indexes
@@ -87,7 +88,7 @@ let devices_table devices =
   List.iter (fun (d : Device.t) -> Hashtbl.replace t d.hostname d) devices;
   t
 
-let assemble ~max_rounds ~sim_diags ~scratch reg down topo sim devices =
+let assemble ~sim_diags ~scratch reg down topo sim devices =
   let edge_of_key = Hashtbl.create 256 in
   let learned_edge = Hashtbl.create 256 in
   List.iter
@@ -102,7 +103,6 @@ let assemble ~max_rounds ~sim_diags ~scratch reg down topo sim devices =
     sim;
     sim_devices = devices_table devices;
     down;
-    max_rounds;
     sim_diags;
     scratch;
     edge_of_key;
@@ -135,31 +135,35 @@ let simulate ?max_rounds ?diags ~down reg raw_devices =
         let topo = Topology.build devices in
         let sink, emitted = recording diags in
         let sim = Bgp.run ?max_rounds ?diags:sink devices topo in
-        assemble ~max_rounds ~sim_diags:(emitted ()) ~scratch:true reg down
-          topo sim devices)
+        assemble ~sim_diags:(emitted ())
+          ~scratch:(max_rounds = None && down = [])
+          reg down topo sim devices)
   in
   record_metrics t dt
 
 let compute ?max_rounds ?diags ?(down = []) reg =
   simulate ?max_rounds ?diags ~down reg (Registry.devices reg)
 
-(* Reuse needs every simulation input equal: the host set, [down], the
-   round cap, each device's behaviour, and a sink on both sides or on
-   neither (without one, the simulation records no diagnostics to
-   emit again). The reused state shares [prev]'s tables, topology and
-   edge indexes; its devices and registry are the new ones, and its
-   trace memo starts empty. *)
-let recompute ?max_rounds ?diags ?(down = []) ~prev reg =
-  let devices = apply_down down (Registry.devices reg) in
+(* Reuse needs every simulation input equal: the devices in the same
+   order (Topology.build keeps the last device of a duplicated
+   interface address, and IGP adds entries in device order), each
+   device's behaviour, and a sink on both sides or on neither (without
+   one, the simulation records no diagnostics to emit again). The
+   reused state shares [prev]'s tables, topology and edge indexes; its
+   devices and registry are the new ones, and its trace memo starts
+   empty. *)
+let recompute ?diags ~prev reg =
+  let devices = Registry.devices reg in
   let same_behaviour (d : Device.t) =
     match Hashtbl.find_opt prev.sim_devices d.hostname with
     | Some old -> old == d || Device.behaviour old = Device.behaviour d
     | None -> false
   in
   if
-    prev.scratch && down = prev.down && max_rounds = prev.max_rounds
+    prev.scratch
     && Option.is_some diags = Option.is_some prev.sim_diags
-    && List.length devices = Hashtbl.length prev.sim_devices
+    && List.map (fun (d : Device.t) -> d.hostname) devices
+       = Topology.hosts prev.topo
     && List.for_all same_behaviour devices
   then begin
     Option.iter (fun sink -> Option.iter (List.iter sink) prev.sim_diags) diags;
@@ -172,7 +176,7 @@ let recompute ?max_rounds ?diags ?(down = []) ~prev reg =
       trace_lock = Mutex.create ();
     }
   end
-  else compute ?max_rounds ?diags ~down reg
+  else compute ?diags reg
 
 (* Warm restart: seed the BGP fixed point from [prev]'s converged
    tables and replay only the cone affected by the device edits. A
@@ -306,7 +310,7 @@ let update_devices ?max_rounds ?diags prev raw_devices =
             Bgp.fixed_point ?max_rounds ?diags ~warm devices ~igp_ribs
               ~pre_mains ~edges
           in
-          assemble ~max_rounds ~sim_diags:None ~scratch:false prev.reg
+          assemble ~sim_diags:None ~scratch:false prev.reg
             prev.down topo sim devices)
     in
     record_metrics t dt

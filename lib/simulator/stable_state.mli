@@ -25,27 +25,23 @@ val compute :
   Registry.t ->
   t
 
-(** [recompute ~prev registry] returns what [compute registry] returns,
-    with the same optional arguments. When the host set, [down] and
-    [max_rounds] are [prev]'s, [diags] is given exactly when it was
-    for [prev], [prev] came from {!compute} or [recompute], and every
-    device has the {!Netcov_config.Device.behaviour} of [prev]'s, no
-    simulation input moved: the result is [prev]'s simulation over
-    [registry] (RIBs, edges, topology and rounds, physically shared),
-    and the diagnostics [prev]'s simulation emitted are emitted again
-    to [diags]. Each such reuse counts in the [sim.reused] metric.
-    Otherwise it computes from scratch.
+(** [recompute ?diags ~prev registry] returns what
+    [compute ?diags registry] returns. When [prev] came from {!compute}
+    or [recompute] at the default round cap with no failed interfaces,
+    [diags] is given exactly when it was for [prev], [registry] holds
+    [prev]'s hosts in [prev]'s order, and every device has the
+    {!Netcov_config.Device.behaviour} of [prev]'s, no simulation input
+    moved: the result is [prev]'s simulation over [registry] (RIBs,
+    edges, topology and rounds, physically shared), and the diagnostics
+    [prev]'s simulation emitted are emitted again to [diags]. Each such
+    reuse counts in the [sim.reused] metric. Otherwise it computes from
+    scratch.
 
     It never warm-starts the fixed point: a warm run equals a scratch
     run only where the fixed point is unique (see {!update_devices}),
     and this function must equal {!compute} on every input. *)
 val recompute :
-  ?max_rounds:int ->
-  ?diags:(Netcov_diag.Diag.t -> unit) ->
-  ?down:(string * string) list ->
-  prev:t ->
-  Registry.t ->
-  t
+  ?diags:(Netcov_diag.Diag.t -> unit) -> prev:t -> Registry.t -> t
 
 (** [routes_equal a b] holds when [a] and [b] have the same hosts and
     internal hosts, the same routing edges, and every internal host

@@ -553,6 +553,30 @@ let test_lifecycle () =
     (drop_timing (J.report ~diags:diags_d ~failures:[] scratch_d))
     (drop_timing body);
 
+  (* the same texts in reverse file order: every file hits the parse
+     cache, but device order is a simulation input, so the state is
+     simulated again *)
+  let configs_r = List.rev configs_d in
+  let _, m2 = request ~port "/metrics" in
+  let m2 = jparse m2 in
+  let status, _ =
+    request ~port ~meth:"POST" ~body:(update_body configs_r) (net "/update")
+  in
+  check_int "reordered update applied" 200 status;
+  let _, m3 = request ~port "/metrics" in
+  let m3 = jparse m3 in
+  check_int "reordered: the stable state was not reused"
+    (metric_total m2 "sim.reused")
+    (metric_total m3 "sim.reused");
+  check_int "reordered: one simulation ran"
+    (metric_total m2 "sim.runs" + 1)
+    (metric_total m3 "sim.runs");
+  let scratch_r, _ = audit_scratch configs_r in
+  let _, body = request ~port (net "/coverage?format=coverage") in
+  check_string "reordered: coverage bytes == audit"
+    (J.coverage scratch_r.Netcov.coverage)
+    body;
+
   (* listing, detail, deletion *)
   let _, body = request ~port "/v1/networks" in
   (match Json_import.to_list (jmem (jparse body) "networks") with
@@ -560,7 +584,7 @@ let test_lifecycle () =
   | _ -> Alcotest.fail "expected exactly one listed network");
   let status, body = request ~port (net "") in
   check_int "detail fetched" 200 status;
-  check_int "detail counts updates" 4 (jint (jparse body) "updates");
+  check_int "detail counts updates" 5 (jint (jparse body) "updates");
   let status, _ = request ~port ~meth:"DELETE" (net "") in
   check_int "deleted" 200 status;
   let status, _ = request ~port (net "") in

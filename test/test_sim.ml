@@ -913,7 +913,8 @@ let labels state =
 
 (* A re-described network reuses the previous state, and the reuse is
    what a scratch computation gives: RIBs, edges, rounds and labels.
-   A behaviour edit on top computes from scratch. *)
+   The same devices in another order, or a behaviour edit on top,
+   compute from scratch. *)
 let prop_recompute_exact =
   let module Netgen = Netcov_check.Netgen in
   let gen =
@@ -961,10 +962,18 @@ let prop_recompute_exact =
       let reg' = Registry.build edited in
       let reused1 = counter "sim.reused" in
       let fresh = Stable_state.recompute ~prev:reused reg' in
+      let reordered =
+        match described with d :: rest -> rest @ [ d ] | [] -> []
+      in
+      let reg_r = Registry.build reordered in
+      let fresh_r = Stable_state.recompute ~prev:reused reg_r in
       exact
-      && counter "sim.reused" = reused1
+      && counter "sim.reused"
+         = reused1 + (if List.length described < 2 then 1 else 0)
       && canonical_state fresh
-         = canonical_state (Stable_state.compute reg'))
+         = canonical_state (Stable_state.compute reg')
+      && canonical_state fresh_r
+         = canonical_state (Stable_state.compute reg_r))
 
 (* DISAGREE (Griffin et al.): n1 and n2 each prefer the route through
    the other over their direct route from o. The synchronous iteration
@@ -1018,6 +1027,46 @@ let disagree () =
     node "n1" 65001 [| "10.0.1.2"; "10.0.3.1"; "10.0.1.1" |] "10.0.3.2" 65002;
     node "n2" 65002 [| "10.0.2.2"; "10.0.3.2"; "10.0.2.1" |] "10.0.3.1" 65001;
   ]
+
+(* a and b share the address 192.168.0.1, so the later of the two in
+   device order owns it and peers with c: c learns a's LAN or b's. *)
+let shared_address () =
+  let router host asn lan neighbors =
+    Device.make
+      ~interfaces:
+        [
+          Device.interface ~address:(ip "192.168.0.1", 30) "eth0";
+          Device.interface ~address:(ip (lan ^ ".1"), 24) "lan0";
+        ]
+      ~bgp:
+        (Testnet.bgp ~local_as:asn ~router_id:(lan ^ ".1")
+           ~networks:[ lan ^ ".0/24" ] neighbors)
+      host
+  in
+  let to_c = [ Testnet.neighbor ~remote_as:65003 "192.168.0.2" ] in
+  ( router "a" 65001 "10.10.0" to_c,
+    router "b" 65001 "10.20.0" to_c,
+    Device.make
+      ~interfaces:[ Device.interface ~address:(ip "192.168.0.2", 30) "eth0" ]
+      ~bgp:
+        (Testnet.bgp ~local_as:65003 ~router_id:"192.168.0.2"
+           [ Testnet.neighbor ~remote_as:65001 "192.168.0.1" ])
+      "c" )
+
+let test_reuse_reordered () =
+  let a, b, c = shared_address () in
+  let prev = Stable_state.compute (Registry.build [ a; b; c ]) in
+  let reg = Registry.build [ b; a; c ] in
+  let reused0 = counter "sim.reused" in
+  let st = Stable_state.recompute ~prev reg in
+  let scratch = Stable_state.compute reg in
+  let c_learns st net = Stable_state.bgp_lookup_best st "c" (p net) <> [] in
+  check_bool "before: c learns b's LAN" true (c_learns prev "10.20.0.0/24");
+  check_bool "after: c learns a's LAN" true (c_learns scratch "10.10.0.0/24");
+  check_int "the reordered devices are not reused" reused0
+    (counter "sim.reused");
+  Alcotest.(check string)
+    "state equals compute's" (canonical_state scratch) (canonical_state st)
 
 let test_reuse_no_convergence () =
   let run f =
@@ -1099,6 +1148,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_recompute_exact;
           Alcotest.test_case "no-convergence diagnostic reused" `Quick
             test_reuse_no_convergence;
+          Alcotest.test_case "reordered devices with a shared address" `Quick
+            test_reuse_reordered;
         ] );
       ( "pinned",
         [
