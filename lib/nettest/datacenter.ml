@@ -48,24 +48,7 @@ let tor_pingmesh (ft : Fattree.t) : Nettest.t =
             if src <> dst_leaf then begin
               incr checks;
               let dst = Prefix.first_host subnet in
-              let paths = Stable_state.trace state ~src ~dst in
-              let reached =
-                List.exists (fun (p : Forward.path) -> p.reached) paths
-              in
-              List.iteri
-                (fun idx (p : Forward.path) ->
-                  if p.reached then begin
-                    push (Fact.F_path { src; dst; idx });
-                    List.iter
-                      (fun (h : Forward.hop) ->
-                        List.iter
-                          (fun entry ->
-                            push (Fact.F_main_rib { host = h.hop_host; entry }))
-                          h.hop_entries)
-                      p.hops
-                  end)
-                paths;
-              if not reached then
+              if not (Nettest.reachable state ~push ~src ~dst) then
                 failures :=
                   Printf.sprintf "%s cannot reach %s (%s)" src
                     (Prefix.to_string subnet) dst_leaf

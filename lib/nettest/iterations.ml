@@ -168,24 +168,7 @@ let interface_reachability (net : Internet2.t) : Nettest.t =
               || List.exists (fun p -> Prefix.contains p ip) net.internal_prefixes
             then begin
               incr checks;
-              let paths = Stable_state.trace state ~src ~dst:ip in
-              let reached =
-                List.exists (fun (p : Forward.path) -> p.reached) paths
-              in
-              List.iteri
-                (fun idx (p : Forward.path) ->
-                  if p.reached then begin
-                    push (Fact.F_path { src; dst = ip; idx });
-                    List.iter
-                      (fun (h : Forward.hop) ->
-                        List.iter
-                          (fun entry ->
-                            push (Fact.F_main_rib { host = h.hop_host; entry }))
-                          h.hop_entries)
-                      p.hops
-                  end)
-                paths;
-              if not reached then
+              if not (Nettest.reachable state ~push ~src ~dst:ip) then
                 failures :=
                   Printf.sprintf "%s cannot reach %s (%s on %s)" src
                     (Ipv4.to_string ip) i.if_name owner

@@ -24,10 +24,18 @@ let main_facts state host p =
     (fun entry -> Fact.F_main_rib { host; entry })
     (Stable_state.main_lookup state host p)
 
-let path_facts state ~src ~dst =
+let reachable state ~push ~src ~dst =
   let paths = Stable_state.trace state ~src ~dst in
-  List.concat
-    (List.mapi
-       (fun idx (p : Forward.path) ->
-         if p.reached then Fact.F_path { src; dst; idx } :: [] else [])
-       paths)
+  List.iteri
+    (fun idx (p : Forward.path) ->
+      if p.reached then begin
+        push (Fact.F_path { src; dst; idx });
+        List.iter
+          (fun (h : Forward.hop) ->
+            List.iter
+              (fun entry -> push (Fact.F_main_rib { host = h.hop_host; entry }))
+              h.hop_entries)
+          p.hops
+      end)
+    paths;
+  List.exists (fun (p : Forward.path) -> p.reached) paths

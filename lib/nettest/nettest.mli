@@ -34,6 +34,13 @@ val suite_tested : (t * result) list -> Netcov.tested
 (** All main-RIB facts of [host] whose prefix equals [p]. *)
 val main_facts : Stable_state.t -> string -> Netcov_types.Prefix.t -> Fact.t list
 
-(** Facts for every reached forwarding path [src → dst], plus the path
-    facts themselves. *)
-val path_facts : Stable_state.t -> src:string -> dst:Netcov_types.Ipv4.t -> Fact.t list
+(** [reachable state ~push ~src ~dst] traces [src → dst] and passes
+    [push], path by path in trace order, each reached path's
+    {!Fact.F_path} and then the main-RIB facts of its hops. It returns
+    true iff some path reaches. *)
+val reachable :
+  Stable_state.t ->
+  push:(Fact.t -> unit) ->
+  src:string ->
+  dst:Netcov_types.Ipv4.t ->
+  bool

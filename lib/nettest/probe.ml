@@ -53,21 +53,7 @@ let best_routes p ~host prefix =
 let all_routes p ~host prefix =
   record_bgp p host (Stable_state.bgp_lookup p.st host prefix)
 
-let reachable p ~src ~dst =
-  let paths = Stable_state.trace p.st ~src ~dst in
-  List.iteri
-    (fun idx (q : Forward.path) ->
-      if q.reached then begin
-        push p (Fact.F_path { src; dst; idx });
-        List.iter
-          (fun (h : Forward.hop) ->
-            List.iter
-              (fun entry -> push p (Fact.F_main_rib { host = h.hop_host; entry }))
-              h.hop_entries)
-          q.hops
-      end)
-    paths;
-  List.exists (fun (q : Forward.path) -> q.reached) paths
+let reachable p ~src ~dst = Nettest.reachable p.st ~push:(push p) ~src ~dst
 
 let record_cp p host keys =
   let reg = Stable_state.registry p.st in

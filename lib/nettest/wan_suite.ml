@@ -75,24 +75,7 @@ let wan_pingmesh (w : Wan.t) : Nettest.t =
           incr checks;
           let src = sample_src a in
           let dst = Prefix.first_host (sample_dst b) in
-          let paths = Stable_state.trace state ~src ~dst in
-          let reached =
-            List.exists (fun (p : Forward.path) -> p.reached) paths
-          in
-          List.iteri
-            (fun idx (p : Forward.path) ->
-              if p.reached then begin
-                push (Fact.F_path { src; dst; idx });
-                List.iter
-                  (fun (h : Forward.hop) ->
-                    List.iter
-                      (fun entry ->
-                        push (Fact.F_main_rib { host = h.hop_host; entry }))
-                      h.hop_entries)
-                  p.hops
-              end)
-            paths;
-          if not reached then
+          if not (Nettest.reachable state ~push ~src ~dst) then
             failures :=
               Printf.sprintf "AS%d (%s) cannot reach AS%d (%s)" a src b
                 (Ipv4.to_string dst)

@@ -35,8 +35,24 @@ type env = {
   topo : Topology.t;
 }
 
-(** [trace env ~src ~dst] enumerates forwarding paths from [src] to
-    [dst], branching on ECMP up to 32 paths of at most 64 hops. A path
-    reaches when it arrives at a device owning [dst] or delivers onto a
-    connected subnet containing it. *)
-val trace : env -> src:string -> dst:Ipv4.t -> path list
+(** A state's forwarding: its [env] and the memos tracing fills. *)
+type t
+
+(** [create env] has empty memos. *)
+val create : env -> t
+
+(** [trace t ~src ~dst] enumerates forwarding paths from [src] to
+    [dst] depth-first, branching on ECMP in main-RIB order, and keeps
+    the first 32 paths; none has more than 64 hops. A path reaches when
+    it arrives at a device owning [dst] or delivers onto a connected
+    subnet containing it. It ends unreached where it is dropped or
+    blocked by an ACL, where it would revisit a host, and where it would
+    take a 65th hop.
+
+    A hop choice at a host toward [dst] (the matched entry, the entries
+    resolving its next hop, the egress interface, the ACL uses, the
+    next host) is computed once per [t] and shared by every trace
+    through that host, and a repeat call returns the physically same
+    list. Safe to call from several domains at once: one mutex guards
+    both memos, and computing runs outside it. *)
+val trace : t -> src:string -> dst:Ipv4.t -> path list

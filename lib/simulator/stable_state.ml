@@ -23,10 +23,8 @@ type t = {
       (* (recv_host, send_ip) -> edge and its key. Both edge indexes
          are built once per state and never written after, so any
          domain may read them without a lock. *)
-  traces : (string * Ipv4.t, Forward.path list) Hashtbl.t;
-      (* [trace] memo, filled on demand; the pool's domains share a
-         state, so every access holds [trace_lock] *)
-  trace_lock : Mutex.t;
+  forwarding : Forward.t;
+      (* over [sim_devices], [sim]'s main RIBs and [topo] *)
 }
 
 let apply_down down devices =
@@ -88,6 +86,16 @@ let devices_table devices =
   List.iter (fun (d : Device.t) -> Hashtbl.replace t d.hostname d) devices;
   t
 
+let table_of tbl host =
+  Option.value (Hashtbl.find_opt tbl host) ~default:Prefix_trie.empty
+
+let env_of sim_devices (sim : Bgp.result) topo =
+  {
+    Forward.find_device = Hashtbl.find_opt sim_devices;
+    main_rib = table_of sim.main_ribs;
+    topo;
+  }
+
 let assemble ~sim_diags ~scratch reg down topo sim devices =
   let edge_of_key = Hashtbl.create 256 in
   let learned_edge = Hashtbl.create 256 in
@@ -97,18 +105,18 @@ let assemble ~sim_diags ~scratch reg down topo sim devices =
       Hashtbl.replace edge_of_key key e;
       Hashtbl.replace learned_edge (e.recv_host, e.send_ip) (e, key))
     sim.Bgp.edges;
+  let sim_devices = devices_table devices in
   {
     reg;
     topo;
     sim;
-    sim_devices = devices_table devices;
+    sim_devices;
     down;
     sim_diags;
     scratch;
     edge_of_key;
     learned_edge;
-    traces = Hashtbl.create 64;
-    trace_lock = Mutex.create ();
+    forwarding = Forward.create (env_of sim_devices sim topo);
   }
 
 (* [diags] passed through, keeping what it receives for the state's
@@ -150,8 +158,8 @@ let compute ?max_rounds ?diags ?(down = []) reg =
    device's behaviour, and a sink on both sides or on neither (without
    one, the simulation records no diagnostics to emit again). The
    reused state shares [prev]'s tables, topology and edge indexes; its
-   devices and registry are the new ones, and its trace memo starts
-   empty. *)
+   devices and registry are the new ones, and its forwarding memo
+   starts empty. *)
 let recompute ?diags ~prev reg =
   let devices = Registry.devices reg in
   let same_behaviour (d : Device.t) =
@@ -168,12 +176,12 @@ let recompute ?diags ~prev reg =
   then begin
     Option.iter (fun sink -> Option.iter (List.iter sink) prev.sim_diags) diags;
     M.inc m_reused 1;
+    let sim_devices = devices_table devices in
     {
       prev with
       reg;
-      sim_devices = devices_table devices;
-      traces = Hashtbl.create 64;
-      trace_lock = Mutex.create ();
+      sim_devices;
+      forwarding = Forward.create (env_of sim_devices prev.sim prev.topo);
     }
   end
   else compute ?diags reg
@@ -324,9 +332,6 @@ let find_device t host =
   | None -> Registry.device t.reg host
 let is_external t host = Registry.is_external t.reg host
 
-let table_of tbl host =
-  Option.value (Hashtbl.find_opt tbl host) ~default:Prefix_trie.empty
-
 let main_rib t host = table_of t.sim.main_ribs host
 let bgp_rib t host = table_of t.sim.bgp_ribs host
 let igp_rib t host = table_of t.sim.igp_ribs host
@@ -348,29 +353,12 @@ let bgp_lookup_best t host p =
 
 let igp_lookup t host p = Rib.table_find p (igp_rib t host)
 
-let forward_env t =
-  {
-    Forward.find_device = (fun h -> Hashtbl.find_opt t.sim_devices h);
-    main_rib = (fun h -> main_rib t h);
-    topo = t.topo;
-  }
+let forward_env t = env_of t.sim_devices t.sim t.topo
 
 (* Tests trace the pairs they probe, and materialization's path and
-   edge rules trace them again: memoizing per state lets the rules
-   reuse the test's traces. Tracing runs outside the lock; when two
-   domains race on a pair, both return the first stored list. *)
-let trace t ~src ~dst =
-  let key = (src, dst) in
-  match Mutex.protect t.trace_lock (fun () -> Hashtbl.find_opt t.traces key) with
-  | Some paths -> paths
-  | None ->
-      let paths = Forward.trace (forward_env t) ~src ~dst in
-      Mutex.protect t.trace_lock (fun () ->
-          match Hashtbl.find_opt t.traces key with
-          | Some first -> first
-          | None ->
-              Hashtbl.add t.traces key paths;
-              paths)
+   edge rules trace them again: the state's one forwarding memo lets
+   the rules reuse the test's traces. *)
+let trace t ~src ~dst = Forward.trace t.forwarding ~src ~dst
 
 let reachable t ~src ~dst =
   List.exists (fun (p : Forward.path) -> p.reached) (trace t ~src ~dst)

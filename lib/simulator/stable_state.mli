@@ -116,14 +116,17 @@ val bgp_lookup_best : t -> string -> Prefix.t -> Rib.bgp_entry list
 
 val igp_lookup : t -> string -> Prefix.t -> Rib.igp_entry list
 
-(** Data-plane forwarding. *)
+(** Data-plane forwarding over the simulated devices (failed
+    interfaces applied), the main RIBs and the topology. *)
 val forward_env : t -> Forward.env
 
-(** [trace t ~src ~dst] is [Forward.trace (forward_env t) ~src ~dst],
-    memoized per state: a repeat call, including one made while
-    materializing the IFG after a test traced the same pair, returns
-    the physically same list. Safe to call from several domains at
-    once (one mutex guards the memo; tracing runs outside it). *)
+(** [trace t ~src ~dst] is {!Forward.trace} over the state's one
+    forwarding value, created with the state: hop choices are computed
+    once per (host, [dst]) per state, and a repeat call, including one
+    made while materializing the IFG after a test traced the same pair,
+    returns the physically same list. Safe to call from several domains
+    at once. A {!recompute} or {!update_devices} result starts with an
+    empty memo. *)
 val trace : t -> src:string -> dst:Ipv4.t -> Forward.path list
 
 (** [reachable t ~src ~dst] is true iff at least one path of

@@ -529,29 +529,6 @@ let canonical_ribs st =
 let canonical_state st =
   canonical_ribs st ^ Printf.sprintf "rounds %d\n" (Stable_state.rounds st)
 
-let corpus_dir =
-  if Sys.file_exists "corpus-hostile" then "corpus-hostile"
-  else "test/corpus-hostile"
-
-let hostile_registry () =
-  let read path =
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
-  let devices =
-    List.map
-      (fun f ->
-        match
-          Parse_junos.parse_lenient ~file:f (read (Filename.concat corpus_dir f))
-        with
-        | Ok (d, _) -> d
-        | Error _ -> Alcotest.failf "%s: fatal parse" f)
-      [ "h1.cfg"; "h2.cfg"; "h3.cfg"; "h3-dup.cfg" ]
-  in
-  fst (Registry.build_lenient devices)
-
 let internet2 params () = Registry.build (I2.generate params).devices
 let fattree k () = Registry.build (W.Fattree.generate ~k ()).devices
 let wan multipath () = Registry.build (W.Wan.generate ~multipath ()).devices
@@ -567,7 +544,7 @@ let pinned_networks =
     ("fat-tree k=6", fattree 6);
     ("wan", wan 1);
     ("wan multipath 4", wan 4);
-    ("hostile corpus", hostile_registry);
+    ("hostile corpus", Testnet.hostile_registry);
   ]
 
 (* (network, digest of [canonical_state], rounds), recorded before the

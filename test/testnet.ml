@@ -148,6 +148,30 @@ let diamond ?(multipath = 1) () =
 let state_of devices =
   Netcov_sim.Stable_state.compute (Registry.build devices)
 
+(* dune runtest runs in _build/default/test; dune exec from the root. *)
+let corpus_dir =
+  if Sys.file_exists "corpus-hostile" then "corpus-hostile"
+  else "test/corpus-hostile"
+
+let hostile_registry () =
+  let read path =
+    let ic = open_in_bin path in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    s
+  in
+  let devices =
+    List.map
+      (fun f ->
+        match
+          Parse_junos.parse_lenient ~file:f (read (Filename.concat corpus_dir f))
+        with
+        | Ok (d, _) -> d
+        | Error _ -> Alcotest.failf "%s: fatal parse" f)
+      [ "h1.cfg"; "h2.cfg"; "h3.cfg"; "h3-dup.cfg" ]
+  in
+  fst (Registry.build_lenient devices)
+
 (* The edge whose receiver is [recv_host] and whose sender session
    address is [send_ip] — the lookup in Figure 4. *)
 let edge_from state ~recv_host ~send_ip =
